@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .domain import NumberDomain, exact_domain, float_domain, format_rational
 from .graph import Graph, closed_walk_counts, degree_profile
@@ -110,6 +112,11 @@ def _coerced_rows(g: Graph, domain: NumberDomain):
     return rows, degrees
 
 
+def _neighbour_lists(a, qi: int) -> list:
+    """Per row r, the pairs (l, a_rl) with a_rl != 0 and l != q, in node order."""
+    return [[(l, w) for l, w in enumerate(row) if w != 0 and l != qi] for row in a]
+
+
 def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -> CoefficientTable:
     """Coefficient table via the beta recursion around the unique degree d_q.
 
@@ -120,8 +127,8 @@ def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -
 
     where the c convolution reuses c_m = sum_{l != q} beta_{m-1,l} a_ql, the
     same sum that defines the coefficients; this keeps the total cost at
-    O(K^2 N + K N^2).  Rows and coefficients are produced interleaved:
-    beta_1, c_2, beta_2, c_3, ..., beta_K.
+    O(K^2 N + K |E|).  The exact domain runs the recursion on scaled
+    integers (see ``_integer_recursion``); float domains run it in mpmath.
     """
     if K < 2:
         raise ValueError("K must be at least 2")
@@ -131,44 +138,101 @@ def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -
     if domain is None:
         domain = default_domain(g)
 
+    recursion = _integer_recursion if domain.is_exact else _float_recursion
     with domain.context():
-        a, d = _coerced_rows(g, domain)
-        n = g.n
-        qi = q - 1
-        others = [r for r in range(n) if r != qi]
-        zero = d[qi] * 0
-        inv_gap = [zero] * n
+        d_q, c, beta = recursion(g, q - 1, K, domain)
+    return CoefficientTable(q=q, K=K, d_q=d_q, c=c, beta=beta, domain=domain)
+
+
+def _integer_recursion(g: Graph, qi: int, K: int, domain: NumberDomain) -> tuple:
+    """Fraction-free form of the beta recursion; returns (d_q, c, beta) as Fractions.
+
+    With W the lcm of the weight denominators, the weights a = W A and the
+    gaps G_r = W (d_q - d_r) are integers.  With D = lcm_r |G_r| and the
+    integer m_r = D / G_r, the scaled quantities B_j = D^j beta_j and
+    C_j = W D^(j-1) c_j satisfy
+
+        B_1r = m_r a_rq,
+        B_jr = m_r (sum_{l != q} B_{j-1,l} a_rl - sum_{k=1}^{j-2} B_kr C_{j-k}),
+        C_j  = sum_{r != q} B_{j-1,r} a_qr,
+
+    so no step divides (the idea of Bareiss's fraction-free elimination).
+    W cancels out of beta.  Fractions are made only for the returned values.
+    """
+    rational = [[domain.coerce(w) for w in row] for row in g.weights]
+    W = lcm(*(w.denominator for row in rational for w in row))
+    a = [[w.numerator * (W // w.denominator) for w in row] for row in rational]
+    d = [sum(row) for row in a]
+    others = [r for r in range(g.n) if r != qi]
+    D = lcm(*(abs(d[qi] - d[r]) for r in others))
+    m = {r: D // (d[qi] - d[r]) for r in others}
+    nbrs = _neighbour_lists(a, qi)
+
+    prev = [0] * g.n
+    for r in others:
+        prev[r] = m[r] * a[r][qi]
+    cols = {r: [prev[r]] for r in others}  # cols[r] = [B_1r, ..., B_jr]
+    C = []  # C_2, C_3, ...
+    for j in range(2, K + 1):
+        # prev is row B_{j-1}; C holds C_2..C_{j-1}, so conv pairs with B_1r..B_{j-2,r}
+        conv = C[::-1]
+        C.append(sum(prev[l] * w for l, w in nbrs[qi]))
+        row = [0] * g.n
         for r in others:
-            inv_gap[r] = 1 / (d[qi] - d[r])
+            s = sum(prev[l] * w for l, w in nbrs[r])
+            row[r] = m[r] * (s - sum(map(mul, cols[r], conv)))  # map stops at len(conv)
+            cols[r].append(row[r])
+        prev = row
 
-        beta_rows = []
-        c = {}
-        row1 = [zero] * n
+    powers = [D ** j for j in range(K + 1)]
+    zero = Fraction(0)
+    beta = []
+    for j in range(1, K + 1):
+        row = [zero] * g.n
         for r in others:
-            row1[r] = a[r][qi] * inv_gap[r]
-        beta_rows.append(row1)
-        c[2] = sum(row1[r] * a[qi][r] for r in others)
+            row[r] = Fraction(cols[r][j - 1], powers[j])
+        beta.append(tuple(row))
+    c = tuple(Fraction(Cj, W * powers[j]) for j, Cj in enumerate(C, start=1))
+    return Fraction(d[qi], W), c, tuple(beta)
 
-        for j in range(2, K + 1):
-            prev = beta_rows[j - 2]
-            row = [zero] * n
-            for r in others:
-                s = sum(prev[l] * a[r][l] for l in others)
-                for k in range(1, j - 1):
-                    s -= beta_rows[k - 1][r] * c[j - k]
-                row[r] = s * inv_gap[r]
-            beta_rows.append(row)
-            if j + 1 <= K:
-                c[j + 1] = sum(row[r] * a[qi][r] for r in others)
 
-        return CoefficientTable(
-            q=q,
-            K=K,
-            d_q=d[qi],
-            c=tuple(c[j] for j in range(2, K + 1)),
-            beta=tuple(tuple(row) for row in beta_rows),
-            domain=domain,
-        )
+def _float_recursion(g: Graph, qi: int, K: int, domain: NumberDomain) -> tuple:
+    """The beta recursion in mpmath at the domain's precision; returns (d_q, c, beta).
+
+    Every sum starts from an mpf zero and walks neighbour lists; the terms
+    it skips are exact zeros, so the values equal those of a sum over all
+    nodes bit for bit.
+    """
+    a, d = _coerced_rows(g, domain)
+    n = g.n
+    others = [r for r in range(n) if r != qi]
+    nbrs = _neighbour_lists(a, qi)
+    zero = d[qi] * 0
+    inv_gap = [zero] * n
+    for r in others:
+        inv_gap[r] = 1 / (d[qi] - d[r])
+
+    beta_rows = []
+    c = {}
+    row1 = [zero] * n
+    for r in others:
+        row1[r] = a[r][qi] * inv_gap[r]
+    beta_rows.append(row1)
+    c[2] = sum((row1[r] * w for r, w in nbrs[qi]), zero)
+
+    for j in range(2, K + 1):
+        prev = beta_rows[j - 2]
+        row = [zero] * n
+        for r in others:
+            s = sum((prev[l] * w for l, w in nbrs[r]), zero)
+            for k in range(1, j - 1):
+                s -= beta_rows[k - 1][r] * c[j - k]
+            row[r] = s * inv_gap[r]
+        beta_rows.append(row)
+        if j + 1 <= K:
+            c[j + 1] = sum((row[r] * w for r, w in nbrs[qi]), zero)
+
+    return d[qi], tuple(c[j] for j in range(2, K + 1)), tuple(tuple(row) for row in beta_rows)
 
 
 def explicit_c2_c3_c4(g: Graph, q: int, domain: NumberDomain | None = None) -> tuple:

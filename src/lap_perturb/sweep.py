@@ -183,7 +183,7 @@ def _classify(g: Graph, q: int, t, config: ExperimentConfig):
     xi = series.at(config.K_check)
     return TrialRecord(
         q=q, t=t, K=config.K_check,
-        xi=float(xi) if abs(float(xi)) < 1e300 else float("inf"),
+        xi=float(xi) if abs(xi) < 1e300 else float("inf"),  # compared before float() can overflow
         alpha=report.alphas[config.K_check],
         matched_mu=float(report.matched_mu),
         converged=report.converged,

@@ -3,18 +3,22 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lap_perturb.domain import exact_domain, float_domain
 from lap_perturb.eigen import symmetric_eigen
 from lap_perturb.graph import (
     build_graph,
     degree_profile,
+    erdos_renyi,
     laplacian,
     perturbed_matrix,
     ring_with_core,
 )
 from helpers import random_tree, random_unique_degree_graphs
+from oracles import reference_coefficients
 from lap_perturb.perturb import (
     NonUniqueDegreeError,
     coefficient_bounds_ok,
@@ -102,6 +106,78 @@ class TestCoefficients:
 
         data = json.loads(coefficient_table_to_json(coefficients(e1, 1, 4)))
         assert data == {"q": 1, "K": 4, "c": ["2/1", "0/1", "-5/2"]}
+
+
+_weights = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+
+
+@st.composite
+def _weighted_graphs(draw):
+    """Graphs on 1..9 nodes whose edges carry weights p/q with 1 <= p, q <= 9."""
+    n = draw(st.integers(1, 9))
+    edges = [(u, v, draw(_weights))
+             for u in range(1, n + 1) for v in range(u + 1, n + 1) if draw(st.booleans())]
+    return build_graph(n, edges)
+
+
+@st.composite
+def _graphs_with_isolated_node(draw):
+    """A weighted path on 2..8 nodes plus optional chords, and an isolated last node."""
+    n = draw(st.integers(2, 8))
+    edges = [(u, u + 1, draw(_weights)) for u in range(1, n)]
+    edges += [(u, v, draw(_weights))
+              for u in range(1, n + 1) for v in range(u + 2, n + 1) if draw(st.booleans())]
+    return build_graph(n + 1, edges)
+
+
+def _assert_same_table(table, reference):
+    assert table.d_q == reference.d_q
+    assert table.c == reference.c
+    assert table.beta == reference.beta
+    if table.domain.is_exact:
+        values = (table.d_q, *table.c, *(b for row in table.beta for b in row))
+        assert all(type(v) is Fraction for v in values)
+
+
+class TestIntegerEngine:
+    """The fraction-free exact branch against the plain Fraction recursion."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(g=_weighted_graphs(), K=st.integers(2, 12), data=st.data())
+    def test_matches_fraction_recursion(self, g, K, data):
+        unique = sorted(degree_profile(g).unique_nodes)
+        assume(unique)
+        q = data.draw(st.sampled_from(unique))
+        _assert_same_table(coefficients(g, q, K), reference_coefficients(g, q, K))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(g=_graphs_with_isolated_node(), K=st.integers(2, 12))
+    def test_isolated_unique_node_has_zero_coefficients(self, g, K):
+        table = coefficients(g, g.n, K)
+        assert all(cj == 0 for cj in table.c)
+        _assert_same_table(table, reference_coefficients(g, g.n, K))
+
+    def test_e2_q13_full_order(self, e2):
+        table = coefficients(e2, 13, 100)
+        reference = reference_coefficients(e2, 13, 100)
+        _assert_same_table(table, reference)
+        assert table.bit_length_profile() == reference.bit_length_profile()
+
+    def test_float_branch_is_bit_identical(self):
+        checked = 0
+        for seed in range(3):
+            g = erdos_renyi(20, Fraction(1, 2), 500 + seed)
+            for q in sorted(degree_profile(g).unique_nodes)[:2]:
+                domain = float_domain(128)
+                _assert_same_table(coefficients(g, q, 12, domain),
+                                   reference_coefficients(g, q, 12, domain))
+                checked += 1
+        assert checked >= 3
+
+    def test_float_branch_isolated_node_yields_mpf(self):
+        g = build_graph(4, [(1, 2), (2, 3)])  # node 4 has the unique degree 0
+        table = coefficients(g, 4, 6, float_domain(128))
+        assert all(isinstance(cj, mpmath.mpf) and cj == 0 for cj in table.c)
 
 
 class TestExplicitFormulas:

@@ -49,6 +49,14 @@ class TestRunSweep:
         assert len(cells) == 1 and len(details) == 1
         assert details[0].q == 13 and details[0].converged
 
+    def test_partial_sum_beyond_float_range_is_diverged(self):
+        # at zeta = -10^12 the K = 30 exact partial sums exceed the float range
+        config = ExperimentConfig(trials=3, t_grid=(Fraction(0),), zeta=Fraction(-10**12), seed=1000)
+        cells, details = run_sweep(config, detail=True)
+        assert len(details) == 3
+        assert all(r.xi == float("inf") and not r.converged for r in details)
+        assert cells[0].converged == 0
+
     def test_singular_t_rejected(self):
         with pytest.raises(ValueError, match="singular"):
             ExperimentConfig(t_grid=(Fraction(1),), zeta=Fraction(-1))
@@ -152,6 +160,19 @@ class TestCli:
         assert "PASS e1 xi_1;4(-1) = 4.21875" in out
         assert "FAIL" not in out
         assert (tmp_path / "e1.csv").exists()
+
+    def test_missing_graph_file_exit(self, capsys, tmp_path):
+        missing = tmp_path / "absent.edges"
+        assert main(["euler", "--graph", str(missing), "--q", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+        assert err.count("\n") == 1
+
+    def test_unwritable_out_exit(self, capsys, tmp_path):
+        out = tmp_path / "no-such-dir" / "cells.csv"
+        assert main(["sweep", "--n", "6", "--trials", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_nonunique_node_error_exit(self, capsys):
         assert main(["coeffs", "--example", "e2", "--q", "1", "--K", "4"]) == 2
