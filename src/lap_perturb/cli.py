@@ -172,7 +172,7 @@ def _reproduce_e2(out_dir: Path) -> int:
                     (7, E2_Q7_XI_30), (3, E2_Q3_XI)):
         for K, printed in refs.items():
             digest.check(f"e2 xi_{q};{K}(-1)", series[q].at(K), printed)
-    spec = symmetric_eigen(laplacian(g), tol=mpmath.mpf(10) ** -34, precision_bits=128)
+    spec = symmetric_eigen(laplacian(g), precision_bits=128)
     digest.check("e2 mu_1", spec.eigenvalues[0], E2_MU1_30)
     digest.check("e2 mu_2", spec.eigenvalues[1], E2_MU2_15)
     adj_spec = symmetric_eigen(g.weights)
@@ -315,13 +315,8 @@ def cmd_coeffs(args) -> int:
     return 0
 
 
-def _oracle_eigenvalues(g, precision_bits: int):
-    spec = symmetric_eigen(
-        laplacian(g),
-        precision_bits=precision_bits,
-        tol=None if precision_bits <= 53 else mpmath.mpf(10) ** -30,
-    )
-    return [float(v) for v in spec.eigenvalues]
+def _oracle_eigenvalues(g):
+    return [float(v) for v in symmetric_eigen(laplacian(g)).eigenvalues]
 
 
 def cmd_taylor(args) -> int:
@@ -329,7 +324,7 @@ def cmd_taylor(args) -> int:
     domain = _domain_from_args(args)
     table = coefficients(g, args.q, args.K, domain)
     series = taylor_partial_sums(table, parse_number(args.zeta), args.K)
-    mus = _oracle_eigenvalues(g, 53)
+    mus = _oracle_eigenvalues(g)
     _write_csv(_series_rows(series, mus, args.alpha_threshold, args.K, args.exact),
                DETAIL_HEADER, args.out)
     return 0
@@ -341,7 +336,7 @@ def cmd_euler(args) -> int:
     table = coefficients(g, args.q, args.K, domain)
     params = EulerParams(t=parse_number(args.t), zeta=parse_number(args.zeta), K_max=args.K)
     series = euler_series(table, params)
-    mus = _oracle_eigenvalues(g, 53)
+    mus = _oracle_eigenvalues(g)
     _write_csv(_series_rows(series, mus, args.alpha_threshold, args.K, args.exact),
                DETAIL_HEADER, args.out)
     return 0
@@ -355,8 +350,7 @@ def cmd_oracle(args) -> int:
         "signless": perturbed_matrix(g, 1),
     }[args.matrix]
     prec = args.prec or 53
-    spec = symmetric_eigen(matrix, precision_bits=prec,
-                           tol=None if prec <= 53 else mpmath.mpf(10) ** -30)
+    spec = symmetric_eigen(matrix, precision_bits=prec)
     with mpmath.workprec(max(prec, 53)):
         print(spectrum_to_json(spec, digits=int(prec * 0.302) + 1))
     return 0

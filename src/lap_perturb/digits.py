@@ -13,14 +13,9 @@ from numbers import Rational
 
 import mpmath
 
-from .domain import to_mpf
+from .domain import parse_number, to_mpf
 
-__all__ = ["printed_value", "printed_half_ulp", "matches_printed"]
-
-
-def printed_value(text: str) -> Fraction:
-    """Exact rational value of a printed decimal (supports exponents and p/q)."""
-    return Fraction(text.strip())
+__all__ = ["printed_half_ulp", "matches_printed"]
 
 
 def printed_half_ulp(text: str) -> Fraction:
@@ -36,7 +31,7 @@ def printed_half_ulp(text: str) -> Fraction:
 
 def matches_printed(value, text: str, ulps: float = 1.0) -> bool:
     """True iff |value - printed| <= ulps * half-ulp of the last printed digit."""
-    ref = printed_value(text)
+    ref = parse_number(text)
     tol = printed_half_ulp(text) * Fraction(ulps)
     if isinstance(value, Rational):
         return abs(Fraction(value) - ref) <= tol

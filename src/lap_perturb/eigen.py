@@ -1,8 +1,8 @@
-"""Ground-truth dense symmetric eigensolver (cyclic Jacobi) and spectral bounds.
+"""Ground-truth dense symmetric eigensolver and spectral bounds.
 
-The solver runs either on float64 numpy arrays (precision_bits == 53) or on
-mpmath reals at any higher precision; both paths use the same cyclic Jacobi
-sweep so high-precision spectra are available for 30-digit comparisons.
+The solver is LAPACK ``eigh`` on float64 numpy arrays (precision_bits <= 53)
+or ``mpmath.eigsy`` on mpmath reals at any higher precision, so
+high-precision spectra are available for 30-digit comparisons.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 ALPHA_FLOOR = -300.0
-MAX_SWEEPS = 50
 
 
 @dataclass(frozen=True)
@@ -61,108 +60,33 @@ def _check_symmetric(rows, tol) -> None:
                 raise ValueError(f"matrix is not symmetric at ({i + 1}, {j + 1})")
 
 
-def _off_norm_sq(a, n):
-    total = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += a[i][j] * a[i][j]
-    return 2 * total
+def symmetric_eigen(matrix, precision_bits: int = 53) -> Spectrum:
+    """Full spectrum of a symmetric matrix from a library eigensolver.
 
-
-def _jacobi_mpf(rows, n, tol):
-    a = [[to_mpf(x) for x in row] for row in rows]
-    v = [[mpmath.mpf(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    one = mpmath.mpf(1)
-    for _ in range(MAX_SWEEPS):
-        if mpmath.sqrt(_off_norm_sq(a, n)) <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if apq == 0:
-                    continue
-                tau = (a[q][q] - a[p][p]) / (2 * apq)
-                if tau >= 0:
-                    t = one / (tau + mpmath.sqrt(1 + tau * tau))
-                else:
-                    t = -one / (-tau + mpmath.sqrt(1 + tau * tau))
-                c = one / mpmath.sqrt(1 + t * t)
-                s = t * c
-                for k in range(n):
-                    akp, akq = a[k][p], a[k][q]
-                    a[k][p] = c * akp - s * akq
-                    a[k][q] = s * akp + c * akq
-                for k in range(n):
-                    apk, aqk = a[p][k], a[q][k]
-                    a[p][k] = c * apk - s * aqk
-                    a[q][k] = s * apk + c * aqk
-                for k in range(n):
-                    vkp, vkq = v[k][p], v[k][q]
-                    v[k][p] = c * vkp - s * vkq
-                    v[k][q] = s * vkp + c * vkq
-    else:
-        raise RuntimeError(f"Jacobi did not converge within {MAX_SWEEPS} sweeps")
-    eigenvalues = [a[i][i] for i in range(n)]
-    columns = [[v[i][k] for i in range(n)] for k in range(n)]
-    return eigenvalues, columns
-
-
-def _jacobi_numpy(rows, n, tol):
-    a = np.array(rows, dtype=float)
-    v = np.eye(n)
-    for _ in range(MAX_SWEEPS):
-        off = math.sqrt(float(2 * np.sum(np.triu(a, 1) ** 2)))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vcol_p, vcol_q = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vcol_p - s * vcol_q
-                v[:, q] = s * vcol_p + c * vcol_q
-    else:
-        raise RuntimeError(f"Jacobi did not converge within {MAX_SWEEPS} sweeps")
-    eigenvalues = [float(a[i, i]) for i in range(n)]
-    columns = [[float(v[i, k]) for i in range(n)] for k in range(n)]
-    return eigenvalues, columns
-
-
-def symmetric_eigen(matrix, tol=None, precision_bits: int = 53) -> Spectrum:
-    """Full spectrum of a symmetric matrix by cyclic Jacobi rotations.
-
-    ``tol`` bounds the off-diagonal Frobenius mass at convergence; it
-    defaults to 1e-12 in double mode and 1e-30 at 128 bits or more.
-    Raises ValueError for non-symmetric input and RuntimeError if the sweep
-    cap is hit.
+    At ``precision_bits <= 53`` this is LAPACK ``np.linalg.eigh`` on float64;
+    above that it is ``mpmath.eigsy`` (Householder tridiagonalisation and
+    implicit QL) at that working precision, so the precision alone sets the
+    accuracy.  Raises ValueError for empty or non-symmetric input (numpy's
+    LinAlgError is a ValueError) and RuntimeError if ``eigsy`` does not
+    converge or either solver returns a non-finite eigenvalue.
     """
     rows = _as_rows(matrix)
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
-    if tol is None:
-        tol = 1e-12 if precision_bits <= 53 else mpmath.mpf(10) ** (-30)
     _check_symmetric(rows, 1e-12 if precision_bits <= 53 else Fraction(1, 10**12))
 
     if precision_bits <= 53:
-        eigenvalues, columns = _jacobi_numpy(rows, n, float(tol))
+        values, vectors = np.linalg.eigh(np.array(rows, dtype=float))
+        eigenvalues, columns = values.tolist(), vectors.T.tolist()
     else:
         with mpmath.workprec(precision_bits):
-            eigenvalues, columns = _jacobi_mpf(rows, n, to_mpf(tol))
+            a = mpmath.matrix([[to_mpf(x) for x in row] for row in rows])
+            values, vectors = mpmath.eigsy(a)
+        eigenvalues = [values[k] for k in range(n)]
+        columns = [[vectors[i, k] for i in range(n)] for k in range(n)]
+    if not all(mpmath.isfinite(lam) for lam in eigenvalues):  # eigh gives NaN for inf entries
+        raise RuntimeError("eigensolver returned a non-finite eigenvalue")
 
     order = sorted(range(n), key=lambda k: eigenvalues[k], reverse=True)
     eigenvalues = [eigenvalues[k] for k in order]

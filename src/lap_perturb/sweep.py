@@ -175,10 +175,14 @@ def select_nodes(g: Graph, q_selector) -> tuple:
     raise ValueError(f"unknown q_selector: {q_selector!r}")
 
 
-def _classify(g: Graph, q: int, t, config: ExperimentConfig):
+def _laplacian_spectrum(g: Graph) -> list:
+    return [float(v) for v in symmetric_eigen(laplacian(g)).eigenvalues]
+
+
+def _classify(g: Graph, q: int, t, config: ExperimentConfig, mus: list):
+    """Classify the series at node q against ``mus``, the Laplacian spectrum of g."""
     table = coefficients(g, q, config.K_max, config.domain)
     series = euler_series(table, EulerParams(t=t, zeta=config.zeta, K_max=config.K_max))
-    mus = [float(v) for v in symmetric_eigen(laplacian(g)).eigenvalues]
     report = convergence_classify(series, mus, config.alpha_threshold, config.K_check)
     xi = series.at(config.K_check)
     return TrialRecord(
@@ -214,8 +218,9 @@ def run_sweep(config: ExperimentConfig, detail: bool = False):
                         if not nodes:
                             skipped += 1
                             continue
+                        mus = _laplacian_spectrum(g)
                         for q in nodes:
-                            record, _ = _classify(g, q, t, config)
+                            record, _ = _classify(g, q, t, config, mus)
                             converged += record.converged
                             if detail:
                                 details.append(record)
@@ -226,10 +231,11 @@ def run_sweep(config: ExperimentConfig, detail: bool = False):
 
     g = resolve_graph_source(config.graph_source)  # single-graph degenerate sweep
     nodes = select_nodes(g, config.q_selector)
+    mus = _laplacian_spectrum(g) if nodes else []
     for t in config.t_grid:
         converged = 0
         for q in nodes:
-            record, _ = _classify(g, q, t, config)
+            record, _ = _classify(g, q, t, config, mus)
             converged += record.converged
             details.append(record)
         cells.append(SweepCell(n=g.n, p="", t=t, trials=max(len(nodes), 1),

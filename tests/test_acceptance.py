@@ -56,7 +56,7 @@ T_MINUS_1 = EulerParams(t=Fraction(-1), zeta=Fraction(-1), K_max=100)
 @pytest.fixture(scope="module")
 def e2_oracle_128():
     g = example_graph("e2")
-    return symmetric_eigen(laplacian(g), tol=mpmath.mpf(10) ** -34, precision_bits=128)
+    return symmetric_eigen(laplacian(g), precision_bits=128)
 
 
 def test_criterion_1_e2_q13_table(e2, e2_oracle_128):

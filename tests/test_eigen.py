@@ -10,6 +10,7 @@ import pytest
 from lap_perturb.digits import matches_printed
 from lap_perturb.eigen import accuracy_alpha, spectral_bounds, spectrum_to_json, symmetric_eigen
 from lap_perturb.graph import (
+    build_graph,
     antiregular,
     complete_graph,
     erdos_renyi,
@@ -78,9 +79,18 @@ class TestSymmetricEigen:
         expected = np.ones(20) / math.sqrt(20)
         assert min(np.max(np.abs(bottom - expected)), np.max(np.abs(bottom + expected))) < 1e-9
 
-    def test_residual_reported(self, e3):
-        spec = symmetric_eigen(laplacian(e3))
-        assert 0 <= spec.residual < 1e-12
+    @pytest.mark.parametrize("bits", [53, 128, 256])
+    def test_residual_reported(self, e3, bits):
+        spec = symmetric_eigen(laplacian(e3), precision_bits=bits)
+        # above double precision the residual must follow the requested bits
+        bound = 1e-12 if bits == 53 else 2.0 ** -(bits - 16)
+        assert 0 <= spec.residual < bound
+
+    @pytest.mark.parametrize("bits", [53, 128])
+    def test_infinite_weight_raises(self, bits):
+        g = build_graph(3, [(1, 2, math.inf), (2, 3, 1)])
+        with pytest.raises(RuntimeError):
+            symmetric_eigen(laplacian(g), precision_bits=bits)
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError, match="symmetric"):

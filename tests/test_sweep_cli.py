@@ -93,6 +93,14 @@ class TestResolveGraphSource:
             resolve_graph_source("petersen:10")
 
 
+REPRODUCE_FIRST_CHECK = {
+    "e1": "PASS e1 xi_1;4(-1) = 4.21875",
+    "e2": "PASS e2 xi_13;2(-1) = 10.48154762",
+    "e3": "PASS e3 Laplacian spectrum = (10, 9, 8, 7, 6, 4, 3, 2, 1, 0)",
+    "almost_regular": "PASS ring_with_core(21,1): series at zeta=-1 converges to mu_1",
+}
+
+
 class TestCli:
     def test_coeffs_exact(self, capsys):
         assert main(["coeffs", "--example", "e1", "--q", "1", "--K", "4", "--exact"]) == 0
@@ -154,12 +162,14 @@ class TestCli:
         assert main(args) == 0
         assert capsys.readouterr().out == first
 
-    def test_reproduce_e1(self, capsys, tmp_path):
-        assert main(["reproduce", "e1", "--out-dir", str(tmp_path)]) == 0
+    @pytest.mark.parametrize("example", list(REPRODUCE_FIRST_CHECK))
+    def test_reproduce(self, capsys, tmp_path, example):
+        assert main(["reproduce", example, "--out-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "PASS e1 xi_1;4(-1) = 4.21875" in out
+        assert REPRODUCE_FIRST_CHECK[example] in out
         assert "FAIL" not in out
-        assert (tmp_path / "e1.csv").exists()
+        assert "all reference checks passed" in out
+        assert (tmp_path / f"{example}.csv").exists()
 
     def test_missing_graph_file_exit(self, capsys, tmp_path):
         missing = tmp_path / "absent.edges"
