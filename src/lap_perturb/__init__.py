@@ -36,8 +36,8 @@ from .euler import (
     convergence_classify,
     euler_k4_estimate,
     euler_series,
-    euler_series_t_minus_one,
     euler_transform_generic,
+    taylor_partial_sums,
 )
 from .examples_data import example_graph
 from .graph import (
@@ -66,7 +66,6 @@ from .perturb import (
     coefficients,
     explicit_c2_c3_c4,
     reconstruct_eigenvector,
-    taylor_partial_sums,
 )
 from .sweep import ExperimentConfig, run_sweep
 

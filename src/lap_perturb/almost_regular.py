@@ -11,8 +11,9 @@ closed form in the characteristic coefficients
 built from closed-walk counts at the special node.  This module provides
 the A[k, m] recursion, the closed form and the specialized recursion for
 c_m, complete-graph formulas and bounds for A[k, m], the eigenvalue series
-and its Euler transform, and a contour-integral evaluation of the same
-eigenvalue.
+and its Euler transform (exact rationals, both summed by
+``euler.euler_transform_generic``), and a contour-integral evaluation of
+the same eigenvalue.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .domain import NumberDomain, to_mpf
+from .domain import to_mpf
 from .eigen import symmetric_eigen
 from .euler import binomial, euler_transform_generic
 from .graph import Graph, WalkCounts, closed_walk_counts
@@ -224,39 +225,24 @@ def chc_bound_half(N: int, k: int, m: int) -> Fraction:
     return Fraction(2) ** (m - k) * Fraction(N - 1) ** m / Fraction(2 * N - 3, 2) ** k
 
 
-def _coefficient_stream(arg: AlmostRegularGraph, K: int) -> list:
-    walks = closed_walk_counts(arg.graph, arg.special, K)
-    chc = chc_build(walks, K)
-    return [Fraction(0)] + [cm_closed_form(arg, chc, m) for m in range(2, K + 1)]
-
-
-def almost_regular_series(arg: AlmostRegularGraph, zeta, K: int,
-                          domain: NumberDomain | None = None) -> SeriesEvaluation:
-    """Partial sums d_q + x sum_m (sum_k g_k(m) A[k, m]) (zeta/x)^m up to K."""
+def _closed_form_series(arg: AlmostRegularGraph, zeta, t, K: int, kind: str) -> SeriesEvaluation:
+    """Euler t-transform of the closed-form c_m series, exact, orders 2..K (c_1 = 0)."""
     if K < 2:
         raise ValueError("K must be at least 2")
-    coeffs = _coefficient_stream(arg, K)
-    d_q = arg.graph.degrees[arg.special - 1]
-    if domain is not None and not domain.is_exact:
-        with domain.context():
-            z = domain.coerce(zeta)
-            acc = to_mpf(d_q)
-            sums = {}
-            zpow = z
-            for m in range(2, K + 1):
-                zpow = zpow * z
-                acc = acc + to_mpf(coeffs[m - 1]) * zpow
-                sums[m] = acc
-            return SeriesEvaluation(q=arg.special, zeta=z, kind="taylor", partial_sums=sums)
     z = Fraction(zeta)
-    sums = {}
-    acc = Fraction(d_q)
-    zpow = z
-    for m in range(2, K + 1):
-        zpow = zpow * z
-        acc = acc + coeffs[m - 1] * zpow
-        sums[m] = acc
-    return SeriesEvaluation(q=arg.special, zeta=z, kind="taylor", partial_sums=sums)
+    tt = Fraction(t)
+    chc = chc_build(closed_walk_counts(arg.graph, arg.special, K), K)
+    coeffs = [Fraction(0)] + [cm_closed_form(arg, chc, m) for m in range(2, K + 1)]
+    d_q = Fraction(arg.graph.degrees[arg.special - 1])
+    partials = euler_transform_generic(d_q, coeffs, tt, z, K)
+    sums = {m: partials[m] for m in range(2, K + 1)}
+    return SeriesEvaluation(q=arg.special, zeta=z, kind=kind, partial_sums=sums,
+                            t=tt if kind == "euler" else None)
+
+
+def almost_regular_series(arg: AlmostRegularGraph, zeta, K: int) -> SeriesEvaluation:
+    """Partial sums d_q + x sum_m (sum_k g_k(m) A[k, m]) (zeta/x)^m up to K, exact."""
+    return _closed_form_series(arg, zeta, 0, K, "taylor")
 
 
 def almost_regular_euler(arg: AlmostRegularGraph, zeta, t, K: int) -> SeriesEvaluation:
@@ -264,17 +250,7 @@ def almost_regular_euler(arg: AlmostRegularGraph, zeta, t, K: int) -> SeriesEval
 
     t = 0 reduces term-by-term to the plain series.
     """
-    if K < 2:
-        raise ValueError("K must be at least 2")
-    z = Fraction(zeta)
-    tt = Fraction(t)
-    if 1 + tt * z == 0:
-        raise ValueError("singular transform: 1 + t*zeta = 0")
-    coeffs = _coefficient_stream(arg, K)
-    d_q = Fraction(arg.graph.degrees[arg.special - 1])
-    partials = euler_transform_generic(d_q, coeffs, tt, z, K)
-    sums = {m: partials[m] for m in range(2, K + 1)}
-    return SeriesEvaluation(q=arg.special, zeta=z, kind="euler", partial_sums=sums, t=tt)
+    return _closed_form_series(arg, zeta, t, K, "euler")
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .almost_regular import (
 from .digits import matches_printed
 from .domain import NumberDomain, exact_domain, float_domain, format_rational, parse_number, to_mpf
 from .eigen import accuracy_alpha, spectrum_to_json, symmetric_eigen
-from .euler import EulerParams, convergence_classify, euler_series
+from .euler import EulerParams, convergence_classify, euler_series, taylor_partial_sums
 from .examples_data import (
     E1_LAPLACIAN_MU,
     E2_LAMBDA1_ADJ,
@@ -52,7 +52,7 @@ from .graph import (
     perturbed_matrix,
     ring_with_core,
 )
-from .perturb import coefficients, taylor_partial_sums
+from .perturb import coefficients
 from .sweep import (
     CELL_HEADER,
     DETAIL_HEADER,

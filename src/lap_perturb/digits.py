@@ -29,10 +29,10 @@ def printed_half_ulp(text: str) -> Fraction:
     return Fraction(1, 2) * Fraction(10) ** (exponent - frac_digits)
 
 
-def matches_printed(value, text: str, ulps: float = 1.0) -> bool:
-    """True iff |value - printed| <= ulps * half-ulp of the last printed digit."""
+def matches_printed(value, text: str) -> bool:
+    """True iff |value - printed| <= half an ulp of the last printed digit."""
     ref = parse_number(text)
-    tol = printed_half_ulp(text) * Fraction(ulps)
+    tol = printed_half_ulp(text)
     if isinstance(value, Rational):
         return abs(Fraction(value) - ref) <= tol
     # mpf inputs keep their own precision; difference them well above it so
@@ -40,9 +40,3 @@ def matches_printed(value, text: str, ulps: float = 1.0) -> bool:
     with mpmath.workprec(512):
         diff = abs(to_mpf(value) - to_mpf(ref))
         return diff <= to_mpf(tol)
-
-
-def assert_matches_printed(value, text: str, label: str = "", ulps: float = 1.0) -> None:
-    if not matches_printed(value, text, ulps=ulps):
-        shown = mpmath.nstr(to_mpf(value), len(text) + 3)
-        raise AssertionError(f"{label or 'value'} = {shown} does not match printed {text!r}")

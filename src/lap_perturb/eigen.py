@@ -67,13 +67,18 @@ def symmetric_eigen(matrix, precision_bits: int = 53) -> Spectrum:
     above that it is ``mpmath.eigsy`` (Householder tridiagonalisation and
     implicit QL) at that working precision, so the precision alone sets the
     accuracy.  Raises ValueError for empty or non-symmetric input (numpy's
-    LinAlgError is a ValueError) and RuntimeError if ``eigsy`` does not
-    converge or either solver returns a non-finite eigenvalue.
+    LinAlgError is a ValueError), and RuntimeError for a NaN or infinite
+    entry, if ``eigsy`` does not converge or if either solver returns a
+    non-finite eigenvalue.
     """
     rows = _as_rows(matrix)
     n = len(rows)
     if n == 0:
         raise ValueError("empty matrix")
+    # x == x fails for NaN; comparing with the float infinities also works for
+    # int, Fraction and mpf entries beyond the float range
+    if not all(x == x and -math.inf < x < math.inf for row in rows for x in row):
+        raise RuntimeError("matrix has a non-finite entry")
     _check_symmetric(rows, 1e-12 if precision_bits <= 53 else Fraction(1, 10**12))
 
     if precision_bits <= 53:

@@ -1,12 +1,16 @@
-"""Euler summation of the degree-perturbation series and convergence diagnostics.
+"""Partial sums of the degree-perturbation series, Euler summation and convergence diagnostics.
 
 The Euler t-transform rewrites a Taylor series f0 + sum f_k z^k as
 
     f0 + sum_m [ sum_k C(m-1, k-1) f_k t^(m-k) ] (z / (1 + t z))^m,
 
 with a tunable parameter t; it often converges where the plain series does
-not.  Binomial coefficients come from an exact integer Pascal recurrence so
-the transform stays exact in rational mode at any order.
+not.  At t = 0 it is the plain Taylor series, so ``euler_transform_generic``
+is the one loop behind every partial-sum series in the package: the Taylor
+and Euler series of a coefficient table here, and the closed-form
+almost-regular series.  Binomial coefficients come from an exact integer
+Pascal recurrence so the transform stays exact in rational mode at any
+order.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ __all__ = [
     "binomial",
     "pascal_row",
     "euler_series",
-    "euler_series_t_minus_one",
+    "taylor_partial_sums",
     "euler_k4_estimate",
     "euler_transform_generic",
     "convergence_classify",
@@ -67,17 +71,24 @@ class EulerParams:
             raise ValueError(f"singular transform: 1 + t*zeta = 0 (t={self.t}, zeta={self.zeta})")
 
 
-def _inner_weight_sums(coeff_at, t, K_max: int):
-    """Yield (m, sum_{k=2}^m C(m-1, k-1) t^(m-k) c_k) for m = 2..K_max."""
-    for m in range(2, K_max + 1):
-        row = pascal_row(m - 1)
-        tpow = 1
-        inner = None
-        for k in range(m, 1, -1):  # t^(m-k) built incrementally from k = m down
-            term = row[k - 1] * tpow * coeff_at(k)
-            inner = term if inner is None else inner + term
-            tpow = tpow * t
-        yield m, inner
+def _table_series(table: CoefficientTable, zeta, t, K_max: int, kind: str) -> SeriesEvaluation:
+    """Transform partial sums of orders 2..K_max in the table's domain (c_1 = 0)."""
+    if K_max > table.K:
+        raise ValueError(f"K_max = {K_max} exceeds table order {table.K}")
+    domain = table.domain
+    with domain.context():
+        z = domain.coerce(zeta)
+        tt = domain.coerce(t)
+        coeffs = [table.c_at(j) for j in range(1, K_max + 1)]
+        partials = euler_transform_generic(table.d_q, coeffs, tt, z, K_max)
+    sums = {m: partials[m] for m in range(2, K_max + 1)}
+    return SeriesEvaluation(q=table.q, zeta=z, kind=kind, partial_sums=sums,
+                            t=tt if kind == "euler" else None)
+
+
+def taylor_partial_sums(table: CoefficientTable, zeta, K_max: int | None = None) -> SeriesEvaluation:
+    """Partial sums d_q + sum_{j=2}^K c_j zeta^j for K = 2..K_max: the transform at t = 0."""
+    return _table_series(table, zeta, 0, table.K if K_max is None else K_max, "taylor")
 
 
 def euler_series(table: CoefficientTable, params: EulerParams) -> SeriesEvaluation:
@@ -87,53 +98,7 @@ def euler_series(table: CoefficientTable, params: EulerParams) -> SeriesEvaluati
     the generic form is evaluated either way, and stays exact for rational
     t, zeta, and coefficients.
     """
-    if params.K_max > table.K:
-        raise ValueError(f"K_max = {params.K_max} exceeds table order {table.K}")
-    domain = table.domain
-    with domain.context():
-        t = domain.coerce(params.t)
-        zeta = domain.coerce(params.zeta)
-        denom = 1 + t * zeta
-        if denom == 0:
-            raise ValueError("singular transform: 1 + t*zeta = 0")
-        w = zeta / denom
-        sums = {}
-        acc = table.d_q
-        wpow = w  # w^1
-        for m, inner in _inner_weight_sums(table.c_at, t, params.K_max):
-            wpow = wpow * w
-            acc = acc + inner * wpow
-            sums[m] = acc
-        return SeriesEvaluation(
-            q=table.q, zeta=zeta, kind="euler", partial_sums=sums, t=t
-        )
-
-
-def euler_series_t_minus_one(table: CoefficientTable, K_max: int) -> SeriesEvaluation:
-    """Independent evaluation of the t = -1, zeta = -1 special case.
-
-    Computes d_q + sum_m ( sum_k C(m-1, k-1) (-1)^k c_k ) / 2^m directly;
-    kept as a second code path so the general transform can be checked
-    bit-for-bit against it in exact mode.
-    """
-    if K_max > table.K:
-        raise ValueError(f"K_max = {K_max} exceeds table order {table.K}")
-    domain = table.domain
-    with domain.context():
-        sums = {}
-        acc = table.d_q
-        for m in range(2, K_max + 1):
-            row = pascal_row(m - 1)
-            inner = sum(row[k - 1] * (-1) ** k * table.c_at(k) for k in range(2, m + 1))
-            if domain.is_exact:
-                acc = acc + Fraction(1, 2**m) * inner
-            else:
-                acc = acc + inner / (domain.coerce(2) ** m)
-            sums[m] = acc
-        return SeriesEvaluation(
-            q=table.q, zeta=domain.coerce(-1), kind="euler", partial_sums=sums,
-            t=domain.coerce(-1),
-        )
+    return _table_series(table, params.zeta, params.t, params.K_max, "euler")
 
 
 def euler_k4_estimate(g, q: int, domain: NumberDomain | None = None):
@@ -160,7 +125,8 @@ def euler_transform_generic(f0, coeffs, t, z, M: int) -> list:
 
     ``coeffs`` supplies f_1..f_M; the result list has M + 1 entries, entry m
     being the transform truncated after the m-th outer term (entry 0 = f0).
-    With t = 0 the m-th inner sum collapses to f_m, giving plain partial sums.
+    With t = 0 the m-th inner sum collapses to f_m, giving plain partial sums
+    in O(M) operations.
     """
     fs = list(coeffs)
     if len(fs) < M:
@@ -181,6 +147,8 @@ def euler_transform_generic(f0, coeffs, t, z, M: int) -> list:
             term = row[k - 1] * tpow * fs[k - 1]
             inner = term if inner is None else inner + term
             tpow = tpow * t
+            if tpow == 0:  # t = 0: the remaining terms are all zero
+                break
         acc = acc + inner * wpow
         partials.append(acc)
     return partials

@@ -5,7 +5,8 @@ the matrix diag(degrees) + zeta * weights branching from d_q is an analytic
 function of zeta.  This module computes its Taylor coefficients c_j(q) and
 the eigenvector expansion coefficients beta_jr by recursion, provides the
 closed neighbor-sum formulas for c2..c4 as an independent cross-check, and
-evaluates truncated series.
+defines ``SeriesEvaluation``, the record of partial sums that the series in
+``euler`` and ``almost_regular`` return.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "explicit_c2_c3_c4",
     "coefficient_bounds_ok",
     "CoefficientBoundsReport",
-    "taylor_partial_sums",
     "reconstruct_eigenvector",
     "coefficient_table_to_json",
 ]
@@ -313,24 +313,6 @@ def coefficient_bounds_ok(g: Graph, q: int, table: CoefficientTable) -> Coeffici
         c4_ok=None if c4_ok is None else bool(c4_ok),
         hypothesis=hypothesis,
     )
-
-
-def taylor_partial_sums(table: CoefficientTable, zeta, K_max: int | None = None) -> SeriesEvaluation:
-    """Partial sums d_q + sum_{j=2}^K c_j zeta^j for K = 2..K_max."""
-    if K_max is None:
-        K_max = table.K
-    if K_max > table.K:
-        raise ValueError(f"K_max = {K_max} exceeds table order {table.K}")
-    with table.domain.context():
-        z = table.domain.coerce(zeta)
-        sums = {}
-        acc = table.d_q
-        zpow = z  # z^1
-        for j in range(2, K_max + 1):
-            zpow = zpow * z
-            acc = acc + table.c_at(j) * zpow
-            sums[j] = acc
-        return SeriesEvaluation(q=table.q, zeta=z, kind="taylor", partial_sums=sums)
 
 
 def reconstruct_eigenvector(table: CoefficientTable, zeta, K: int) -> tuple:

@@ -7,13 +7,24 @@ the exact domain it divides ``Fraction``s by every degree gap at every step,
 so it is slow, but it is the textbook form of the recursion: both branches
 of the engine must reproduce its values exactly (in a float domain, bit for
 bit at the same precision).
+
+``reference_euler_series`` is the Euler transform loop that ``euler_series``
+ran before every partial-sum series went through
+``euler.euler_transform_generic``: an inner sum over k = m..2 per order,
+with no k = 1 term and no early exit at t = 0.  ``euler_series`` and
+``taylor_partial_sums`` must match it bit for bit in every domain.
+``euler_series_t_minus_one`` evaluates the t = -1, zeta = -1 case by its own
+formula, as an independent reference for the general transform.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from lap_perturb.domain import NumberDomain, exact_domain
+from lap_perturb.euler import EulerParams, pascal_row
 from lap_perturb.graph import Graph, degree_profile
-from lap_perturb.perturb import CoefficientTable, NonUniqueDegreeError
+from lap_perturb.perturb import CoefficientTable, NonUniqueDegreeError, SeriesEvaluation
 
 
 def reference_coefficients(g: Graph, q: int, K: int,
@@ -75,4 +86,73 @@ def reference_coefficients(g: Graph, q: int, K: int,
             c=tuple(c[j] for j in range(2, K + 1)),
             beta=tuple(tuple(row) for row in beta_rows),
             domain=domain,
+        )
+
+
+def _inner_weight_sums(coeff_at, t, K_max: int):
+    """Yield (m, sum_{k=2}^m C(m-1, k-1) t^(m-k) c_k) for m = 2..K_max."""
+    for m in range(2, K_max + 1):
+        row = pascal_row(m - 1)
+        tpow = 1
+        inner = None
+        for k in range(m, 1, -1):  # t^(m-k) built incrementally from k = m down
+            term = row[k - 1] * tpow * coeff_at(k)
+            inner = term if inner is None else inner + term
+            tpow = tpow * t
+        yield m, inner
+
+
+def reference_euler_series(table: CoefficientTable, params: EulerParams) -> SeriesEvaluation:
+    """Euler t-transform partial sums of the coefficient table's series.
+
+    For zeta = -1 the weight (zeta/(1 + t*zeta))^m reduces to (1/(t-1))^m;
+    the generic form is evaluated either way, and stays exact for rational
+    t, zeta, and coefficients.
+    """
+    if params.K_max > table.K:
+        raise ValueError(f"K_max = {params.K_max} exceeds table order {table.K}")
+    domain = table.domain
+    with domain.context():
+        t = domain.coerce(params.t)
+        zeta = domain.coerce(params.zeta)
+        denom = 1 + t * zeta
+        if denom == 0:
+            raise ValueError("singular transform: 1 + t*zeta = 0")
+        w = zeta / denom
+        sums = {}
+        acc = table.d_q
+        wpow = w  # w^1
+        for m, inner in _inner_weight_sums(table.c_at, t, params.K_max):
+            wpow = wpow * w
+            acc = acc + inner * wpow
+            sums[m] = acc
+        return SeriesEvaluation(
+            q=table.q, zeta=zeta, kind="euler", partial_sums=sums, t=t
+        )
+
+
+def euler_series_t_minus_one(table: CoefficientTable, K_max: int) -> SeriesEvaluation:
+    """Independent evaluation of the t = -1, zeta = -1 special case.
+
+    Computes d_q + sum_m ( sum_k C(m-1, k-1) (-1)^k c_k ) / 2^m directly;
+    kept as a second code path so the general transform can be checked
+    bit-for-bit against it in exact mode.
+    """
+    if K_max > table.K:
+        raise ValueError(f"K_max = {K_max} exceeds table order {table.K}")
+    domain = table.domain
+    with domain.context():
+        sums = {}
+        acc = table.d_q
+        for m in range(2, K_max + 1):
+            row = pascal_row(m - 1)
+            inner = sum(row[k - 1] * (-1) ** k * table.c_at(k) for k in range(2, m + 1))
+            if domain.is_exact:
+                acc = acc + Fraction(1, 2**m) * inner
+            else:
+                acc = acc + inner / (domain.coerce(2) ** m)
+            sums[m] = acc
+        return SeriesEvaluation(
+            q=table.q, zeta=domain.coerce(-1), kind="euler", partial_sums=sums,
+            t=domain.coerce(-1),
         )

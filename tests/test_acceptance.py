@@ -26,7 +26,13 @@ from lap_perturb.almost_regular import (
 from lap_perturb.digits import matches_printed
 from lap_perturb.domain import to_mpf
 from lap_perturb.eigen import spectral_bounds, symmetric_eigen
-from lap_perturb.euler import EulerParams, euler_k4_estimate, euler_series, euler_transform_generic
+from lap_perturb.euler import (
+    EulerParams,
+    euler_k4_estimate,
+    euler_series,
+    euler_transform_generic,
+    taylor_partial_sums,
+)
 from lap_perturb.examples_data import (
     E2_Q3_XI,
     E2_Q7_XI,
@@ -46,7 +52,6 @@ from lap_perturb.perturb import (
     coefficient_bounds_ok,
     coefficients,
     explicit_c2_c3_c4,
-    taylor_partial_sums,
 )
 from lap_perturb.sweep import ExperimentConfig, run_sweep
 

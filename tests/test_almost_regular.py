@@ -195,7 +195,7 @@ class TestAlmostRegularSeries:
         g = ring_with_core(11, 2)
         arg = almost_regular(g)
         series = almost_regular_series(arg, Fraction(-1, 2), 12)
-        from lap_perturb.perturb import taylor_partial_sums
+        from lap_perturb.euler import taylor_partial_sums
 
         general = taylor_partial_sums(coefficients(g, 1, 12), Fraction(-1, 2))
         assert all(series.at(K) == general.at(K) for K in range(2, 13))

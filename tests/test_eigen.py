@@ -19,6 +19,10 @@ from lap_perturb.graph import (
 )
 
 
+INFINITE_WEIGHT_LAPLACIAN = laplacian(build_graph(3, [(1, 2, math.inf), (2, 3, 1)]))
+NAN_ENTRY_MATRIX = [[math.nan, 0], [0, 1]]
+
+
 class TestSymmetricEigen:
     def test_e1_laplacian_spectrum(self, e1):
         spec = symmetric_eigen(laplacian(e1))
@@ -86,11 +90,15 @@ class TestSymmetricEigen:
         bound = 1e-12 if bits == 53 else 2.0 ** -(bits - 16)
         assert 0 <= spec.residual < bound
 
-    @pytest.mark.parametrize("bits", [53, 128])
-    def test_infinite_weight_raises(self, bits):
-        g = build_graph(3, [(1, 2, math.inf), (2, 3, 1)])
+    @pytest.mark.parametrize("bits, matrix", [
+        pytest.param(53, INFINITE_WEIGHT_LAPLACIAN, id="53"),
+        pytest.param(128, INFINITE_WEIGHT_LAPLACIAN, id="128"),
+        pytest.param(53, NAN_ENTRY_MATRIX, id="nan-53"),
+        pytest.param(128, NAN_ENTRY_MATRIX, id="nan-128"),
+    ])
+    def test_infinite_weight_raises(self, bits, matrix):
         with pytest.raises(RuntimeError):
-            symmetric_eigen(laplacian(g), precision_bits=bits)
+            symmetric_eigen(matrix, precision_bits=bits)
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError, match="symmetric"):

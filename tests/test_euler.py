@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lap_perturb.digits import matches_printed
+from lap_perturb.domain import exact_domain, float_domain
 from lap_perturb.eigen import symmetric_eigen
 from lap_perturb.euler import (
     EulerParams,
@@ -12,15 +13,16 @@ from lap_perturb.euler import (
     convergence_classify,
     euler_k4_estimate,
     euler_series,
-    euler_series_t_minus_one,
     euler_transform_generic,
     pascal_row,
+    taylor_partial_sums,
 )
 from lap_perturb.examples_data import E2_Q13_XI, E2_Q3_XI, E2_Q7_XI
 from lap_perturb.graph import laplacian
-from lap_perturb.perturb import SeriesEvaluation, coefficients, taylor_partial_sums
+from lap_perturb.perturb import SeriesEvaluation, coefficients
 
 from helpers import random_unique_degree_graphs
+from oracles import euler_series_t_minus_one, reference_euler_series
 
 
 class TestEulerParams:
@@ -56,6 +58,21 @@ class TestEulerSeries:
             general = euler_series(table, EulerParams(t=Fraction(-1), zeta=Fraction(-1), K_max=K))
             special = euler_series_t_minus_one(table, K)
             assert all(general.at(k) == special.at(k) for k in range(2, K + 1))
+
+    @pytest.mark.parametrize("domain", [exact_domain(), float_domain(53), float_domain(128),
+                                        float_domain(256)], ids=["exact", "53", "128", "256"])
+    def test_bit_equal_to_reference_loop(self, domain):
+        # the series run through euler_transform_generic, whose extra k = 1 term
+        # and early exit at t = 0 may only add or skip exact zeros
+        for g, q in random_unique_degree_graphs(8):
+            table = coefficients(g, q, 30, domain)
+            for zeta in (Fraction(-1), Fraction(-1, 3)):
+                for t in (Fraction(-3), Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(2)):
+                    params = EulerParams(t=t, zeta=zeta, K_max=30)
+                    reference = reference_euler_series(table, params).partial_sums
+                    assert euler_series(table, params).partial_sums == reference, (q, zeta, t)
+                    if t == 0:
+                        assert taylor_partial_sums(table, zeta).partial_sums == reference
 
     def test_e2_q13_printed_digits(self, e2):
         series = euler_series(coefficients(e2, 13, 30),

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lap_perturb.domain import exact_domain, float_domain
 from lap_perturb.eigen import symmetric_eigen
+from lap_perturb.euler import taylor_partial_sums
 from lap_perturb.graph import (
     build_graph,
     degree_profile,
@@ -26,7 +27,6 @@ from lap_perturb.perturb import (
     coefficients,
     explicit_c2_c3_c4,
     reconstruct_eigenvector,
-    taylor_partial_sums,
 )
 
 
