@@ -18,7 +18,6 @@ from .almost_regular import (
     chc_bound_half,
     chc_build,
     cm_closed_form,
-    cm_recursion,
     complete_graph_chc,
     contour_eigenvalue,
 )
@@ -64,7 +63,6 @@ from .perturb import (
     SeriesEvaluation,
     coefficient_bounds_ok,
     coefficients,
-    explicit_c2_c3_c4,
     reconstruct_eigenvector,
 )
 from .sweep import ExperimentConfig, run_sweep

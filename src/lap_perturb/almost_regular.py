@@ -9,11 +9,12 @@ closed form in the characteristic coefficients
               of prod_i (A^{j_i})_11,
 
 built from closed-walk counts at the special node.  This module provides
-the A[k, m] recursion, the closed form and the specialized recursion for
-c_m, complete-graph formulas and bounds for A[k, m], the eigenvalue series
-and its Euler transform (exact rationals, both summed by
-``euler.euler_transform_generic``), and a contour-integral evaluation of
-the same eigenvalue.
+the A[k, m] recursion, the closed form for c_m, complete-graph formulas
+and bounds for A[k, m], the eigenvalue series and its Euler transform
+(exact rationals: the closed-form c_m fill a ``CoefficientTable`` that
+``euler.taylor_partial_sums`` and ``euler.euler_series`` sum), and a
+contour-integral evaluation of the same eigenvalue.  The specialised
+constant-gap recursion for c_m is a test oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ from fractions import Fraction
 
 import mpmath
 
-from .domain import to_mpf
+from .domain import exact_domain, to_mpf
 from .eigen import symmetric_eigen
-from .euler import binomial, euler_transform_generic
+from .euler import EulerParams, binomial, euler_series, taylor_partial_sums
 from .graph import Graph, WalkCounts, closed_walk_counts
-from .perturb import SeriesEvaluation
+from .perturb import CoefficientTable, SeriesEvaluation
 
 __all__ = [
     "AlmostRegularGraph",
@@ -37,7 +38,6 @@ __all__ = [
     "almost_regular",
     "chc_build",
     "cm_closed_form",
-    "cm_recursion",
     "complete_graph_chc",
     "chc_bound",
     "chc_bound_half",
@@ -135,48 +135,6 @@ def cm_closed_form(arg: AlmostRegularGraph, chc: ChcTable, m: int) -> Fraction:
     return Fraction(total) / Fraction(arg.x) ** (m - 1)
 
 
-def cm_recursion(arg: AlmostRegularGraph, K: int) -> tuple:
-    """c_2..c_K by the specialized beta recursion with the constant gap x.
-
-    Iterates, for l != 1,
-
-        beta_jl = ( sum_{m != 1} beta_{j-1,m} a_lm
-                    - sum_m a_1m sum_{k=1}^{j-2} beta_kl beta_{j-k-1,m} ) / x,
-
-    from beta_1l = a_l1 / x, and reads off c_{j+1} = sum_l beta_jl a_1l.
-    Independent of the general engine; used to cross-check the closed form.
-    """
-    if K < 2:
-        raise ValueError("K must be at least 2")
-    g = arg.graph
-    n = g.n
-    a = [[Fraction(w) for w in row] for row in g.weights]
-    x = Fraction(arg.x)
-    others = list(range(1, n))
-
-    beta = []  # beta[j-1][l] for l in 0..n-1 with slot 0 unused (kept 0)
-    row1 = [Fraction(0)] * n
-    for l in others:
-        row1[l] = a[l][0] / x
-    beta.append(row1)
-    c = {2: sum(row1[l] * a[0][l] for l in others)}
-
-    for j in range(2, K):
-        prev = beta[j - 2]
-        row = [Fraction(0)] * n
-        for l in others:
-            s = sum(prev[m] * a[l][m] for m in others)
-            for m in others:
-                if a[0][m] == 0:
-                    continue
-                conv = sum(beta[k - 1][l] * beta[j - k - 2][m] for k in range(1, j - 1))
-                s -= a[0][m] * conv
-            row[l] = s / x
-        beta.append(row)
-        c[j + 1] = sum(row[l] * a[0][l] for l in others)
-    return tuple(c[j] for j in range(2, K + 1))
-
-
 def complete_graph_chc(N: int, k: int, m: int) -> int:
     """A[k, m] for the complete graph K_N in closed form (exact integer):
 
@@ -225,24 +183,21 @@ def chc_bound_half(N: int, k: int, m: int) -> Fraction:
     return Fraction(2) ** (m - k) * Fraction(N - 1) ** m / Fraction(2 * N - 3, 2) ** k
 
 
-def _closed_form_series(arg: AlmostRegularGraph, zeta, t, K: int, kind: str) -> SeriesEvaluation:
-    """Euler t-transform of the closed-form c_m series, exact, orders 2..K (c_1 = 0)."""
+def _closed_form_table(arg: AlmostRegularGraph, K: int) -> CoefficientTable:
+    """The closed-form c_2..c_K at the special node as an exact coefficient table."""
     if K < 2:
         raise ValueError("K must be at least 2")
-    z = Fraction(zeta)
-    tt = Fraction(t)
     chc = chc_build(closed_walk_counts(arg.graph, arg.special, K), K)
-    coeffs = [Fraction(0)] + [cm_closed_form(arg, chc, m) for m in range(2, K + 1)]
-    d_q = Fraction(arg.graph.degrees[arg.special - 1])
-    partials = euler_transform_generic(d_q, coeffs, tt, z, K)
-    sums = {m: partials[m] for m in range(2, K + 1)}
-    return SeriesEvaluation(q=arg.special, zeta=z, kind=kind, partial_sums=sums,
-                            t=tt if kind == "euler" else None)
+    return CoefficientTable(
+        q=arg.special, K=K, d_q=Fraction(arg.graph.degrees[arg.special - 1]),
+        c=tuple(cm_closed_form(arg, chc, m) for m in range(2, K + 1)),
+        beta=(), domain=exact_domain(),
+    )
 
 
 def almost_regular_series(arg: AlmostRegularGraph, zeta, K: int) -> SeriesEvaluation:
     """Partial sums d_q + x sum_m (sum_k g_k(m) A[k, m]) (zeta/x)^m up to K, exact."""
-    return _closed_form_series(arg, zeta, 0, K, "taylor")
+    return taylor_partial_sums(_closed_form_table(arg, K), Fraction(zeta))
 
 
 def almost_regular_euler(arg: AlmostRegularGraph, zeta, t, K: int) -> SeriesEvaluation:
@@ -250,7 +205,8 @@ def almost_regular_euler(arg: AlmostRegularGraph, zeta, t, K: int) -> SeriesEval
 
     t = 0 reduces term-by-term to the plain series.
     """
-    return _closed_form_series(arg, zeta, t, K, "euler")
+    return euler_series(_closed_form_table(arg, K),
+                        EulerParams(t=Fraction(t), zeta=Fraction(zeta), K_max=K))
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -24,7 +25,6 @@ from .almost_regular import (
     almost_regular_euler,
     almost_regular_series,
     cm_closed_form,
-    cm_recursion,
     chc_build,
     contour_eigenvalue,
 )
@@ -37,12 +37,8 @@ from .examples_data import (
     E2_LAMBDA1_ADJ,
     E2_MU1_30,
     E2_MU2_15,
-    E2_Q3_XI,
-    E2_Q7_XI,
-    E2_Q7_XI_30,
-    E2_Q13_XI,
-    E2_Q13_XI_15,
     E3_LAPLACIAN_MU,
+    PRINTED_XI,
     example_graph,
 )
 from .graph import (
@@ -57,6 +53,7 @@ from .sweep import (
     CELL_HEADER,
     DETAIL_HEADER,
     ExperimentConfig,
+    _laplacian_spectrum,
     resolve_graph_source,
     run_sweep,
 )
@@ -137,64 +134,61 @@ class _Digest:
             self.failures += 1
 
 
-def _reproduce_e1(out_dir: Path) -> int:
-    g = example_graph("e1")
-    digest = _Digest()
+def _printed_xi(digest: _Digest, example: str, K: int) -> tuple:
+    """Check every PRINTED_XI row of ``example`` against its Euler series at t = zeta = -1.
+
+    Returns the coefficient tables and the series up to order K, by node.
+    """
+    g = example_graph(example)
+    nodes = dict.fromkeys(q for ex, q, _ in PRINTED_XI if ex == example)
+    tables = {q: coefficients(g, q, K) for q in nodes}
+    params = EulerParams(t=Fraction(-1), zeta=Fraction(-1), K_max=K)
+    series = {q: euler_series(table, params) for q, table in tables.items()}
+    for ex, q, printed in PRINTED_XI:
+        if ex == example:
+            for order, text in printed.items():
+                digest.check(f"{example} xi_{q};{order}(-1)", series[q].at(order), text)
+    return tables, series
+
+
+def _reproduce_e1(digest: _Digest) -> list:
+    tables, series = _printed_xi(digest, "e1", 12)
     rows = []
-    for q, checks in ((1, {4: "4.21875"}), (5, {4: "2.125", 5: "2.375"})):
-        table = coefficients(g, q, 12)
-        series = euler_series(table, EulerParams(t=Fraction(-1), zeta=Fraction(-1), K_max=12))
-        for K in series.orders:
-            rows.append((q, -1, K, _format_value(series.at(K), False), "", "", ""))
-        for K, printed in checks.items():
-            digest.check(f"e1 xi_{q};{K}(-1)", series.at(K), printed)
+    for q, table in tables.items():
+        for K in series[q].orders:
+            rows.append((q, -1, K, _format_value(series[q].at(K), False), "", "", ""))
         digest.check_bool(
             f"e1 odd coefficients vanish (q={q}, K<=12)",
             all(table.c_at(j) == 0 for j in range(3, 13, 2)),
         )
-    spec = symmetric_eigen(laplacian(g))
+    spec = symmetric_eigen(laplacian(example_graph("e1")))
     for mu, printed in zip(spec.eigenvalues, E1_LAPLACIAN_MU):
         digest.check("e1 Laplacian eigenvalue", mu, printed)
-    _write_csv(rows, ("q", "t", "K", "xi", "alpha", "matched_mu", "converged"),
-               str(out_dir / "e1.csv"))
-    return digest.failures
+    return rows
 
 
-def _reproduce_e2(out_dir: Path) -> int:
+def _reproduce_e2(digest: _Digest) -> list:
+    _, series = _printed_xi(digest, "e2", 100)
     g = example_graph("e2")
-    digest = _Digest()
-    tables = {q: coefficients(g, q, 100) for q in (13, 7, 3)}
-    series = {
-        q: euler_series(t, EulerParams(t=Fraction(-1), zeta=Fraction(-1), K_max=100))
-        for q, t in tables.items()
-    }
-    for q, refs in ((13, E2_Q13_XI), (13, E2_Q13_XI_15), (7, E2_Q7_XI),
-                    (7, E2_Q7_XI_30), (3, E2_Q3_XI)):
-        for K, printed in refs.items():
-            digest.check(f"e2 xi_{q};{K}(-1)", series[q].at(K), printed)
     spec = symmetric_eigen(laplacian(g), precision_bits=128)
     digest.check("e2 mu_1", spec.eigenvalues[0], E2_MU1_30)
     digest.check("e2 mu_2", spec.eigenvalues[1], E2_MU2_15)
     adj_spec = symmetric_eigen(g.weights)
     digest.check("e2 lambda_1(A)", adj_spec.eigenvalues[0], E2_LAMBDA1_ADJ)
 
-    mus = spec.eigenvalues
     rows = []
     with mpmath.workprec(128):
-        for q in (13, 7, 3):
+        for q, index in ((13, 1), (7, 0), (3, 2)):  # the eigenvalue each node's series targets
+            mu = spec.eigenvalues[index]
             for K in series[q].orders:
                 xi = series[q].at(K)
-                mu = mus[{13: 1, 7: 0, 3: 2}[q]]
                 rows.append((q, -1, K, _format_value(xi, False),
                              f"{accuracy_alpha(xi, mu):.6f}", mpmath.nstr(to_mpf(mu), 17), ""))
-    _write_csv(rows, ("q", "t", "K", "xi", "alpha", "matched_mu", "converged"),
-               str(out_dir / "e2.csv"))
-    return digest.failures
+    return rows
 
 
-def _reproduce_e3(out_dir: Path) -> int:
+def _reproduce_e3(digest: _Digest) -> list:
     g = example_graph("e3")
-    digest = _Digest()
     spec = symmetric_eigen(laplacian(g))
     ok = all(
         abs(float(mu) - ref) <= 1e-9 for mu, ref in zip(spec.eigenvalues, E3_LAPLACIAN_MU)
@@ -220,13 +214,10 @@ def _reproduce_e3(out_dir: Path) -> int:
         f"(got {sorted(converged_degrees)})",
         converged_degrees == {7, 8, 9},
     )
-    _write_csv(rows, ("q", "t", "K", "xi", "alpha", "matched_mu", "converged"),
-               str(out_dir / "e3.csv"))
-    return digest.failures
+    return rows
 
 
-def _reproduce_almost_regular(out_dir: Path) -> int:
-    digest = _Digest()
+def _reproduce_almost_regular(digest: _Digest) -> list:
     rows = []
 
     g = ring_with_core(21, 1)
@@ -267,17 +258,10 @@ def _reproduce_almost_regular(out_dir: Path) -> int:
         gnk = ring_with_core(n, k)
         argnk = almost_regular(gnk)
         chc = chc_build(closed_walk_counts(gnk, 1, 10), 10)
-        rec = cm_recursion(argnk, 10)
         gen = coefficients(gnk, 1, 10)
-        ok = all(
-            rec[m - 2] == cm_closed_form(argnk, chc, m) == gen.c_at(m)
-            for m in range(2, 11)
-        )
-        digest.check_bool(f"ring_with_core({n},{k}): recursion == closed form == engine (m<=10)", ok)
-
-    _write_csv(rows, ("q", "t", "K", "xi", "alpha", "matched_mu", "converged"),
-               str(out_dir / "almost_regular.csv"))
-    return digest.failures
+        ok = all(cm_closed_form(argnk, chc, m) == gen.c_at(m) for m in range(2, 11))
+        digest.check_bool(f"ring_with_core({n},{k}): closed form == engine (m<=10)", ok)
+    return rows
 
 
 def cmd_reproduce(args) -> int:
@@ -289,9 +273,11 @@ def cmd_reproduce(args) -> int:
         "e3": _reproduce_e3,
         "almost_regular": _reproduce_almost_regular,
     }[args.example]
-    failures = runner(out_dir)
-    if failures:
-        print(f"{failures} reference check(s) FAILED")
+    digest = _Digest()
+    rows = runner(digest)
+    _write_csv(rows, DETAIL_HEADER, str(out_dir / f"{args.example}.csv"))
+    if digest.failures:
+        print(f"{digest.failures} reference check(s) FAILED")
         return 1
     print("all reference checks passed")
     return 0
@@ -315,28 +301,17 @@ def cmd_coeffs(args) -> int:
     return 0
 
 
-def _oracle_eigenvalues(g):
-    return [float(v) for v in symmetric_eigen(laplacian(g)).eigenvalues]
-
-
-def cmd_taylor(args) -> int:
+def cmd_series(args) -> int:
+    """`taylor` and `euler`: partial sums of the series at node q as CSV."""
     g = _graph_from_args(args)
     domain = _domain_from_args(args)
     table = coefficients(g, args.q, args.K, domain)
-    series = taylor_partial_sums(table, parse_number(args.zeta), args.K)
-    mus = _oracle_eigenvalues(g)
-    _write_csv(_series_rows(series, mus, args.alpha_threshold, args.K, args.exact),
-               DETAIL_HEADER, args.out)
-    return 0
-
-
-def cmd_euler(args) -> int:
-    g = _graph_from_args(args)
-    domain = _domain_from_args(args)
-    table = coefficients(g, args.q, args.K, domain)
-    params = EulerParams(t=parse_number(args.t), zeta=parse_number(args.zeta), K_max=args.K)
-    series = euler_series(table, params)
-    mus = _oracle_eigenvalues(g)
+    if args.command == "euler":
+        params = EulerParams(t=parse_number(args.t), zeta=parse_number(args.zeta), K_max=args.K)
+        series = euler_series(table, params)
+    else:
+        series = taylor_partial_sums(table, parse_number(args.zeta), args.K)
+    mus = _laplacian_spectrum(g)
     _write_csv(_series_rows(series, mus, args.alpha_threshold, args.K, args.exact),
                DETAIL_HEADER, args.out)
     return 0
@@ -405,8 +380,21 @@ def cmd_sweep(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Takes every token that starts with -<digit> or -.<digit> as a value.
+
+    argparse reads only plain negative decimals such as -1 or -0.5 as values,
+    so -1/2 or -1e-1 after --t or --zeta would be taken for an option.  No
+    option name starts that way; subparsers inherit the class.
+    """
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lap-perturb",
         description="Laplacian eigenvalues by degree-perturbation series and Euler acceleration",
     )
@@ -426,19 +414,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_coeffs)
 
-    for name, fn, needs_t in (("taylor", cmd_taylor, False), ("euler", cmd_euler, True)):
+    for name in ("taylor", "euler"):
         p = sub.add_parser(name, help=f"{name} partial sums as CSV with accuracy column")
         _add_graph_args(p)
         p.add_argument("--q", type=int, required=True)
         p.add_argument("--K", type=int, default=30)
         p.add_argument("--zeta", default="-1")
-        if needs_t:
+        if name == "euler":
             p.add_argument("--t", default="-1")
         p.add_argument("--alpha-threshold", type=float, default=-4.0)
         p.add_argument("--exact", action="store_true")
         p.add_argument("--prec", type=int)
         p.add_argument("--out")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("oracle", help="dense symmetric eigensolver spectrum as JSON")
     _add_graph_args(p)

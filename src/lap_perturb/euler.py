@@ -6,21 +6,21 @@ The Euler t-transform rewrites a Taylor series f0 + sum f_k z^k as
 
 with a tunable parameter t; it often converges where the plain series does
 not.  At t = 0 it is the plain Taylor series, so ``euler_transform_generic``
-is the one loop behind every partial-sum series in the package: the Taylor
-and Euler series of a coefficient table here, and the closed-form
-almost-regular series.  Binomial coefficients come from an exact integer
-Pascal recurrence so the transform stays exact in rational mode at any
-order.
+is the one loop behind every partial-sum series in the package, and
+``_table_series`` its one caller: the Taylor and Euler series of a
+coefficient table, whether the table comes from the recursion or from the
+almost-regular closed form, and the four-term estimate.  Binomial
+coefficients come from an exact integer Pascal recurrence so the transform
+stays exact in rational mode at any order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .domain import NumberDomain
 from .eigen import accuracy_alpha
-from .perturb import CoefficientTable, SeriesEvaluation
+from .perturb import CoefficientTable, SeriesEvaluation, coefficients
 
 __all__ = [
     "EulerParams",
@@ -104,20 +104,12 @@ def euler_series(table: CoefficientTable, params: EulerParams) -> SeriesEvaluati
 def euler_k4_estimate(g, q: int, domain: NumberDomain | None = None):
     """Four-term eigenvalue estimate d_q + 11 c2/16 - 5 c3/16 + c4/16.
 
-    Equals euler_series at t = -1, K = 4 exactly; useful as a closed-form
-    approximation of the Laplacian eigenvalue nearest to a unique degree.
+    This is the Euler series at t = zeta = -1 truncated at K = 4, a
+    closed-form approximation of the Laplacian eigenvalue nearest to a
+    unique degree.
     """
-    from .perturb import default_domain, explicit_c2_c3_c4
-
-    if domain is None:
-        domain = default_domain(g)
-    c2, c3, c4 = explicit_c2_c3_c4(g, q, domain)
-    with domain.context():
-        d_q = sum(domain.coerce(w) for w in g.weights[q - 1])
-        if domain.is_exact:
-            return d_q + Fraction(11, 16) * c2 - Fraction(5, 16) * c3 + Fraction(1, 16) * c4
-        sixteen = domain.coerce(16)
-        return d_q + 11 * c2 / sixteen - 5 * c3 / sixteen + c4 / sixteen
+    table = coefficients(g, q, 4, domain)
+    return euler_series(table, EulerParams(t=-1, zeta=-1, K_max=4)).at(4)
 
 
 def euler_transform_generic(f0, coeffs, t, z, M: int) -> list:

@@ -3,10 +3,11 @@
 For a node q whose (weighted) degree no other node shares, the eigenvalue of
 the matrix diag(degrees) + zeta * weights branching from d_q is an analytic
 function of zeta.  This module computes its Taylor coefficients c_j(q) and
-the eigenvector expansion coefficients beta_jr by recursion, provides the
-closed neighbor-sum formulas for c2..c4 as an independent cross-check, and
+the eigenvector expansion coefficients beta_jr by recursion (the one
+coefficient engine of the package), checks walk-count bounds on them, and
 defines ``SeriesEvaluation``, the record of partial sums that the series in
-``euler`` and ``almost_regular`` return.
+``euler`` and ``almost_regular`` return.  The closed neighbour-sum formulas
+for c2..c4 live in ``tests/oracles.py`` as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "SeriesEvaluation",
     "default_domain",
     "coefficients",
-    "explicit_c2_c3_c4",
     "coefficient_bounds_ok",
     "CoefficientBoundsReport",
     "reconstruct_eigenvector",
@@ -104,12 +104,6 @@ def default_domain(g: Graph, *values) -> NumberDomain:
     if all(_rational(w) for row in g.weights for w in row) and all(_rational(v) for v in values):
         return exact_domain()
     return float_domain(128)
-
-
-def _coerced_rows(g: Graph, domain: NumberDomain):
-    rows = [[domain.coerce(w) for w in row] for row in g.weights]
-    degrees = [sum(row) for row in rows]
-    return rows, degrees
 
 
 def _neighbour_lists(a, qi: int) -> list:
@@ -203,7 +197,8 @@ def _float_recursion(g: Graph, qi: int, K: int, domain: NumberDomain) -> tuple:
     it skips are exact zeros, so the values equal those of a sum over all
     nodes bit for bit.
     """
-    a, d = _coerced_rows(g, domain)
+    a = [[domain.coerce(w) for w in row] for row in g.weights]
+    d = [sum(row) for row in a]
     n = g.n
     others = [r for r in range(n) if r != qi]
     nbrs = _neighbour_lists(a, qi)
@@ -233,41 +228,6 @@ def _float_recursion(g: Graph, qi: int, K: int, domain: NumberDomain) -> tuple:
             c[j + 1] = sum((row[r] * w for r, w in nbrs[qi]), zero)
 
     return d[qi], tuple(c[j] for j in range(2, K + 1)), tuple(tuple(row) for row in beta_rows)
-
-
-def explicit_c2_c3_c4(g: Graph, q: int, domain: NumberDomain | None = None) -> tuple:
-    """c2, c3, c4 from the closed neighbor-sum formulas (independent of the recursion).
-
-    c2 sums squared weights over reciprocal degree gaps; c3 runs over
-    mutually connected neighbor pairs of q; c4 adds the triple neighbor sum
-    minus a squared-gap correction.  Matches ``coefficients`` exactly in
-    rational arithmetic.
-    """
-    profile = degree_profile(g)
-    if q not in profile.unique_nodes:
-        raise NonUniqueDegreeError(f"node {q} does not have a unique degree")
-    if domain is None:
-        domain = default_domain(g)
-
-    with domain.context():
-        a, d = _coerced_rows(g, domain)
-        n = g.n
-        qi = q - 1
-        others = [r for r in range(n) if r != qi]
-        inv = {r: 1 / (d[qi] - d[r]) for r in others}
-
-        c2 = sum(a[r][qi] ** 2 * inv[r] for r in others)
-        inner = {
-            r: sum(a[k][qi] * a[k][r] * inv[k] for k in others)
-            for r in others
-        }
-        c3 = sum(a[r][qi] * inv[r] * inner[r] for r in others)
-        triple = sum(
-            a[r][qi] * inv[r] * sum(a[r][l] * inv[l] * inner[l] for l in others)
-            for r in others
-        )
-        c4 = triple - sum(a[r][qi] ** 2 * inv[r] ** 2 for r in others) * c2
-        return c2, c3, c4
 
 
 @dataclass(frozen=True)

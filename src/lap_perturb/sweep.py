@@ -179,7 +179,7 @@ def _laplacian_spectrum(g: Graph) -> list:
     return [float(v) for v in symmetric_eigen(laplacian(g)).eigenvalues]
 
 
-def _classify(g: Graph, q: int, t, config: ExperimentConfig, mus: list):
+def _classify(g: Graph, q: int, t, config: ExperimentConfig, mus: list) -> TrialRecord:
     """Classify the series at node q against ``mus``, the Laplacian spectrum of g."""
     table = coefficients(g, q, config.K_max, config.domain)
     series = euler_series(table, EulerParams(t=t, zeta=config.zeta, K_max=config.K_max))
@@ -191,7 +191,7 @@ def _classify(g: Graph, q: int, t, config: ExperimentConfig, mus: list):
         alpha=report.alphas[config.K_check],
         matched_mu=float(report.matched_mu),
         converged=report.converged,
-    ), report
+    )
 
 
 def run_sweep(config: ExperimentConfig, detail: bool = False):
@@ -220,7 +220,7 @@ def run_sweep(config: ExperimentConfig, detail: bool = False):
                             continue
                         mus = _laplacian_spectrum(g)
                         for q in nodes:
-                            record, _ = _classify(g, q, t, config, mus)
+                            record = _classify(g, q, t, config, mus)
                             converged += record.converged
                             if detail:
                                 details.append(record)
@@ -235,7 +235,7 @@ def run_sweep(config: ExperimentConfig, detail: bool = False):
     for t in config.t_grid:
         converged = 0
         for q in nodes:
-            record, _ = _classify(g, q, t, config, mus)
+            record = _classify(g, q, t, config, mus)
             converged += record.converged
             details.append(record)
         cells.append(SweepCell(n=g.n, p="", t=t, trials=max(len(nodes), 1),

@@ -15,16 +15,28 @@ with no k = 1 term and no early exit at t = 0.  ``euler_series`` and
 ``taylor_partial_sums`` must match it bit for bit in every domain.
 ``euler_series_t_minus_one`` evaluates the t = -1, zeta = -1 case by its own
 formula, as an independent reference for the general transform.
+
+``explicit_c2_c3_c4`` gives c2..c4 from the paper's closed neighbour-sum
+formulas, and ``cm_recursion`` the c_m of a one-high-degree-node graph from
+the beta recursion specialised to its constant degree gap.  Neither shares
+code with ``perturb.coefficients`` or with the closed form
+``almost_regular.cm_closed_form``, so each cross-checks both.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from lap_perturb.almost_regular import AlmostRegularGraph
 from lap_perturb.domain import NumberDomain, exact_domain
 from lap_perturb.euler import EulerParams, pascal_row
 from lap_perturb.graph import Graph, degree_profile
-from lap_perturb.perturb import CoefficientTable, NonUniqueDegreeError, SeriesEvaluation
+from lap_perturb.perturb import (
+    CoefficientTable,
+    NonUniqueDegreeError,
+    SeriesEvaluation,
+    default_domain,
+)
 
 
 def reference_coefficients(g: Graph, q: int, K: int,
@@ -156,3 +168,81 @@ def euler_series_t_minus_one(table: CoefficientTable, K_max: int) -> SeriesEvalu
             q=table.q, zeta=domain.coerce(-1), kind="euler", partial_sums=sums,
             t=domain.coerce(-1),
         )
+
+
+def explicit_c2_c3_c4(g: Graph, q: int, domain: NumberDomain | None = None) -> tuple:
+    """c2, c3, c4 from the closed neighbor-sum formulas (independent of the recursion).
+
+    c2 sums squared weights over reciprocal degree gaps; c3 runs over
+    mutually connected neighbor pairs of q; c4 adds the triple neighbor sum
+    minus a squared-gap correction.  Matches ``coefficients`` exactly in
+    rational arithmetic.
+    """
+    profile = degree_profile(g)
+    if q not in profile.unique_nodes:
+        raise NonUniqueDegreeError(f"node {q} does not have a unique degree")
+    if domain is None:
+        domain = default_domain(g)
+
+    with domain.context():
+        a = [[domain.coerce(w) for w in row] for row in g.weights]
+        d = [sum(row) for row in a]
+        n = g.n
+        qi = q - 1
+        others = [r for r in range(n) if r != qi]
+        inv = {r: 1 / (d[qi] - d[r]) for r in others}
+
+        c2 = sum(a[r][qi] ** 2 * inv[r] for r in others)
+        inner = {
+            r: sum(a[k][qi] * a[k][r] * inv[k] for k in others)
+            for r in others
+        }
+        c3 = sum(a[r][qi] * inv[r] * inner[r] for r in others)
+        triple = sum(
+            a[r][qi] * inv[r] * sum(a[r][l] * inv[l] * inner[l] for l in others)
+            for r in others
+        )
+        c4 = triple - sum(a[r][qi] ** 2 * inv[r] ** 2 for r in others) * c2
+        return c2, c3, c4
+
+
+def cm_recursion(arg: AlmostRegularGraph, K: int) -> tuple:
+    """c_2..c_K by the specialized beta recursion with the constant gap x.
+
+    Iterates, for l != 1,
+
+        beta_jl = ( sum_{m != 1} beta_{j-1,m} a_lm
+                    - sum_m a_1m sum_{k=1}^{j-2} beta_kl beta_{j-k-1,m} ) / x,
+
+    from beta_1l = a_l1 / x, and reads off c_{j+1} = sum_l beta_jl a_1l.
+    Independent of the general engine; used to cross-check the closed form.
+    """
+    if K < 2:
+        raise ValueError("K must be at least 2")
+    g = arg.graph
+    n = g.n
+    a = [[Fraction(w) for w in row] for row in g.weights]
+    x = Fraction(arg.x)
+    others = list(range(1, n))
+
+    beta = []  # beta[j-1][l] for l in 0..n-1 with slot 0 unused (kept 0)
+    row1 = [Fraction(0)] * n
+    for l in others:
+        row1[l] = a[l][0] / x
+    beta.append(row1)
+    c = {2: sum(row1[l] * a[0][l] for l in others)}
+
+    for j in range(2, K):
+        prev = beta[j - 2]
+        row = [Fraction(0)] * n
+        for l in others:
+            s = sum(prev[m] * a[l][m] for m in others)
+            for m in others:
+                if a[0][m] == 0:
+                    continue
+                conv = sum(beta[k - 1][l] * beta[j - k - 2][m] for k in range(1, j - 1))
+                s -= a[0][m] * conv
+            row[l] = s / x
+        beta.append(row)
+        c[j + 1] = sum(row[l] * a[0][l] for l in others)
+    return tuple(c[j] for j in range(2, K + 1))

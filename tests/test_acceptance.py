@@ -19,7 +19,6 @@ from lap_perturb.almost_regular import (
     chc_bound,
     chc_build,
     cm_closed_form,
-    cm_recursion,
     complete_graph_chc,
     contour_eigenvalue,
 )
@@ -33,14 +32,7 @@ from lap_perturb.euler import (
     euler_transform_generic,
     taylor_partial_sums,
 )
-from lap_perturb.examples_data import (
-    E2_Q3_XI,
-    E2_Q7_XI,
-    E2_Q7_XI_30,
-    E2_Q13_XI,
-    E2_Q13_XI_15,
-    example_graph,
-)
+from lap_perturb.examples_data import E2_Q7_DIFF, E2_Q13_DIFF, PRINTED_XI, example_graph
 from lap_perturb.graph import (
     antiregular,
     closed_walk_counts,
@@ -48,14 +40,17 @@ from lap_perturb.graph import (
     laplacian,
     ring_with_core,
 )
-from lap_perturb.perturb import (
-    coefficient_bounds_ok,
-    coefficients,
-    explicit_c2_c3_c4,
-)
+from lap_perturb.perturb import coefficient_bounds_ok, coefficients
 from lap_perturb.sweep import ExperimentConfig, run_sweep
+from oracles import cm_recursion, explicit_c2_c3_c4
 
 T_MINUS_1 = EulerParams(t=Fraction(-1), zeta=Fraction(-1), K_max=100)
+
+
+def printed_xi(example: str, q: int) -> list:
+    """Every (K, printed xi_q;K(-1)) pair that PRINTED_XI holds for node q of ``example``."""
+    return [(K, text) for ex, node, printed in PRINTED_XI if (ex, node) == (example, q)
+            for K, text in printed.items()]
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +63,7 @@ def test_criterion_1_e2_q13_table(e2, e2_oracle_128):
     """xi_13;K at t=-1 matches every printed digit; true K=100 gap regression; < 10 s."""
     start = time.monotonic()
     series = euler_series(coefficients(e2, 13, 100), T_MINUS_1)
-    for K, printed in {**E2_Q13_XI, **E2_Q13_XI_15}.items():
+    for K, printed in printed_xi("e2", 13):
         assert matches_printed(series.at(K), printed), (K, printed)
     assert matches_printed(series.at(30), "11.6199136700045")
     with mpmath.workprec(128):
@@ -91,20 +86,20 @@ def test_criterion_1_printed_k100_difference_clause(e2, e2_oracle_128):
     series = euler_series(coefficients(e2, 13, 100), T_MINUS_1)
     with mpmath.workprec(128):
         gap = e2_oracle_128.eigenvalues[1] - to_mpf(series.at(100))
-        assert abs(gap - mpmath.mpf("-1.5099033e-13")) <= mpmath.mpf("1e-20")
+        assert abs(gap - mpmath.mpf(E2_Q13_DIFF[100])) <= mpmath.mpf("1e-20")
 
 
 def test_criterion_2_e2_q7_thirty_digits(e2, e2_oracle_128):
     """xi_7;30 correct to all printed digits; mu_1 - xi_7;100 at the printed value."""
     series = euler_series(coefficients(e2, 7, 100), T_MINUS_1)
-    for K, printed in {**E2_Q7_XI, **E2_Q7_XI_30}.items():
+    for K, printed in printed_xi("e2", 7):
         assert matches_printed(series.at(K), printed), (K, printed)
     assert matches_printed(series.at(30), "13.35139267")
     with mpmath.workprec(128):
         gap = e2_oracle_128.eigenvalues[0] - to_mpf(series.at(100))
         # one ulp of the printed last digit (the table truncates, so half an
         # ulp would be too strict for a correctly computed value)
-        assert abs(gap - mpmath.mpf("-7.4664234e-23")) <= mpmath.mpf("1e-30")
+        assert abs(gap - mpmath.mpf(E2_Q7_DIFF[100])) <= mpmath.mpf("1e-30")
     print("\n[acceptance] criterion 2 PASS: xi_7;K 30-digit table reproduced, "
           "mu1 - xi_7;100 = -7.4664234e-23")
 
@@ -113,7 +108,7 @@ def test_criterion_3_e2_q3_divergence(e2):
     series = euler_series(coefficients(e2, 3, 30),
                           EulerParams(t=Fraction(-1), zeta=Fraction(-1), K_max=30))
     assert matches_printed(series.at(30), "-1883.697136")
-    for K, printed in E2_Q3_XI.items():
+    for K, printed in printed_xi("e2", 3):
         assert matches_printed(series.at(K), printed), (K, printed)
     print("\n[acceptance] criterion 3 PASS: xi_3;30 = -1883.697136 reproduced")
 

@@ -15,7 +15,6 @@ from lap_perturb.almost_regular import (
     chc_build,
     chc_table_to_csv,
     cm_closed_form,
-    cm_recursion,
     complete_graph_chc,
     contour_eigenvalue,
 )
@@ -29,6 +28,7 @@ from lap_perturb.graph import (
     ring_with_core,
 )
 from lap_perturb.perturb import coefficients
+from oracles import cm_recursion
 
 # Closed forms for c_2..c_10 of a one-high-degree-node graph in terms of the
 # closed-walk counts w[m] = (A^m)_11 and the gap x; frozen golden vectors.

@@ -19,13 +19,12 @@ from lap_perturb.graph import (
     ring_with_core,
 )
 from helpers import random_tree, random_unique_degree_graphs
-from oracles import reference_coefficients
+from oracles import explicit_c2_c3_c4, reference_coefficients
 from lap_perturb.perturb import (
     NonUniqueDegreeError,
     coefficient_bounds_ok,
     coefficient_table_to_json,
     coefficients,
-    explicit_c2_c3_c4,
     reconstruct_eigenvector,
 )
 

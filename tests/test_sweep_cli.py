@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -93,6 +94,24 @@ class TestResolveGraphSource:
             resolve_graph_source("petersen:10")
 
 
+# SHA-256 of the CSVs that hold only exact series and 128-bit mpmath values;
+# e3.csv and almost_regular.csv also hold LAPACK float64 values
+REPRODUCE_CSV_SHA256 = {
+    "e1": "5237df42ef162320623ea924a2a0ccfefcf94283939e520c3eb89bab41425cc0",
+    "e2": "f569135f411a01278b143a926158ed8ae07af49ef779f583664a0b90e0d418e1",
+}
+
+# a negative rational after --t or --zeta, in the form argparse would take for a flag
+NEGATIVE_RATIONAL_ARGVS = {
+    "euler-t": ["euler", "--example", "e2", "--q", "13", "--K", "12", "--t", "-1/2"],
+    "euler-zeta": ["euler", "--example", "e2", "--q", "13", "--K", "12", "--zeta", "-1/2"],
+    "taylor-zeta": ["taylor", "--example", "e1", "--q", "1", "--K", "6", "--zeta", "-1/3"],
+    "euler-zeta-exponent": ["euler", "--example", "e2", "--q", "13", "--K", "12",
+                            "--zeta", "-1e-1"],
+    "contour-zeta": ["contour", "--gen", "ring_with_core:21,1", "--zeta", "-1/2"],
+    "sweep-t": ["sweep", "--n", "8", "--trials", "2", "--t", "-1/2,-1"],
+}
+
 REPRODUCE_FIRST_CHECK = {
     "e1": "PASS e1 xi_1;4(-1) = 4.21875",
     "e2": "PASS e2 xi_13;2(-1) = 10.48154762",
@@ -170,6 +189,18 @@ class TestCli:
         assert "FAIL" not in out
         assert "all reference checks passed" in out
         assert (tmp_path / f"{example}.csv").exists()
+        if example in REPRODUCE_CSV_SHA256:
+            digest = hashlib.sha256((tmp_path / f"{example}.csv").read_bytes()).hexdigest()
+            assert digest == REPRODUCE_CSV_SHA256[example]
+
+    @pytest.mark.parametrize("argv", list(NEGATIVE_RATIONAL_ARGVS.values()),
+                             ids=list(NEGATIVE_RATIONAL_ARGVS))
+    def test_negative_rational_values(self, capsys, argv):
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if argv[0] == "euler":
+            assert main(argv[:-2] + [f"{argv[-2]}={argv[-1]}"]) == 0
+            assert capsys.readouterr().out == out
 
     def test_missing_graph_file_exit(self, capsys, tmp_path):
         missing = tmp_path / "absent.edges"
