@@ -68,8 +68,8 @@ def symmetric_eigen(matrix, precision_bits: int = 53) -> Spectrum:
     implicit QL) at that working precision, so the precision alone sets the
     accuracy.  Raises ValueError for empty or non-symmetric input (numpy's
     LinAlgError is a ValueError), and RuntimeError for a NaN or infinite
-    entry, if ``eigsy`` does not converge or if either solver returns a
-    non-finite eigenvalue.
+    entry, if ``eigsy`` does not converge, or if either solver returns a
+    non-finite eigenvalue or an eigenvector with a non-finite residual.
     """
     rows = _as_rows(matrix)
     n = len(rows)
@@ -104,6 +104,8 @@ def symmetric_eigen(matrix, precision_bits: int = 53) -> Spectrum:
             for i in range(n):
                 ri = sum(rows[i][j] * col[j] for j in range(n)) - lam * col[i]
                 acc += ri * ri
+            if not acc < math.inf:  # also NaN, which max() would read as 0
+                raise RuntimeError("eigensolver returned a non-finite eigenvector residual")
             worst = max(worst, acc)
         return math.sqrt(float(worst))
 

@@ -12,11 +12,17 @@ coefficient table, whether the table comes from the recursion or from the
 almost-regular closed form, and the four-term estimate.  Binomial
 coefficients come from an exact integer Pascal recurrence so the transform
 stays exact in rational mode at any order.
+
+When t, z and every f_k are ``Fraction``s the core runs on integers: with
+the f_k over their common denominator, t = a/b and z/(1 + t z) = p/s, each
+partial sum is one integer ratio, reduced once (``_exact_transform``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
 
 from .domain import NumberDomain
 from .eigen import accuracy_alpha
@@ -118,7 +124,8 @@ def euler_transform_generic(f0, coeffs, t, z, M: int) -> list:
     ``coeffs`` supplies f_1..f_M; the result list has M + 1 entries, entry m
     being the transform truncated after the m-th outer term (entry 0 = f0).
     With t = 0 the m-th inner sum collapses to f_m, giving plain partial sums
-    in O(M) operations.
+    in O(M) operations.  All-``Fraction`` input takes the integer branch
+    ``_exact_transform``, whose values are the same exact rationals.
     """
     fs = list(coeffs)
     if len(fs) < M:
@@ -127,6 +134,8 @@ def euler_transform_generic(f0, coeffs, t, z, M: int) -> list:
     if denom == 0:
         raise ValueError("singular transform: 1 + t*z = 0")
     w = z / denom
+    if all(isinstance(x, Fraction) for x in (f0, t, z, *fs[:M])):
+        return _exact_transform(f0, fs[:M], t, w)
     partials = [f0]
     acc = f0
     wpow = 1
@@ -143,6 +152,43 @@ def euler_transform_generic(f0, coeffs, t, z, M: int) -> list:
                 break
         acc = acc + inner * wpow
         partials.append(acc)
+    return partials
+
+
+def _exact_transform(f0: Fraction, fs: list, t: Fraction, w: Fraction) -> list:
+    """The Euler transform partial sums for rational f0, f_k, t and w = z/(1 + t z).
+
+    With f_k = F_k / L over the lcm L of their denominators, t = a/b and
+    w = p/s, the m-th inner sum is S_m / (L b^(m-1)) for the integer
+
+        S_m = sum_k C(m-1, k-1) a^(m-k) G_k,   G_k = F_k b^(k-1),
+
+    and the m-th partial sum is f0 + N_m / (L b^(m-1) s^m) with
+    N_m = N_(m-1) b s + S_m p^m.  S_m is the head of the row G after m - 1
+    Pascal steps r_i <- a r_i + r_(i+1); at a = 0 it is G_m.  Only the
+    returned value of each order becomes a (reduced) ``Fraction``.
+    """
+    a, b = t.numerator, t.denominator
+    p, s = w.numerator, w.denominator
+    L = lcm(*(f.denominator for f in fs))
+    G, bpow = [], 1
+    for f in fs:
+        G.append(f.numerator * (L // f.denominator) * bpow)
+        bpow *= b
+    if a == 0:
+        sums = G
+    else:
+        sums, row = [], G
+        for _ in fs:
+            sums.append(row[0])
+            row = [a * x + y for x, y in zip(row, row[1:])]
+    partials = [f0]
+    num, den, ppow, bs = 0, L * s, 1, b * s
+    for S in sums:
+        ppow *= p
+        num = num * bs + S * ppow
+        partials.append(f0 + Fraction(num, den))
+        den *= bs
     return partials
 
 

@@ -3,7 +3,9 @@
 A sweep draws graphs from a generator ensemble (or evaluates a single
 graph), expands around selected unique-degree nodes, classifies each Euler
 series at (alpha_threshold, K_check), and reports the converged fraction per
-(n, p) cell.  Everything is deterministic given the config seed.
+(n, p, t) cell.  A graph is drawn, its spectrum computed and each node's
+coefficient table built once, for the whole t grid.  Everything is
+deterministic given the config seed.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .graph import (
     parse_edge_list,
     ring_with_core,
 )
-from .perturb import coefficients
+from .perturb import CoefficientTable, coefficients
 
 __all__ = [
     "ExperimentConfig",
@@ -179,19 +181,30 @@ def _laplacian_spectrum(g: Graph) -> list:
     return [float(v) for v in symmetric_eigen(laplacian(g)).eigenvalues]
 
 
-def _classify(g: Graph, q: int, t, config: ExperimentConfig, mus: list) -> TrialRecord:
-    """Classify the series at node q against ``mus``, the Laplacian spectrum of g."""
-    table = coefficients(g, q, config.K_max, config.domain)
+def _classify(table: CoefficientTable, t, config: ExperimentConfig, mus: list) -> TrialRecord:
+    """Classify the Euler series of ``table`` at t against ``mus``, the Laplacian spectrum."""
     series = euler_series(table, EulerParams(t=t, zeta=config.zeta, K_max=config.K_max))
     report = convergence_classify(series, mus, config.alpha_threshold, config.K_check)
     xi = series.at(config.K_check)
     return TrialRecord(
-        q=q, t=t, K=config.K_check,
+        q=table.q, t=t, K=config.K_check,
         xi=float(xi) if abs(xi) < 1e300 else float("inf"),  # compared before float() can overflow
         alpha=report.alphas[config.K_check],
         matched_mu=float(report.matched_mu),
         converged=report.converged,
     )
+
+
+def _evaluate(g: Graph, nodes: tuple, config: ExperimentConfig, records: list) -> None:
+    """Classify every (node, t) of one graph from one spectrum and one table per node.
+
+    The record of the k-th t of the grid is appended to ``records[k]``.
+    """
+    mus = _laplacian_spectrum(g)
+    for q in nodes:
+        table = coefficients(g, q, config.K_max, config.domain)
+        for k, t in enumerate(config.t_grid):
+            records[k].append(_classify(table, t, config, mus))
 
 
 def run_sweep(config: ExperimentConfig, detail: bool = False):
@@ -201,6 +214,11 @@ def run_sweep(config: ExperimentConfig, detail: bool = False):
     (n, p) cell; trial i of cell c uses seed ``config.seed + 1_000_003*c + i``
     so runs are reproducible and cells independent.  Trials whose graph has
     no node matching the selector are counted as skipped, not as failures.
+
+    Each trial draws its graph, computes its Laplacian spectrum and builds
+    the coefficient table of each selected node once, and evaluates every t
+    of ``config.t_grid`` from them; single-graph mode does the same once.
+    Cells and detail records come out grouped by t, in grid order.
     """
     cells = []
     details = []
@@ -208,36 +226,32 @@ def run_sweep(config: ExperimentConfig, detail: bool = False):
         cell_index = 0
         for n in config.n_grid:
             for p in config.p_grid:
-                for t in config.t_grid:
-                    skipped = 0
-                    converged = 0
-                    for i in range(config.trials):
-                        seed = config.seed + 1_000_003 * cell_index + i
-                        g = erdos_renyi(n, p, seed)
-                        nodes = select_nodes(g, config.q_selector)
-                        if not nodes:
-                            skipped += 1
-                            continue
-                        mus = _laplacian_spectrum(g)
-                        for q in nodes:
-                            record = _classify(g, q, t, config, mus)
-                            converged += record.converged
-                            if detail:
-                                details.append(record)
-                    cells.append(SweepCell(n=n, p=p, t=t, trials=config.trials,
-                                           skipped=skipped, converged=converged))
+                skipped = 0
+                records = [[] for _ in config.t_grid]  # per t index: t_grid may repeat a value
+                for i in range(config.trials):
+                    seed = config.seed + 1_000_003 * cell_index + i
+                    g = erdos_renyi(n, p, seed)
+                    nodes = select_nodes(g, config.q_selector)
+                    if not nodes:
+                        skipped += 1
+                        continue
+                    _evaluate(g, nodes, config, records)
+                for k, t in enumerate(config.t_grid):
+                    cells.append(SweepCell(n=n, p=p, t=t, trials=config.trials, skipped=skipped,
+                                           converged=sum(r.converged for r in records[k])))
+                    if detail:
+                        details.extend(records[k])
                 cell_index += 1
         return tuple(cells), tuple(details)
 
     g = resolve_graph_source(config.graph_source)  # single-graph degenerate sweep
     nodes = select_nodes(g, config.q_selector)
-    mus = _laplacian_spectrum(g) if nodes else []
-    for t in config.t_grid:
-        converged = 0
-        for q in nodes:
-            record = _classify(g, q, t, config, mus)
-            converged += record.converged
-            details.append(record)
+    records = [[] for _ in config.t_grid]
+    if nodes:
+        _evaluate(g, nodes, config, records)
+    for k, t in enumerate(config.t_grid):
         cells.append(SweepCell(n=g.n, p="", t=t, trials=max(len(nodes), 1),
-                               skipped=0 if nodes else 1, converged=converged))
+                               skipped=0 if nodes else 1,
+                               converged=sum(r.converged for r in records[k])))
+        details.extend(records[k])
     return tuple(cells), tuple(details)

@@ -13,6 +13,10 @@ ran before every partial-sum series went through
 ``euler.euler_transform_generic``: an inner sum over k = m..2 per order,
 with no k = 1 term and no early exit at t = 0.  ``euler_series`` and
 ``taylor_partial_sums`` must match it bit for bit in every domain.
+``reference_transform`` is the generic transform loop that
+``euler.euler_transform_generic`` ran before its exact branch moved onto
+integers over one common denominator; it reduces a ``Fraction`` at every
+inner-sum term, and the exact branch must return the same values.
 ``euler_series_t_minus_one`` evaluates the t = -1, zeta = -1 case by its own
 formula, as an independent reference for the general transform.
 
@@ -99,6 +103,40 @@ def reference_coefficients(g: Graph, q: int, K: int,
             beta=tuple(tuple(row) for row in beta_rows),
             domain=domain,
         )
+
+
+def reference_transform(f0, coeffs, t, z, M: int) -> list:
+    """Partial sums of the Euler t-transform of f0 + sum_k f_k z^k.
+
+    ``coeffs`` supplies f_1..f_M; the result list has M + 1 entries, entry m
+    being the transform truncated after the m-th outer term (entry 0 = f0).
+    With t = 0 the m-th inner sum collapses to f_m, giving plain partial sums
+    in O(M) operations.
+    """
+    fs = list(coeffs)
+    if len(fs) < M:
+        raise ValueError(f"need {M} coefficients, got {len(fs)}")
+    denom = 1 + t * z
+    if denom == 0:
+        raise ValueError("singular transform: 1 + t*z = 0")
+    w = z / denom
+    partials = [f0]
+    acc = f0
+    wpow = 1
+    for m in range(1, M + 1):
+        wpow = wpow * w
+        row = pascal_row(m - 1)
+        tpow = 1
+        inner = None
+        for k in range(m, 0, -1):
+            term = row[k - 1] * tpow * fs[k - 1]
+            inner = term if inner is None else inner + term
+            tpow = tpow * t
+            if tpow == 0:  # t = 0: the remaining terms are all zero
+                break
+        acc = acc + inner * wpow
+        partials.append(acc)
+    return partials
 
 
 def _inner_weight_sums(coeff_at, t, K_max: int):

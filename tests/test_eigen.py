@@ -100,6 +100,21 @@ class TestSymmetricEigen:
         with pytest.raises(RuntimeError):
             symmetric_eigen(matrix, precision_bits=bits)
 
+    @pytest.mark.parametrize("bits", [53, 128])
+    def test_nan_eigenvector_raises(self, monkeypatch, bits):
+        # finite eigenvalues with a NaN column: the residual must not read as 0
+        def fake_eigh(a):
+            return np.array([0.0, 2.0]), np.array([[math.nan, 1.0], [math.nan, 0.0]])
+
+        def fake_eigsy(a):
+            return (mpmath.matrix([0, 2]),
+                    mpmath.matrix([[mpmath.nan, 1], [mpmath.nan, 0]]))
+
+        monkeypatch.setattr(np.linalg, "eigh", fake_eigh)
+        monkeypatch.setattr(mpmath, "eigsy", fake_eigsy)
+        with pytest.raises(RuntimeError, match="residual"):
+            symmetric_eigen([[1, 1], [1, 1]], precision_bits=bits)
+
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             symmetric_eigen([[0, 1], [2, 0]])

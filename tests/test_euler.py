@@ -3,6 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lap_perturb.digits import matches_printed
 from lap_perturb.domain import exact_domain, float_domain
@@ -22,7 +23,7 @@ from lap_perturb.graph import laplacian
 from lap_perturb.perturb import SeriesEvaluation, coefficients
 
 from helpers import random_unique_degree_graphs
-from oracles import euler_series_t_minus_one, reference_euler_series
+from oracles import euler_series_t_minus_one, reference_euler_series, reference_transform
 
 
 class TestEulerParams:
@@ -117,7 +118,46 @@ class TestEulerK4Estimate:
         assert euler_k4_estimate(g, 5) == 0
 
 
+_BIG_FRACTIONS = st.builds(Fraction, st.integers(-2**70, 2**70), st.integers(1, 2**64))
+_SMALL_FRACTIONS = st.one_of(st.just(Fraction(0)),
+                             st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)))
+
+
+@st.composite
+def _coefficient_lists(draw):
+    """f_1..f_n (n >= M) with mixed signs, zeros and denominators up to 2^64, and M."""
+    M = draw(st.integers(1, 25))
+    n = M + draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        coeffs = [Fraction(0)] * n
+    else:
+        coeffs = draw(st.lists(st.one_of(st.just(Fraction(0)), _SMALL_FRACTIONS, _BIG_FRACTIONS),
+                               min_size=n, max_size=n))
+    return coeffs, M
+
+
 class TestGenericTransform:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(f0=_BIG_FRACTIONS, fs=_coefficient_lists(), t=_SMALL_FRACTIONS, z=_SMALL_FRACTIONS)
+    def test_exact_branch_equals_reference_loop(self, f0, fs, t, z):
+        coeffs, M = fs
+        assume(1 + t * z != 0)
+        partials = euler_transform_generic(f0, coeffs, t, z, M)
+        assert partials == reference_transform(f0, coeffs, t, z, M)
+        assert all(type(x) is Fraction for x in partials)
+
+    @pytest.mark.parametrize("coeffs, t, z, M", [
+        ([Fraction(1, 3)] * 5, Fraction(2), Fraction(-1, 2), 5),
+        ([Fraction(1, 3)] * 3, Fraction(0), Fraction(1, 2), 5),
+        ([Fraction(1, 3)] * 3, Fraction(1), Fraction(-1), 5),
+    ])
+    def test_exact_branch_errors_match_reference(self, coeffs, t, z, M):
+        with pytest.raises(ValueError) as expected:
+            reference_transform(Fraction(1), coeffs, t, z, M)
+        with pytest.raises(ValueError) as got:
+            euler_transform_generic(Fraction(1), coeffs, t, z, M)
+        assert str(got.value) == str(expected.value)
+
     def test_geometric_series_inside_radius(self):
         partials = euler_transform_generic(1, [1] * 60, Fraction(1), Fraction(1, 2), 60)
         assert abs(partials[60] - 2) < Fraction(1, 10**9)

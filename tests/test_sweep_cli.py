@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
 
 import pytest
 
+import lap_perturb.sweep as sweep
 from lap_perturb.cli import main
+from lap_perturb.domain import exact_domain, float_domain
 from lap_perturb.graph import build_graph, format_edge_list
 from lap_perturb.sweep import ExperimentConfig, resolve_graph_source, run_sweep, select_nodes
 
@@ -74,6 +77,59 @@ class TestRunSweep:
         assert config.p_grid == (Fraction(3, 10),)
         cells, _ = run_sweep(config)
         assert len(cells) == 2  # one per t
+
+
+# four t, one of them repeated, all regular at zeta = -1/3
+MULTI_T = (Fraction(-1), Fraction(-1, 2), Fraction(-3), Fraction(-1))
+DOMAINS = [pytest.param(exact_domain(), id="exact"), pytest.param(float_domain(128), id="128")]
+
+
+def _multi_t_config(domain, source="erdos_renyi", selector="all_unique"):
+    return ExperimentConfig(graph_source=source, q_selector=selector, t_grid=MULTI_T,
+                            zeta=Fraction(-1, 3), K_max=12, K_check=12, domain=domain,
+                            trials=6, n_grid=(12,), p_grid=(Fraction(1, 5),), seed=7)
+
+
+class TestSweepWorkPerTrial:
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_one_draw_spectrum_and_table_per_trial(self, monkeypatch, domain):
+        calls = {"erdos_renyi": [], "symmetric_eigen": [], "coefficients": []}
+
+        def counted(name, key):
+            fn = getattr(sweep, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name].append(key(*args))
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(sweep, name, wrapper)
+
+        counted("erdos_renyi", lambda n, p, seed: seed)
+        counted("symmetric_eigen", lambda matrix: matrix)
+        counted("coefficients", lambda g, q, K, domain: (g.weights, q))
+        config = _multi_t_config(domain)
+        (cell, *_), details = run_sweep(config, detail=True)
+        drawn = config.trials - cell.skipped
+        assert drawn > 0
+        assert len(calls["erdos_renyi"]) == len(set(calls["erdos_renyi"])) == config.trials
+        assert len(calls["symmetric_eigen"]) == drawn
+        pairs = calls["coefficients"]
+        assert len(pairs) == len(set(pairs))
+        assert len(pairs) * len(MULTI_T) == len(details)
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    @pytest.mark.parametrize("source, selector", [
+        ("erdos_renyi", "all_unique"),
+        ("erdos_renyi", "max_unique_degree"),
+        ("example:e3", "all_unique"),
+    ])
+    def test_multi_t_sweep_is_concatenated_single_t_sweeps(self, domain, source, selector):
+        config = _multi_t_config(domain, source, selector)
+        cells, details = run_sweep(config, detail=True)
+        singles = [run_sweep(dataclasses.replace(config, t_grid=(t,)), detail=True)
+                   for t in MULTI_T]
+        assert cells == tuple(c for single_cells, _ in singles for c in single_cells)
+        assert details == tuple(r for _, single_details in singles for r in single_details)
+        assert len(details) > len(MULTI_T)
 
 
 class TestResolveGraphSource:
