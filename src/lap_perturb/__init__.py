@@ -17,6 +17,7 @@ from .almost_regular import (
     chc_bound,
     chc_bound_half,
     chc_build,
+    closed_form_table,
     cm_closed_form,
     complete_graph_chc,
     contour_eigenvalue,

@@ -11,8 +11,9 @@ closed form in the characteristic coefficients
 built from closed-walk counts at the special node.  This module provides
 the A[k, m] recursion, the closed form for c_m, complete-graph formulas
 and bounds for A[k, m], the eigenvalue series and its Euler transform
-(exact rationals: the closed-form c_m fill a ``CoefficientTable`` that
-``euler.taylor_partial_sums`` and ``euler.euler_series`` sum), and a
+(exact rationals: the closed-form c_m fill a ``CoefficientTable``,
+``closed_form_table``, that ``euler.taylor_partial_sums`` and
+``euler.euler_series`` sum), and a
 contour-integral evaluation of the same eigenvalue.  The specialised
 constant-gap recursion for c_m is a test oracle in ``tests/oracles.py``.
 """
@@ -38,6 +39,7 @@ __all__ = [
     "almost_regular",
     "chc_build",
     "cm_closed_form",
+    "closed_form_table",
     "complete_graph_chc",
     "chc_bound",
     "chc_bound_half",
@@ -183,8 +185,12 @@ def chc_bound_half(N: int, k: int, m: int) -> Fraction:
     return Fraction(2) ** (m - k) * Fraction(N - 1) ** m / Fraction(2 * N - 3, 2) ** k
 
 
-def _closed_form_table(arg: AlmostRegularGraph, K: int) -> CoefficientTable:
-    """The closed-form c_2..c_K at the special node as an exact coefficient table."""
+def closed_form_table(arg: AlmostRegularGraph, K: int) -> CoefficientTable:
+    """The closed-form c_2..c_K at the special node as an exact coefficient table.
+
+    Its Taylor and Euler series come from ``euler.taylor_partial_sums`` and
+    ``euler.euler_series``; build it once to sum it at several zeta and t.
+    """
     if K < 2:
         raise ValueError("K must be at least 2")
     chc = chc_build(closed_walk_counts(arg.graph, arg.special, K), K)
@@ -197,7 +203,7 @@ def _closed_form_table(arg: AlmostRegularGraph, K: int) -> CoefficientTable:
 
 def almost_regular_series(arg: AlmostRegularGraph, zeta, K: int) -> SeriesEvaluation:
     """Partial sums d_q + x sum_m (sum_k g_k(m) A[k, m]) (zeta/x)^m up to K, exact."""
-    return taylor_partial_sums(_closed_form_table(arg, K), Fraction(zeta))
+    return taylor_partial_sums(closed_form_table(arg, K), Fraction(zeta))
 
 
 def almost_regular_euler(arg: AlmostRegularGraph, zeta, t, K: int) -> SeriesEvaluation:
@@ -205,7 +211,7 @@ def almost_regular_euler(arg: AlmostRegularGraph, zeta, t, K: int) -> SeriesEval
 
     t = 0 reduces term-by-term to the plain series.
     """
-    return euler_series(_closed_form_table(arg, K),
+    return euler_series(closed_form_table(arg, K),
                         EulerParams(t=Fraction(t), zeta=Fraction(zeta), K_max=K))
 
 

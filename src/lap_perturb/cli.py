@@ -22,10 +22,9 @@ import mpmath
 
 from .almost_regular import (
     almost_regular,
-    almost_regular_euler,
-    almost_regular_series,
-    cm_closed_form,
     chc_build,
+    closed_form_table,
+    cm_closed_form,
     contour_eigenvalue,
 )
 from .digits import matches_printed
@@ -221,35 +220,35 @@ def _reproduce_almost_regular(digest: _Digest) -> list:
     rows = []
 
     g = ring_with_core(21, 1)
-    arg = almost_regular(g)
+    table = closed_form_table(almost_regular(g), 80)
     mu1 = float(symmetric_eigen(laplacian(g)).eigenvalues[0])
-    ser = almost_regular_series(arg, Fraction(-1), 80)
+    ser = taylor_partial_sums(table, Fraction(-1))
     digest.check_bool(
         "ring_with_core(21,1): series at zeta=-1 converges to mu_1",
         abs(float(ser.at(80)) - mu1) < 1e-9,
     )
     mu1_m2 = float(symmetric_eigen(perturbed_matrix(g, -2)).eigenvalues[0])
-    eul = almost_regular_euler(arg, Fraction(-2), Fraction(-1), 80)
+    eul = euler_series(table, EulerParams(t=Fraction(-1), zeta=Fraction(-2), K_max=80))
     digest.check_bool(
         "ring_with_core(21,1): Euler t=-1 at zeta=-2 converges to mu_1(-2) "
         "while the plain series does not",
         abs(float(eul.at(80)) - mu1_m2) < 1e-9
-        and abs(float(almost_regular_series(arg, Fraction(-2), 80).at(80)) - mu1_m2) > 1e-3,
+        and abs(float(taylor_partial_sums(table, Fraction(-2)).at(80)) - mu1_m2) > 1e-3,
     )
     for K in sorted(ser.partial_sums):
         if K % 10 == 0:
             rows.append((1, "", K, _format_value(ser.at(K), False),
                          f"{accuracy_alpha(ser.at(K), mu1):.6f}", repr(mu1), ""))
 
-    g9 = ring_with_core(21, 9)
-    arg9 = almost_regular(g9)
-    ser9 = almost_regular_series(arg9, Fraction(-1), 60)
+    table9 = closed_form_table(almost_regular(ring_with_core(21, 9)), 60)
+    ser9 = taylor_partial_sums(table9, Fraction(-1))
     digest.check_bool(
         "ring_with_core(21,9): series at zeta=-1 diverges",
         abs(float(ser9.at(60))) > 1e6,
     )
     div9 = all(
-        abs(float(almost_regular_euler(arg9, Fraction(-2), Fraction(t), 60).at(60)) - mu1) > 1e3
+        abs(float(euler_series(table9, EulerParams(t=Fraction(t), zeta=Fraction(-2), K_max=60))
+                  .at(60)) - mu1) > 1e3
         for t in (-1, -2, -3)
     )
     digest.check_bool("ring_with_core(21,9): Euler at zeta=-2 diverges for t=-1,-2,-3", div9)

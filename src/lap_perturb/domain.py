@@ -3,8 +3,11 @@
 Every coefficient/series routine in this package is generic over a scalar
 type.  ``NumberDomain`` pins that type down: ``exact_rational`` keeps each
 value a :class:`fractions.Fraction` (legal only when all inputs are
-rational), while ``float`` computes with mpmath reals at a configurable
-number of mantissa bits.
+rational), while ``float`` returns mpmath reals at a configurable number of
+mantissa bits.  When the inputs are all rational (``_rational``), ``perturb``
+and ``euler`` still compute exactly in a float domain and round each
+returned value once (``to_mpf``); only non-rational inputs are computed in
+mpmath.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from fractions import Fraction
 from numbers import Rational
 
 import mpmath
+from mpmath.libmp import from_rational, round_nearest
 
 EXACT_RATIONAL = "exact_rational"
 FLOAT = "float"
@@ -66,13 +70,25 @@ def float_domain(precision_bits: int = 128) -> NumberDomain:
     return NumberDomain(FLOAT, precision_bits)
 
 
+def _rational(x) -> bool:
+    """Whether ``x`` is an exact rational (int, Fraction, or anything with a denominator)."""
+    return isinstance(x, (int, Fraction)) or getattr(x, "denominator", None) is not None
+
+
 def to_mpf(value) -> mpmath.mpf:
-    """Convert int/Fraction/float/mpf to an mpf at the current working precision."""
-    if isinstance(value, Fraction):
-        return mpmath.mpf(value.numerator) / value.denominator
-    if isinstance(value, Rational) and not isinstance(value, (int, float)):
-        return mpmath.mpf(int(value.numerator)) / int(value.denominator)
+    """Convert int/Fraction/float/mpf to an mpf at the current working precision.
+
+    A rational is rounded once, to nearest, from its numerator and
+    denominator.
+    """
+    if isinstance(value, Rational) and not isinstance(value, int):
+        return _rounded_ratio(int(value.numerator), int(value.denominator))
     return mpmath.mpf(value)
+
+
+def _rounded_ratio(numerator: int, denominator: int) -> mpmath.mpf:
+    """numerator / denominator (denominator > 0) rounded once, to nearest, at the working precision."""
+    return mpmath.mp.make_mpf(from_rational(numerator, denominator, mpmath.mp.prec, round_nearest))
 
 
 def parse_number(text: str) -> Fraction:

@@ -15,7 +15,11 @@ stays exact in rational mode at any order.
 
 When t, z and every f_k are ``Fraction``s the core runs on integers: with
 the f_k over their common denominator, t = a/b and z/(1 + t z) = p/s, each
-partial sum is one integer ratio, reduced once (``_exact_transform``).
+partial sum is one integer ratio, reduced once (``_exact_transform``).  A
+float table built from rational weights keeps its exact coefficients, so
+with rational zeta and t its series runs this exact branch too and each
+partial sum is rounded once at the table's precision; only float-typed
+weights, zeta or t sum the rounded coefficients in mpmath.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .domain import NumberDomain
+from .domain import NumberDomain, _rational, to_mpf
 from .eigen import accuracy_alpha
 from .perturb import CoefficientTable, SeriesEvaluation, coefficients
 
@@ -78,16 +82,25 @@ class EulerParams:
 
 
 def _table_series(table: CoefficientTable, zeta, t, K_max: int, kind: str) -> SeriesEvaluation:
-    """Transform partial sums of orders 2..K_max in the table's domain (c_1 = 0)."""
+    """Transform partial sums of orders 2..K_max in the table's domain (c_1 = 0).
+
+    A float table with exact coefficients sums them exactly when zeta and t
+    are rational, and rounds each partial sum once.
+    """
     if K_max > table.K:
         raise ValueError(f"K_max = {K_max} exceeds table order {table.K}")
     domain = table.domain
     with domain.context():
         z = domain.coerce(zeta)
         tt = domain.coerce(t)
-        coeffs = [table.c_at(j) for j in range(1, K_max + 1)]
-        partials = euler_transform_generic(table.d_q, coeffs, tt, z, K_max)
-    sums = {m: partials[m] for m in range(2, K_max + 1)}
+        if table._exact is not None and _rational(zeta) and _rational(t):
+            d_q, c = table._exact
+            exact = euler_transform_generic(d_q, (Fraction(0), *c), Fraction(t), Fraction(zeta), K_max)
+            sums = {m: to_mpf(exact[m]) for m in range(2, K_max + 1)}
+        else:
+            coeffs = [table.c_at(j) for j in range(1, K_max + 1)]
+            partials = euler_transform_generic(table.d_q, coeffs, tt, z, K_max)
+            sums = {m: partials[m] for m in range(2, K_max + 1)}
     return SeriesEvaluation(q=table.q, zeta=z, kind=kind, partial_sums=sums,
                             t=tt if kind == "euler" else None)
 

@@ -8,16 +8,29 @@ coefficient engine of the package), checks walk-count bounds on them, and
 defines ``SeriesEvaluation``, the record of partial sums that the series in
 ``euler`` and ``almost_regular`` return.  The closed neighbour-sum formulas
 for c2..c4 live in ``tests/oracles.py`` as an independent cross-check.
+
+The recursion runs on integers whenever every weight is rational, in a float
+domain too: the float table then holds each value rounded once from the
+exact one, and keeps the exact d_q and c for ``euler`` to sum.  Only
+non-rational weights run the recursion in mpmath.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .domain import NumberDomain, exact_domain, float_domain, format_rational
+from .domain import (
+    NumberDomain,
+    _rational,
+    _rounded_ratio,
+    exact_domain,
+    float_domain,
+    format_rational,
+    to_mpf,
+)
 from .graph import Graph, closed_walk_counts, degree_profile
 
 __all__ = [
@@ -44,6 +57,9 @@ class CoefficientTable:
     ``c[j - 2]`` holds c_j; c_0 = d_q and c_1 = 0 are implicit.  ``beta[j - 1]``
     is the row (beta_j1, ..., beta_jN) with beta_jq = 0 by the eigenvector
     scaling choice.  Values are Fractions in exact mode, mpmath reals otherwise.
+    A float table built from rational weights holds each value correctly
+    rounded from the exact one, and ``_exact`` holds that exact (d_q, c); it
+    is None for every other table and takes no part in comparisons.
     """
 
     q: int
@@ -52,6 +68,7 @@ class CoefficientTable:
     c: tuple
     beta: tuple
     domain: NumberDomain
+    _exact: tuple | None = field(default=None, compare=False, repr=False)
 
     def c_at(self, j: int):
         """Coefficient c_j for 1 <= j <= K."""
@@ -96,12 +113,13 @@ class SeriesEvaluation:
         return tuple(sorted(self.partial_sums))
 
 
+def _rational_weights(g: Graph) -> bool:
+    return all(_rational(w) for row in g.weights for w in row)
+
+
 def default_domain(g: Graph, *values) -> NumberDomain:
     """Exact rationals when the graph and all extra values are rational, else 128-bit floats."""
-    def _rational(x):
-        return isinstance(x, (int, Fraction)) or getattr(x, "denominator", None) is not None
-
-    if all(_rational(w) for row in g.weights for w in row) and all(_rational(v) for v in values):
+    if _rational_weights(g) and all(_rational(v) for v in values):
         return exact_domain()
     return float_domain(128)
 
@@ -121,8 +139,11 @@ def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -
 
     where the c convolution reuses c_m = sum_{l != q} beta_{m-1,l} a_ql, the
     same sum that defines the coefficients; this keeps the total cost at
-    O(K^2 N + K |E|).  The exact domain runs the recursion on scaled
-    integers (see ``_integer_recursion``); float domains run it in mpmath.
+    O(K^2 N + K |E|).  When every weight is rational the recursion runs on
+    scaled integers (see ``_integer_recursion``) in any domain; a float
+    domain then rounds each d_q, c_j and beta_jr once, to nearest at its
+    precision, and keeps the exact d_q and c for the series.  Non-rational
+    weights run the recursion in mpmath at the domain's precision.
     """
     if K < 2:
         raise ValueError("K must be at least 2")
@@ -132,14 +153,21 @@ def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -
     if domain is None:
         domain = default_domain(g)
 
-    recursion = _integer_recursion if domain.is_exact else _float_recursion
+    if domain.is_exact:
+        return CoefficientTable(q, K, *_integer_recursion(g, q - 1, K, Fraction), domain)
     with domain.context():
-        d_q, c, beta = recursion(g, q - 1, K, domain)
-    return CoefficientTable(q=q, K=K, d_q=d_q, c=c, beta=beta, domain=domain)
+        if not _rational_weights(g):
+            return CoefficientTable(q, K, *_float_recursion(g, q - 1, K, domain), domain)
+        d_q, c, beta = _integer_recursion(g, q - 1, K, _rounded_ratio)
+        return CoefficientTable(q, K, to_mpf(d_q), tuple(map(to_mpf, c)), beta, domain,
+                                _exact=(d_q, c))
 
 
-def _integer_recursion(g: Graph, qi: int, K: int, domain: NumberDomain) -> tuple:
-    """Fraction-free form of the beta recursion; returns (d_q, c, beta) as Fractions.
+def _integer_recursion(g: Graph, qi: int, K: int, ratio) -> tuple:
+    """Fraction-free form of the beta recursion; returns (d_q, c, beta).
+
+    d_q and c are Fractions; each beta_jr is ``ratio(numerator, denominator)``,
+    a ``Fraction`` or a value rounded straight from the two integers.
 
     With W the lcm of the weight denominators, the weights a = W A and the
     gaps G_r = W (d_q - d_r) are integers.  With D = lcm_r |G_r| and the
@@ -152,8 +180,10 @@ def _integer_recursion(g: Graph, qi: int, K: int, domain: NumberDomain) -> tuple
 
     so no step divides (the idea of Bareiss's fraction-free elimination).
     W cancels out of beta.  Fractions are made only for the returned values.
+    A weight that is not rational raises TypeError.
     """
-    rational = [[domain.coerce(w) for w in row] for row in g.weights]
+    coerce = exact_domain().coerce
+    rational = [[coerce(w) for w in row] for row in g.weights]
     W = lcm(*(w.denominator for row in rational for w in row))
     a = [[w.numerator * (W // w.denominator) for w in row] for row in rational]
     d = [sum(row) for row in a]
@@ -179,12 +209,12 @@ def _integer_recursion(g: Graph, qi: int, K: int, domain: NumberDomain) -> tuple
         prev = row
 
     powers = [D ** j for j in range(K + 1)]
-    zero = Fraction(0)
+    zero = ratio(0, 1)
     beta = []
     for j in range(1, K + 1):
         row = [zero] * g.n
         for r in others:
-            row[r] = Fraction(cols[r][j - 1], powers[j])
+            row[r] = ratio(cols[r][j - 1], powers[j])
         beta.append(tuple(row))
     c = tuple(Fraction(Cj, W * powers[j]) for j, Cj in enumerate(C, start=1))
     return Fraction(d[qi], W), c, tuple(beta)

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import mpmath
+from mpmath.libmp import to_rational
+
 from lap_perturb.graph import Graph, build_graph, degree_profile, erdos_renyi
+from oracles import round_to_nearest
 
 
 def random_unique_degree_graphs(count: int, max_n: int = 12):
@@ -22,6 +26,28 @@ def random_unique_degree_graphs(count: int, max_n: int = 12):
         q = max(profile.unique_nodes, key=lambda u: profile.degrees[u - 1])
         found.append((g, q))
     return found
+
+
+def float_weighted(g: Graph) -> Graph:
+    """Copy of ``g`` with every weight a Python float, so no weight counts as rational."""
+    return build_graph(g.n, [(u, v, float(w)) for u, v, w in g.edges()])
+
+
+def mpf_value(x) -> Fraction:
+    """The exact value of an mpf."""
+    return Fraction(*to_rational(x._mpf_))
+
+
+def table_values(table) -> list:
+    """d_q, every c_j and every beta_jr of a coefficient table."""
+    return [table.d_q, *table.c, *(b for row in table.beta for b in row)]
+
+
+def assert_rounded_once(values, exact_values, bits: int) -> None:
+    """Each value is an mpf equal to its exact counterpart rounded to nearest at ``bits``."""
+    for value, x in zip(values, exact_values, strict=True):
+        assert isinstance(value, mpmath.mpf)
+        assert mpf_value(value) == round_to_nearest(x, bits)
 
 
 def random_tree(n: int, seed: int) -> Graph:

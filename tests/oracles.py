@@ -5,20 +5,26 @@
 integer recursion and its float branch began to walk neighbour lists.  In
 the exact domain it divides ``Fraction``s by every degree gap at every step,
 so it is slow, but it is the textbook form of the recursion: both branches
-of the engine must reproduce its values exactly (in a float domain, bit for
-bit at the same precision).
+of the engine must reproduce its values exactly (the mpmath branch, which
+serves float domains on float-typed weights, bit for bit at the same
+precision).
 
 ``reference_euler_series`` is the Euler transform loop that ``euler_series``
 ran before every partial-sum series went through
 ``euler.euler_transform_generic``: an inner sum over k = m..2 per order,
 with no k = 1 term and no early exit at t = 0.  ``euler_series`` and
-``taylor_partial_sums`` must match it bit for bit in every domain.
+``taylor_partial_sums`` must match it bit for bit in the exact domain, and in
+float domains on tables built from float-typed weights.
 ``reference_transform`` is the generic transform loop that
 ``euler.euler_transform_generic`` ran before its exact branch moved onto
 integers over one common denominator; it reduces a ``Fraction`` at every
 inner-sum term, and the exact branch must return the same values.
 ``euler_series_t_minus_one`` evaluates the t = -1, zeta = -1 case by its own
 formula, as an independent reference for the general transform.
+
+``round_to_nearest`` rounds a rational to a given number of significand bits
+with integer arithmetic alone, the reference for values that a float domain
+rounds once from an exact one.
 
 ``explicit_c2_c3_c4`` gives c2..c4 from the paper's closed neighbour-sum
 formulas, and ``cm_recursion`` the c_m of a one-high-degree-node graph from
@@ -284,3 +290,15 @@ def cm_recursion(arg: AlmostRegularGraph, K: int) -> tuple:
         beta.append(row)
         c[j + 1] = sum(row[l] * a[0][l] for l in others)
     return tuple(c[j] for j in range(2, K + 1))
+
+
+def round_to_nearest(x: Fraction, bits: int) -> Fraction:
+    """x rounded to the nearest value m 2^e with |m| < 2^bits, ties to even m."""
+    if x == 0:
+        return x
+    p, q = abs(x.numerator), x.denominator
+    e = p.bit_length() - q.bit_length() - bits  # p / (q 2^e) lies in [2^(bits-1), 2^(bits+1))
+    if Fraction(p, q) >= Fraction(2) ** (e + bits):
+        e += 1
+    m = round(Fraction(p, q) / Fraction(2) ** e)  # Fraction.__round__ ties to even
+    return (1 if x > 0 else -1) * m * Fraction(2) ** e

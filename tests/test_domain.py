@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_rational, round_nearest
 
 from lap_perturb.domain import (
     NumberDomain,
@@ -15,6 +18,9 @@ from lap_perturb.domain import (
 )
 from lap_perturb.graph import build_graph
 from lap_perturb.perturb import coefficients, default_domain
+
+from helpers import mpf_value
+from oracles import round_to_nearest
 
 
 def test_exact_domain_rejects_irrational_inputs():
@@ -59,3 +65,18 @@ def test_to_mpf_is_lossless_for_fractions():
     with mpmath.workprec(100):
         x = to_mpf(Fraction(1, 3))
         assert abs(x - mpmath.mpf(1) / 3) < mpmath.mpf(2) ** -99
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64))
+def test_to_mpf_rounds_a_fraction_once(bits, seed):
+    # a random 300-bit numerator over a 200-bit denominator (hypothesis's own
+    # wide integers have few set bits and round like short ones); mpf(p) / q
+    # would round p first, then the quotient
+    rng = random.Random(seed)
+    x = Fraction(rng.choice((1, -1)) * rng.getrandbits(300), rng.getrandbits(200) | 1)
+    with mpmath.workprec(bits):
+        value = to_mpf(x)
+    assert value._mpf_ == from_rational(x.numerator, x.denominator, bits, round_nearest)
+    assert mpf_value(value) == round_to_nearest(x, bits)

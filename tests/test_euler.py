@@ -22,8 +22,16 @@ from lap_perturb.examples_data import E2_Q13_XI, E2_Q3_XI, E2_Q7_XI
 from lap_perturb.graph import laplacian
 from lap_perturb.perturb import SeriesEvaluation, coefficients
 
-from helpers import random_unique_degree_graphs
+from helpers import (
+    assert_rounded_once,
+    float_weighted,
+    random_unique_degree_graphs,
+    table_values,
+)
 from oracles import euler_series_t_minus_one, reference_euler_series, reference_transform
+
+T_GRID = (Fraction(-3), Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(2))
+ZETAS = (Fraction(-1), Fraction(-1, 3))
 
 
 class TestEulerParams:
@@ -64,16 +72,26 @@ class TestEulerSeries:
                                         float_domain(256)], ids=["exact", "53", "128", "256"])
     def test_bit_equal_to_reference_loop(self, domain):
         # the series run through euler_transform_generic, whose extra k = 1 term
-        # and early exit at t = 0 may only add or skip exact zeros
+        # and early exit at t = 0 may only add or skip exact zeros; a float
+        # domain sums in mpmath only on float-typed weights
         for g, q in random_unique_degree_graphs(8):
-            table = coefficients(g, q, 30, domain)
-            for zeta in (Fraction(-1), Fraction(-1, 3)):
-                for t in (Fraction(-3), Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(2)):
+            table = coefficients(g if domain.is_exact else float_weighted(g), q, 30, domain)
+            for zeta in ZETAS:
+                for t in T_GRID:
                     params = EulerParams(t=t, zeta=zeta, K_max=30)
                     reference = reference_euler_series(table, params).partial_sums
                     assert euler_series(table, params).partial_sums == reference, (q, zeta, t)
                     if t == 0:
                         assert taylor_partial_sums(table, zeta).partial_sums == reference
+
+    def test_float_zeta_and_t_sum_the_rounded_coefficients(self):
+        # a float-typed zeta or t leaves the exact route even on rational weights
+        g, q = random_unique_degree_graphs(1)[0]
+        table = coefficients(g, q, 30, float_domain(128))
+        for t, zeta in ((-0.5, Fraction(-1, 3)), (Fraction(-1, 2), -1.0)):
+            params = EulerParams(t=t, zeta=zeta, K_max=30)
+            reference = reference_euler_series(table, params).partial_sums
+            assert euler_series(table, params).partial_sums == reference, (t, zeta)
 
     def test_e2_q13_printed_digits(self, e2):
         series = euler_series(coefficients(e2, 13, 30),
@@ -97,6 +115,37 @@ class TestEulerSeries:
     def test_k_max_validated(self, e1):
         with pytest.raises(ValueError, match="exceeds"):
             euler_series(coefficients(e1, 1, 4), EulerParams(t=-1, zeta=-1, K_max=10))
+
+
+class TestRationalInputsRoundOnce:
+    """Rational weights, zeta and t in a float domain: every table value and
+    partial sum is the exact one rounded once, to nearest (0 ulp)."""
+
+    @staticmethod
+    def _assert_rounded(table, exact, bits):
+        assert_rounded_once(table_values(table), table_values(exact), bits)
+        for zeta in ZETAS:
+            series = [(taylor_partial_sums(table, zeta), taylor_partial_sums(exact, zeta))]
+            for t in T_GRID:
+                params = EulerParams(t=t, zeta=zeta, K_max=table.K)
+                series.append((euler_series(table, params), euler_series(exact, params)))
+            for rounded, exact_series in series:
+                assert rounded.orders == exact_series.orders
+                assert_rounded_once(rounded.partial_sums.values(),
+                                    exact_series.partial_sums.values(), bits)
+
+    @pytest.mark.parametrize("bits", [53, 128, 256])
+    def test_random_graphs(self, bits):
+        for g, q in random_unique_degree_graphs(8):
+            self._assert_rounded(coefficients(g, q, 30, float_domain(bits)),
+                                 coefficients(g, q, 30, exact_domain()), bits)
+
+    @pytest.mark.parametrize("bits", [53, 128, 256])
+    def test_e2_q13_full_order(self, e2, bits):
+        # summed in mpmath, xi_100 at t = zeta = -1 loses about 28 bits here at
+        # 53, 128 and 256 bits alike
+        self._assert_rounded(coefficients(e2, 13, 100, float_domain(bits)),
+                             coefficients(e2, 13, 100, exact_domain()), bits)
 
 
 class TestEulerK4Estimate:

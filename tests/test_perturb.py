@@ -18,7 +18,13 @@ from lap_perturb.graph import (
     perturbed_matrix,
     ring_with_core,
 )
-from helpers import random_tree, random_unique_degree_graphs
+from helpers import (
+    assert_rounded_once,
+    float_weighted,
+    random_tree,
+    random_unique_degree_graphs,
+    table_values,
+)
 from oracles import explicit_c2_c3_c4, reference_coefficients
 from lap_perturb.perturb import (
     NonUniqueDegreeError,
@@ -163,13 +169,26 @@ class TestIntegerEngine:
         assert table.bit_length_profile() == reference.bit_length_profile()
 
     def test_float_branch_is_bit_identical(self):
+        # float-typed weights take the mpmath branch; rational ones the integers
         checked = 0
         for seed in range(3):
-            g = erdos_renyi(20, Fraction(1, 2), 500 + seed)
+            g = float_weighted(erdos_renyi(20, Fraction(1, 2), 500 + seed))
             for q in sorted(degree_profile(g).unique_nodes)[:2]:
                 domain = float_domain(128)
                 _assert_same_table(coefficients(g, q, 12, domain),
                                    reference_coefficients(g, q, 12, domain))
+                checked += 1
+        assert checked >= 3
+
+    @pytest.mark.parametrize("bits", [53, 128, 256])
+    def test_rational_weights_round_once(self, bits):
+        # the same graphs with rational weights: 0 ulp from the exact table
+        checked = 0
+        for seed in range(3):
+            g = erdos_renyi(20, Fraction(1, 2), 500 + seed)
+            for q in sorted(degree_profile(g).unique_nodes)[:2]:
+                assert_rounded_once(table_values(coefficients(g, q, 12, float_domain(bits))),
+                                    table_values(coefficients(g, q, 12, exact_domain())), bits)
                 checked += 1
         assert checked >= 3
 

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+import lap_perturb.cli as cli
 import lap_perturb.sweep as sweep
+from lap_perturb.almost_regular import closed_form_table
 from lap_perturb.cli import main
 from lap_perturb.domain import exact_domain, float_domain
 from lap_perturb.graph import build_graph, format_edge_list
@@ -157,6 +159,20 @@ REPRODUCE_CSV_SHA256 = {
     "e2": "f569135f411a01278b143a926158ed8ae07af49ef779f583664a0b90e0d418e1",
 }
 
+# SHA-256 of `sweep --detail` CSVs in the 128-bit domain: the benchmark's
+# t-grid shape (ER(20, 1/2), every unique node, t = -1..-5 at zeta = -1) and a
+# grid with a fractional zeta, zero and positive t
+SWEEP_128_CONFIGS = {
+    "tgrid": ({"q_selector": "all_unique", "t_grid": [-1, -2, -3, -4, -5], "zeta": -1,
+               "K_max": 30, "K_check": 30, "domain": {"precision_bits": 128}, "trials": 6,
+               "n_grid": [20], "p_grid": ["1/2"], "seed": 0},
+              "d3491090f0c0774a34ff79aba13c9760c08398630551a040001e8441feda03c1"),
+    "zeta-third": ({"q_selector": "all_unique", "t_grid": [-3, -1, "-1/2", 0, 2], "zeta": "-1/3",
+                    "K_max": 30, "K_check": 30, "domain": {"precision_bits": 128}, "trials": 3,
+                    "n_grid": [12, 20], "p_grid": ["1/5", "1/2"], "seed": 7},
+                   "43527128eaac57828b5843a95d04ad291c0e94aed63cdc98a17430c853811220"),
+}
+
 # a negative rational after --t or --zeta, in the form argparse would take for a flag
 NEGATIVE_RATIONAL_ARGVS = {
     "euler-t": ["euler", "--example", "e2", "--q", "13", "--K", "12", "--t", "-1/2"],
@@ -248,6 +264,26 @@ class TestCli:
         if example in REPRODUCE_CSV_SHA256:
             digest = hashlib.sha256((tmp_path / f"{example}.csv").read_bytes()).hexdigest()
             assert digest == REPRODUCE_CSV_SHA256[example]
+
+    def test_reproduce_almost_regular_builds_each_table_once(self, capsys, tmp_path, monkeypatch):
+        built = []
+
+        def counted(arg, K):
+            built.append(K)
+            return closed_form_table(arg, K)
+        monkeypatch.setattr(cli, "closed_form_table", counted)
+        assert main(["reproduce", "almost_regular", "--out-dir", str(tmp_path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert built == [80, 60]  # ring_with_core(21, 1) and (21, 9)
+
+    @pytest.mark.parametrize("name", list(SWEEP_128_CONFIGS))
+    def test_sweep_detail_128_bytes(self, capsys, tmp_path, name):
+        config, sha256 = SWEEP_128_CONFIGS[name]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "detail.csv"
+        assert main(["sweep", "--config", str(path), "--detail", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
     @pytest.mark.parametrize("argv", list(NEGATIVE_RATIONAL_ARGVS.values()),
                              ids=list(NEGATIVE_RATIONAL_ARGVS))
