@@ -4,10 +4,11 @@ Every coefficient/series routine in this package is generic over a scalar
 type.  ``NumberDomain`` pins that type down: ``exact_rational`` keeps each
 value a :class:`fractions.Fraction` (legal only when all inputs are
 rational), while ``float`` returns mpmath reals at a configurable number of
-mantissa bits.  When the inputs are all rational (``_rational``), ``perturb``
-and ``euler`` still compute exactly in a float domain and round each
-returned value once (``to_mpf``); only non-rational inputs are computed in
-mpmath.
+mantissa bits.  When the weights are all rational (``_rational``),
+``perturb`` computes exactly in a float domain too and rounds each value once
+(``to_mpf``); float-typed weights run its recursion in mpmath.  ``euler``
+sums every series at the exact value of each input (``_exact_value``) and
+rounds each partial sum once.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 from numbers import Rational
 
 import mpmath
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_rational, round_nearest, to_rational
 
 EXACT_RATIONAL = "exact_rational"
 FLOAT = "float"
@@ -75,6 +76,20 @@ def _rational(x) -> bool:
     return isinstance(x, (int, Fraction)) or getattr(x, "denominator", None) is not None
 
 
+def _exact_value(value) -> Fraction:
+    """The exact value of a finite int, Fraction, float or mpf (a binary float is dyadic).
+
+    Anything else, NaN and the infinities included, raises ValueError.
+    """
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, Rational) or isinstance(value, float) and mpmath.isfinite(value):
+        return Fraction(value)
+    if isinstance(value, mpmath.mpf) and mpmath.isfinite(value):
+        return Fraction(*to_rational(value._mpf_))
+    raise ValueError(f"{value!r} is not a finite number")
+
+
 def to_mpf(value) -> mpmath.mpf:
     """Convert int/Fraction/float/mpf to an mpf at the current working precision.
 
@@ -92,8 +107,14 @@ def _rounded_ratio(numerator: int, denominator: int) -> mpmath.mpf:
 
 
 def parse_number(text: str) -> Fraction:
-    """Parse a CLI/file scalar: accepts "3", "-5/2", "2.5", "1e-3"."""
-    return Fraction(text.strip())
+    """Parse a CLI/file scalar: accepts "3", "-5/2", "2.5", "1e-3".
+
+    Anything else, a zero denominator included, raises ValueError.
+    """
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text.strip()!r}") from None
 
 
 def format_rational(value: Fraction) -> str:

@@ -8,6 +8,7 @@ high-precision spectra are available for 30-digit comparisons.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -68,7 +69,8 @@ def symmetric_eigen(matrix, precision_bits: int = 53) -> Spectrum:
     implicit QL) at that working precision, so the precision alone sets the
     accuracy.  Raises ValueError for empty or non-symmetric input (numpy's
     LinAlgError is a ValueError), and RuntimeError for a NaN or infinite
-    entry, if ``eigsy`` does not converge, or if either solver returns a
+    entry, for an entry beyond the float64 range at ``precision_bits <= 53``,
+    if ``eigsy`` does not converge, or if either solver returns a
     non-finite eigenvalue or an eigenvector with a non-finite residual.
     """
     rows = _as_rows(matrix)
@@ -79,6 +81,8 @@ def symmetric_eigen(matrix, precision_bits: int = 53) -> Spectrum:
     # int, Fraction and mpf entries beyond the float range
     if not all(x == x and -math.inf < x < math.inf for row in rows for x in row):
         raise RuntimeError("matrix has a non-finite entry")
+    if precision_bits <= 53 and any(abs(x) > sys.float_info.max for row in rows for x in row):
+        raise RuntimeError("matrix has an entry beyond the float64 range")
     _check_symmetric(rows, 1e-12 if precision_bits <= 53 else Fraction(1, 10**12))
 
     if precision_bits <= 53:

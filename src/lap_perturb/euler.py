@@ -9,26 +9,23 @@ not.  At t = 0 it is the plain Taylor series, so ``euler_transform_generic``
 is the one loop behind every partial-sum series in the package, and
 ``_table_series`` its one caller: the Taylor and Euler series of a
 coefficient table, whether the table comes from the recursion or from the
-almost-regular closed form, and the four-term estimate.  Binomial
-coefficients come from an exact integer Pascal recurrence so the transform
-stays exact in rational mode at any order.
+almost-regular closed form, and the four-term estimate.
 
-When t, z and every f_k are ``Fraction``s the core runs on integers: with
-the f_k over their common denominator, t = a/b and z/(1 + t z) = p/s, each
-partial sum is one integer ratio, reduced once (``_exact_transform``).  A
-float table built from rational weights keeps its exact coefficients, so
-with rational zeta and t its series runs this exact branch too and each
-partial sum is rounded once at the table's precision; only float-typed
-weights, zeta or t sum the rounded coefficients in mpmath.
+The core takes every input at its exact rational value (a finite float or
+mpf real is a dyadic rational) and runs on integers: with the f_k over their
+common denominator, t = a/b and z/(1 + t z) = p/s, each partial sum is one
+integer ratio, reduced once.  Each table is summed on its exact coefficients
+(or the exact values of its stored ones) at the exact zeta and t, and a
+float domain rounds each partial sum once at the table's precision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
-from .domain import NumberDomain, _rational, to_mpf
+from .domain import NumberDomain, _exact_value, to_mpf
 from .eigen import accuracy_alpha
 from .perturb import CoefficientTable, SeriesEvaluation, coefficients
 
@@ -44,22 +41,14 @@ __all__ = [
     "convergence_classify",
 ]
 
-_PASCAL_ROWS: list = [[1]]
-
 
 def pascal_row(m: int) -> list:
     """Row m of Pascal's triangle: [C(m, 0), ..., C(m, m)], exact integers."""
-    while len(_PASCAL_ROWS) <= m:
-        prev = _PASCAL_ROWS[-1]
-        row = [1] + [prev[i] + prev[i + 1] for i in range(len(prev) - 1)] + [1]
-        _PASCAL_ROWS.append(row)
-    return _PASCAL_ROWS[m]
+    return [comb(m, k) for k in range(m + 1)]
 
 
 def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return pascal_row(n)[k]
+    return comb(n, k) if 0 <= k <= n else 0
 
 
 @dataclass(frozen=True)
@@ -84,23 +73,21 @@ class EulerParams:
 def _table_series(table: CoefficientTable, zeta, t, K_max: int, kind: str) -> SeriesEvaluation:
     """Transform partial sums of orders 2..K_max in the table's domain (c_1 = 0).
 
-    A float table with exact coefficients sums them exactly when zeta and t
-    are rational, and rounds each partial sum once.
+    The sums run on the exact values of the table's d_q and c (its ``_exact``
+    pair when it keeps one) at the exact zeta and t; a float domain rounds
+    each partial sum once.
     """
     if K_max > table.K:
         raise ValueError(f"K_max = {K_max} exceeds table order {table.K}")
     domain = table.domain
+    d_q, c = table._exact if table._exact is not None else (table.d_q, table.c)
     with domain.context():
         z = domain.coerce(zeta)
         tt = domain.coerce(t)
-        if table._exact is not None and _rational(zeta) and _rational(t):
-            d_q, c = table._exact
-            exact = euler_transform_generic(d_q, (Fraction(0), *c), Fraction(t), Fraction(zeta), K_max)
-            sums = {m: to_mpf(exact[m]) for m in range(2, K_max + 1)}
-        else:
-            coeffs = [table.c_at(j) for j in range(1, K_max + 1)]
-            partials = euler_transform_generic(table.d_q, coeffs, tt, z, K_max)
-            sums = {m: partials[m] for m in range(2, K_max + 1)}
+        partials = euler_transform_generic(d_q, (0, *c), t, zeta, K_max)[2:]
+        if not domain.is_exact:
+            partials = map(to_mpf, partials)
+        sums = dict(zip(range(2, K_max + 1), partials))
     return SeriesEvaluation(q=table.q, zeta=z, kind=kind, partial_sums=sums,
                             t=tt if kind == "euler" else None)
 
@@ -114,8 +101,7 @@ def euler_series(table: CoefficientTable, params: EulerParams) -> SeriesEvaluati
     """Euler t-transform partial sums of the coefficient table's series.
 
     For zeta = -1 the weight (zeta/(1 + t*zeta))^m reduces to (1/(t-1))^m;
-    the generic form is evaluated either way, and stays exact for rational
-    t, zeta, and coefficients.
+    the generic form is evaluated either way.
     """
     return _table_series(table, params.zeta, params.t, params.K_max, "euler")
 
@@ -134,53 +120,32 @@ def euler_k4_estimate(g, q: int, domain: NumberDomain | None = None):
 def euler_transform_generic(f0, coeffs, t, z, M: int) -> list:
     """Partial sums of the Euler t-transform of f0 + sum_k f_k z^k.
 
-    ``coeffs`` supplies f_1..f_M; the result list has M + 1 entries, entry m
-    being the transform truncated after the m-th outer term (entry 0 = f0).
-    With t = 0 the m-th inner sum collapses to f_m, giving plain partial sums
-    in O(M) operations.  All-``Fraction`` input takes the integer branch
-    ``_exact_transform``, whose values are the same exact rationals.
-    """
-    fs = list(coeffs)
-    if len(fs) < M:
-        raise ValueError(f"need {M} coefficients, got {len(fs)}")
-    denom = 1 + t * z
-    if denom == 0:
-        raise ValueError("singular transform: 1 + t*z = 0")
-    w = z / denom
-    if all(isinstance(x, Fraction) for x in (f0, t, z, *fs[:M])):
-        return _exact_transform(f0, fs[:M], t, w)
-    partials = [f0]
-    acc = f0
-    wpow = 1
-    for m in range(1, M + 1):
-        wpow = wpow * w
-        row = pascal_row(m - 1)
-        tpow = 1
-        inner = None
-        for k in range(m, 0, -1):
-            term = row[k - 1] * tpow * fs[k - 1]
-            inner = term if inner is None else inner + term
-            tpow = tpow * t
-            if tpow == 0:  # t = 0: the remaining terms are all zero
-                break
-        acc = acc + inner * wpow
-        partials.append(acc)
-    return partials
-
-
-def _exact_transform(f0: Fraction, fs: list, t: Fraction, w: Fraction) -> list:
-    """The Euler transform partial sums for rational f0, f_k, t and w = z/(1 + t z).
+    ``coeffs`` supplies f_1..f_M; the result list has M + 1 ``Fraction``s,
+    entry m being the transform truncated after the m-th outer term (entry
+    0 = f0).  Each input, an int, Fraction, float or mpf, is taken at its
+    exact value; NaN or inf raises ValueError.
 
     With f_k = F_k / L over the lcm L of their denominators, t = a/b and
-    w = p/s, the m-th inner sum is S_m / (L b^(m-1)) for the integer
+    w = z/(1 + t z) = p/s, the m-th inner sum is S_m / (L b^(m-1)) for the
+    integer
 
         S_m = sum_k C(m-1, k-1) a^(m-k) G_k,   G_k = F_k b^(k-1),
 
     and the m-th partial sum is f0 + N_m / (L b^(m-1) s^m) with
     N_m = N_(m-1) b s + S_m p^m.  S_m is the head of the row G after m - 1
-    Pascal steps r_i <- a r_i + r_(i+1); at a = 0 it is G_m.  Only the
-    returned value of each order becomes a (reduced) ``Fraction``.
+    Pascal steps r_i <- a r_i + r_(i+1); at a = 0 (the Taylor series) it is
+    G_m.  Only the returned value of each order becomes a (reduced)
+    ``Fraction``.
     """
+    fs = list(coeffs)
+    if len(fs) < M:
+        raise ValueError(f"need {M} coefficients, got {len(fs)}")
+    f0, t, z = map(_exact_value, (f0, t, z))
+    fs = [_exact_value(f) for f in fs[:M]]
+    denom = 1 + t * z
+    if denom == 0:
+        raise ValueError("singular transform: 1 + t*z = 0")
+    w = z / denom
     a, b = t.numerator, t.denominator
     p, s = w.numerator, w.denominator
     L = lcm(*(f.denominator for f in fs))

@@ -16,6 +16,8 @@ from numbers import Rational
 
 import numpy as np
 
+from .domain import parse_number
+
 __all__ = [
     "Graph",
     "DegreeProfile",
@@ -306,7 +308,7 @@ def parse_edge_list(text: str) -> Graph:
             raise ValueError(f"line {lineno}: expected 'u v [weight]'")
         u, v = int(parts[0]), int(parts[1])
         if len(parts) == 3:
-            w = Fraction(parts[2])
+            w = parse_number(parts[2])
             w = int(w) if w.denominator == 1 else w
             edges.append((u, v, w))
         else:
@@ -341,6 +343,6 @@ def graph_from_json(text: str) -> Graph:
     edges = []
     for u, v, w in data["edges"]:
         if isinstance(w, str):
-            w = Fraction(w)
+            w = parse_number(w)
         edges.append((u, v, w))
     return build_graph(data["n"], edges)

@@ -9,10 +9,11 @@ defines ``SeriesEvaluation``, the record of partial sums that the series in
 ``euler`` and ``almost_regular`` return.  The closed neighbour-sum formulas
 for c2..c4 live in ``tests/oracles.py`` as an independent cross-check.
 
-The recursion runs on integers whenever every weight is rational, in a float
-domain too: the float table then holds each value rounded once from the
-exact one, and keeps the exact d_q and c for ``euler`` to sum.  Only
-non-rational weights run the recursion in mpmath.
+One loop, ``_recursion``, runs the recursion on scaled weights.  Rational
+weights run it on integers, in a float domain too: the float table then
+holds each value rounded once from the exact one, and keeps the exact d_q
+and c for ``euler`` to sum.  Float-typed weights run the same loop on mpmath
+reals with unit scale.
 """
 
 from __future__ import annotations
@@ -124,11 +125,6 @@ def default_domain(g: Graph, *values) -> NumberDomain:
     return float_domain(128)
 
 
-def _neighbour_lists(a, qi: int) -> list:
-    """Per row r, the pairs (l, a_rl) with a_rl != 0 and l != q, in node order."""
-    return [[(l, w) for l, w in enumerate(row) if w != 0 and l != qi] for row in a]
-
-
 def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -> CoefficientTable:
     """Coefficient table via the beta recursion around the unique degree d_q.
 
@@ -142,8 +138,9 @@ def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -
     O(K^2 N + K |E|).  When every weight is rational the recursion runs on
     scaled integers (see ``_integer_recursion``) in any domain; a float
     domain then rounds each d_q, c_j and beta_jr once, to nearest at its
-    precision, and keeps the exact d_q and c for the series.  Non-rational
-    weights run the recursion in mpmath at the domain's precision.
+    precision, and keeps the exact d_q and c for the series.  Other weights
+    run the same loop in mpmath at the domain's precision, with unit scale:
+    m_r = 1 / (d_q - d_r), so B_j = beta_j and C_j = c_j.
     """
     if K < 2:
         raise ValueError("K must be at least 2")
@@ -153,18 +150,23 @@ def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -
     if domain is None:
         domain = default_domain(g)
 
+    qi = q - 1
     if domain.is_exact:
-        return CoefficientTable(q, K, *_integer_recursion(g, q - 1, K, Fraction), domain)
+        return CoefficientTable(q, K, *_integer_recursion(g, qi, K, Fraction), domain)
     with domain.context():
         if not _rational_weights(g):
-            return CoefficientTable(q, K, *_float_recursion(g, q - 1, K, domain), domain)
-        d_q, c, beta = _integer_recursion(g, q - 1, K, _rounded_ratio)
+            a = [[domain.coerce(w) for w in row] for row in g.weights]
+            d = [sum(row) for row in a]
+            m = {r: 1 / (d[qi] - d[r]) for r in range(g.n) if r != qi}
+            C, B = _recursion(a, d[qi] * 0, qi, m, K)
+            return CoefficientTable(q, K, d[qi], tuple(C), tuple(map(tuple, B)), domain)
+        d_q, c, beta = _integer_recursion(g, qi, K, _rounded_ratio)
         return CoefficientTable(q, K, to_mpf(d_q), tuple(map(to_mpf, c)), beta, domain,
                                 _exact=(d_q, c))
 
 
 def _integer_recursion(g: Graph, qi: int, K: int, ratio) -> tuple:
-    """Fraction-free form of the beta recursion; returns (d_q, c, beta).
+    """The recursion on integers for rational weights; returns (d_q, c, beta).
 
     d_q and c are Fractions; each beta_jr is ``ratio(numerator, denominator)``,
     a ``Fraction`` or a value rounded straight from the two integers.
@@ -172,92 +174,61 @@ def _integer_recursion(g: Graph, qi: int, K: int, ratio) -> tuple:
     With W the lcm of the weight denominators, the weights a = W A and the
     gaps G_r = W (d_q - d_r) are integers.  With D = lcm_r |G_r| and the
     integer m_r = D / G_r, the scaled quantities B_j = D^j beta_j and
-    C_j = W D^(j-1) c_j satisfy
-
-        B_1r = m_r a_rq,
-        B_jr = m_r (sum_{l != q} B_{j-1,l} a_rl - sum_{k=1}^{j-2} B_kr C_{j-k}),
-        C_j  = sum_{r != q} B_{j-1,r} a_qr,
-
-    so no step divides (the idea of Bareiss's fraction-free elimination).
-    W cancels out of beta.  Fractions are made only for the returned values.
-    A weight that is not rational raises TypeError.
+    C_j = W D^(j-1) c_j follow ``_recursion``, so no step divides (the idea
+    of Bareiss's fraction-free elimination).  W cancels out of beta.
+    Fractions are made only for the returned values.  A weight that is not
+    rational raises TypeError.
     """
     coerce = exact_domain().coerce
     rational = [[coerce(w) for w in row] for row in g.weights]
     W = lcm(*(w.denominator for row in rational for w in row))
     a = [[w.numerator * (W // w.denominator) for w in row] for row in rational]
     d = [sum(row) for row in a]
-    others = [r for r in range(g.n) if r != qi]
-    D = lcm(*(abs(d[qi] - d[r]) for r in others))
-    m = {r: D // (d[qi] - d[r]) for r in others}
-    nbrs = _neighbour_lists(a, qi)
+    D = lcm(*(abs(d[qi] - d[r]) for r in range(g.n) if r != qi))
+    m = {r: D // (d[qi] - d[r]) for r in range(g.n) if r != qi}
+    C, B = _recursion(a, 0, qi, m, K)
 
-    prev = [0] * g.n
-    for r in others:
+    powers = [D ** j for j in range(K + 1)]
+    beta = tuple(tuple(ratio(x, Dj) for x in row) for row, Dj in zip(B, powers[1:]))
+    c = tuple(Fraction(Cj, W * powers[j]) for j, Cj in enumerate(C, start=1))
+    return Fraction(d[qi], W), c, beta
+
+
+def _recursion(a, zero, qi: int, m: dict, K: int) -> tuple:
+    """The one beta recursion loop, on scaled weights a; returns (C, B).
+
+    With a multiplier m_r for each r != q,
+
+        B_1r = m_r a_rq,
+        B_jr = m_r (sum_{l != q} B_{j-1,l} a_rl - sum_{k=1}^{j-2} B_kr C_{j-k}),
+        C_j  = sum_{r != q} B_{j-1,r} a_qr,
+
+    C lists C_2..C_K and B the rows B_1..B_K, with B_jq = ``zero``.  Every
+    sum starts from ``zero`` and walks neighbour lists; the convolution adds
+    the negated products in the order k = 1..j-2, so on mpf scalars each
+    value is that of subtracting them one by one.
+    """
+    n = len(a)
+    # per row r, the pairs (l, a_rl) with a_rl != 0 and l != q, in node order
+    nbrs = [[(l, w) for l, w in enumerate(row) if w != 0 and l != qi] for row in a]
+    prev = [zero] * n
+    for r in m:
         prev[r] = m[r] * a[r][qi]
-    cols = {r: [prev[r]] for r in others}  # cols[r] = [B_1r, ..., B_jr]
+    cols = {r: [prev[r]] for r in m}  # cols[r] = [B_1r, ..., B_jr]
+    B = [prev]
     C = []  # C_2, C_3, ...
     for j in range(2, K + 1):
         # prev is row B_{j-1}; C holds C_2..C_{j-1}, so conv pairs with B_1r..B_{j-2,r}
-        conv = C[::-1]
-        C.append(sum(prev[l] * w for l, w in nbrs[qi]))
-        row = [0] * g.n
-        for r in others:
-            s = sum(prev[l] * w for l, w in nbrs[r])
-            row[r] = m[r] * (s - sum(map(mul, cols[r], conv)))  # map stops at len(conv)
-            cols[r].append(row[r])
-        prev = row
-
-    powers = [D ** j for j in range(K + 1)]
-    zero = ratio(0, 1)
-    beta = []
-    for j in range(1, K + 1):
-        row = [zero] * g.n
-        for r in others:
-            row[r] = ratio(cols[r][j - 1], powers[j])
-        beta.append(tuple(row))
-    c = tuple(Fraction(Cj, W * powers[j]) for j, Cj in enumerate(C, start=1))
-    return Fraction(d[qi], W), c, tuple(beta)
-
-
-def _float_recursion(g: Graph, qi: int, K: int, domain: NumberDomain) -> tuple:
-    """The beta recursion in mpmath at the domain's precision; returns (d_q, c, beta).
-
-    Every sum starts from an mpf zero and walks neighbour lists; the terms
-    it skips are exact zeros, so the values equal those of a sum over all
-    nodes bit for bit.
-    """
-    a = [[domain.coerce(w) for w in row] for row in g.weights]
-    d = [sum(row) for row in a]
-    n = g.n
-    others = [r for r in range(n) if r != qi]
-    nbrs = _neighbour_lists(a, qi)
-    zero = d[qi] * 0
-    inv_gap = [zero] * n
-    for r in others:
-        inv_gap[r] = 1 / (d[qi] - d[r])
-
-    beta_rows = []
-    c = {}
-    row1 = [zero] * n
-    for r in others:
-        row1[r] = a[r][qi] * inv_gap[r]
-    beta_rows.append(row1)
-    c[2] = sum((row1[r] * w for r, w in nbrs[qi]), zero)
-
-    for j in range(2, K + 1):
-        prev = beta_rows[j - 2]
+        conv = [-x for x in reversed(C)]
+        C.append(sum((prev[l] * w for l, w in nbrs[qi]), zero))
         row = [zero] * n
-        for r in others:
+        for r in m:
             s = sum((prev[l] * w for l, w in nbrs[r]), zero)
-            for k in range(1, j - 1):
-                s -= beta_rows[k - 1][r] * c[j - k]
-            row[r] = s * inv_gap[r]
-        beta_rows.append(row)
-        if j + 1 <= K:
-            c[j + 1] = sum((row[r] * w for r, w in nbrs[qi]), zero)
-
-    return d[qi], tuple(c[j] for j in range(2, K + 1)), tuple(tuple(row) for row in beta_rows)
+            row[r] = m[r] * sum(map(mul, cols[r], conv), s)  # map stops at len(conv)
+            cols[r].append(row[r])
+        B.append(row)
+        prev = row
+    return C, B
 
 
 @dataclass(frozen=True)

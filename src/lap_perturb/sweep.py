@@ -103,31 +103,59 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
+        """Parse a JSON config object; an unknown or ill-typed key raises ValueError."""
         import json
 
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
         kwargs = {}
-        for key in ("graph_source", "seed", "K_max", "K_check", "trials", "alpha_threshold"):
-            if key in data:
-                kwargs[key] = data[key]
-        if "q_selector" in data:
-            kwargs["q_selector"] = data["q_selector"]
-        if "zeta" in data:
-            kwargs["zeta"] = parse_number(str(data["zeta"]))
-        if "t_grid" in data:
-            kwargs["t_grid"] = tuple(parse_number(str(t)) for t in data["t_grid"])
-        if "n_grid" in data:
-            kwargs["n_grid"] = tuple(int(n) for n in data["n_grid"])
-        if "p_grid" in data:
-            kwargs["p_grid"] = tuple(parse_number(str(p)) for p in data["p_grid"])
-        if "domain" in data:
-            d = data["domain"]
-            kwargs["domain"] = (
-                exact_domain() if d == "exact_rational"
-                else NumberDomain("float", int(d.get("precision_bits", 128)))
-                if isinstance(d, dict) else NumberDomain("float", 128)
-            )
+        for key, value in data.items():
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"unknown config key {key!r}")
+            what, parse = _CONFIG_KEYS[key]
+            try:
+                kwargs[key] = parse(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"config key {key!r} must be {what}, not {value!r}") from None
         return cls(**kwargs)
+
+
+def _of(kinds, convert=lambda v: v):
+    """Parser of a JSON value whose type is one of ``kinds`` (never a bool); else TypeError."""
+    def parse(value):
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise TypeError
+        return convert(value)
+    return parse
+
+
+def _domain(value) -> NumberDomain:
+    if value == "exact_rational":
+        return exact_domain()
+    if value == "float":
+        return NumberDomain("float", 128)
+    if not isinstance(value, dict) or set(value) - {"precision_bits"}:
+        raise ValueError
+    return NumberDomain("float", _int(value.get("precision_bits", 128)))
+
+
+_int = _of(int)
+_numbers = _of(list, lambda v: tuple(parse_number(str(x)) for x in v))
+_CONFIG_KEYS = {  # key: (what it must be, parser)
+    "graph_source": ("a string", _of(str)),
+    "q_selector": ("a node index or a selector name", _of((int, str))),
+    "t_grid": ("a list of numbers", _numbers),
+    "zeta": ("a number", _of((int, float, str), lambda v: parse_number(str(v)))),
+    "K_max": ("an integer", _int),
+    "domain": ('"exact_rational", "float" or {"precision_bits": <int>}', _domain),
+    "seed": ("an integer", _int),
+    "alpha_threshold": ("a number", _of((int, float))),
+    "K_check": ("an integer", _int),
+    "trials": ("an integer", _int),
+    "n_grid": ("a list of integers", _of(list, lambda v: tuple(map(_int, v)))),
+    "p_grid": ("a list of numbers", _numbers),
+}
 
 
 @dataclass(frozen=True)

@@ -1,24 +1,24 @@
 """Reference implementations kept only as test oracles.
 
 ``reference_coefficients`` is the plain beta recursion that
-``perturb.coefficients`` ran before its exact branch became a fraction-free
-integer recursion and its float branch began to walk neighbour lists.  In
-the exact domain it divides ``Fraction``s by every degree gap at every step,
-so it is slow, but it is the textbook form of the recursion: both branches
-of the engine must reproduce its values exactly (the mpmath branch, which
-serves float domains on float-typed weights, bit for bit at the same
-precision).
+``perturb.coefficients`` ran before it became one fraction-free loop that
+walks neighbour lists.  In the exact domain it divides ``Fraction``s by
+every degree gap at every step, so it is slow, but it is the textbook form
+of the recursion: the engine must reproduce its values exactly, on integers
+for rational weights and bit for bit at the same precision on mpmath reals
+for float-typed weights.
 
 ``reference_euler_series`` is the Euler transform loop that ``euler_series``
 ran before every partial-sum series went through
 ``euler.euler_transform_generic``: an inner sum over k = m..2 per order,
 with no k = 1 term and no early exit at t = 0.  ``euler_series`` and
-``taylor_partial_sums`` must match it bit for bit in the exact domain, and in
-float domains on tables built from float-typed weights.
+``taylor_partial_sums`` must match it bit for bit in the exact domain.
 ``reference_transform`` is the generic transform loop that
-``euler.euler_transform_generic`` ran before its exact branch moved onto
-integers over one common denominator; it reduces a ``Fraction`` at every
-inner-sum term, and the exact branch must return the same values.
+``euler.euler_transform_generic`` ran before it moved onto integers over one
+common denominator; it reduces a ``Fraction`` at every inner-sum term, and
+on ``Fraction`` inputs the integer loop must return the same values.  A
+float-domain series equals ``round_to_nearest`` of it, taken on the exact
+values of the table's d_q and c.
 ``euler_series_t_minus_one`` evaluates the t = -1, zeta = -1 case by its own
 formula, as an independent reference for the general transform.
 

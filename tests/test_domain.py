@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from mpmath.libmp import from_rational, round_nearest
 
 from lap_perturb.domain import (
     NumberDomain,
+    _exact_value,
     exact_domain,
     float_domain,
     format_rational,
@@ -59,6 +61,30 @@ def test_parse_and_format():
     assert parse_number("1e-3") == Fraction(1, 1000)
     assert format_rational(Fraction(2)) == "2/1"
     assert format_rational(Fraction(-5, 2)) == "-5/2"
+
+
+@pytest.mark.parametrize("text", ["1/0", "-1/0", "abc"])
+def test_parse_number_rejects_with_value_error(text):
+    with pytest.raises(ValueError):
+        parse_number(text)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, mpmath.nan, -mpmath.inf])
+def test_exact_value_rejects_non_finite(value):
+    with pytest.raises(ValueError, match="not a finite number"):
+        _exact_value(value)
+
+
+def test_exact_value_of_binary_floats():
+    assert _exact_value(0.1) == Fraction(3602879701896397, 2**55)
+    with mpmath.workprec(24):  # a float is not rounded to the working precision
+        assert _exact_value(0.1) == Fraction(3602879701896397, 2**55)
+    with mpmath.workprec(128):
+        third = mpmath.mpf(1) / 3
+    x = _exact_value(third)  # a dyadic rational within half an ulp of 1/3
+    assert x.denominator & (x.denominator - 1) == 0
+    assert abs(x - Fraction(1, 3)) <= Fraction(1, 2**130)
+    assert _exact_value(3) == Fraction(3)
 
 
 def test_to_mpf_is_lossless_for_fractions():

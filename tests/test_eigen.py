@@ -21,6 +21,8 @@ from lap_perturb.graph import (
 
 INFINITE_WEIGHT_LAPLACIAN = laplacian(build_graph(3, [(1, 2, math.inf), (2, 3, 1)]))
 NAN_ENTRY_MATRIX = [[math.nan, 0], [0, 1]]
+# a weight beyond the float64 range: LAPACK cannot take it, mpmath can
+HUGE_WEIGHT_LAPLACIAN = laplacian(build_graph(3, [(1, 2, Fraction(10) ** 400), (2, 3, 1)]))
 
 
 class TestSymmetricEigen:
@@ -95,6 +97,7 @@ class TestSymmetricEigen:
         pytest.param(128, INFINITE_WEIGHT_LAPLACIAN, id="128"),
         pytest.param(53, NAN_ENTRY_MATRIX, id="nan-53"),
         pytest.param(128, NAN_ENTRY_MATRIX, id="nan-128"),
+        pytest.param(53, HUGE_WEIGHT_LAPLACIAN, id="huge-53"),
     ])
     def test_infinite_weight_raises(self, bits, matrix):
         with pytest.raises(RuntimeError):

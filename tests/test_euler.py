@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -19,12 +21,13 @@ from lap_perturb.euler import (
     taylor_partial_sums,
 )
 from lap_perturb.examples_data import E2_Q13_XI, E2_Q3_XI, E2_Q7_XI
-from lap_perturb.graph import laplacian
+from lap_perturb.graph import build_graph, laplacian
 from lap_perturb.perturb import SeriesEvaluation, coefficients
 
 from helpers import (
     assert_rounded_once,
     float_weighted,
+    mpf_value,
     random_unique_degree_graphs,
     table_values,
 )
@@ -71,27 +74,46 @@ class TestEulerSeries:
     @pytest.mark.parametrize("domain", [exact_domain(), float_domain(53), float_domain(128),
                                         float_domain(256)], ids=["exact", "53", "128", "256"])
     def test_bit_equal_to_reference_loop(self, domain):
-        # the series run through euler_transform_generic, whose extra k = 1 term
-        # and early exit at t = 0 may only add or skip exact zeros; a float
-        # domain sums in mpmath only on float-typed weights
+        # exact: euler_transform_generic's extra k = 1 term and early exit at
+        # t = 0 may only add or skip exact zeros.  Float-typed weights: each
+        # partial sum is the exact transform of the stored d_q and c, rounded once
         for g, q in random_unique_degree_graphs(8):
             table = coefficients(g if domain.is_exact else float_weighted(g), q, 30, domain)
             for zeta in ZETAS:
                 for t in T_GRID:
                     params = EulerParams(t=t, zeta=zeta, K_max=30)
-                    reference = reference_euler_series(table, params).partial_sums
-                    assert euler_series(table, params).partial_sums == reference, (q, zeta, t)
+                    got = [euler_series(table, params).partial_sums]
                     if t == 0:
-                        assert taylor_partial_sums(table, zeta).partial_sums == reference
+                        got.append(taylor_partial_sums(table, zeta).partial_sums)
+                    if domain.is_exact:
+                        reference = reference_euler_series(table, params).partial_sums
+                        assert all(sums == reference for sums in got), (q, zeta, t)
+                        continue
+                    exact = reference_transform(mpf_value(table.d_q),
+                                                [0, *map(mpf_value, table.c)], t, zeta, 30)
+                    for sums in got:
+                        assert list(sums) == list(range(2, 31))
+                        assert_rounded_once(sums.values(), exact[2:], domain.precision_bits)
 
-    def test_float_zeta_and_t_sum_the_rounded_coefficients(self):
-        # a float-typed zeta or t leaves the exact route even on rational weights
+    def test_float_zeta_and_t_round_the_exact_series_once(self):
+        # a float-typed zeta or t is summed at its exact value, so a table from
+        # rational weights gives the exact-domain series rounded once
         g, q = random_unique_degree_graphs(1)[0]
         table = coefficients(g, q, 30, float_domain(128))
+        exact_table = coefficients(g, q, 30, exact_domain())
         for t, zeta in ((-0.5, Fraction(-1, 3)), (Fraction(-1, 2), -1.0)):
-            params = EulerParams(t=t, zeta=zeta, K_max=30)
-            reference = reference_euler_series(table, params).partial_sums
-            assert euler_series(table, params).partial_sums == reference, (t, zeta)
+            series = euler_series(table, EulerParams(t=t, zeta=zeta, K_max=30))
+            exact = euler_series(exact_table,
+                                 EulerParams(t=Fraction(t), zeta=Fraction(zeta), K_max=30))
+            assert_rounded_once(series.partial_sums.values(), exact.partial_sums.values(), 128)
+
+    def test_nan_coefficient_raises(self):
+        # an infinite float weight makes c_3.. NaN; no partial sum is made of it
+        g = build_graph(3, [(1, 2, math.inf), (2, 3, 1.0)])
+        table = coefficients(g, 3, 6, float_domain(53))
+        assert any(mpmath.isnan(cj) for cj in table.c)
+        with pytest.raises(ValueError, match="not a finite number"):
+            euler_series(table, EulerParams(t=-1, zeta=-1, K_max=6))
 
     def test_e2_q13_printed_digits(self, e2):
         series = euler_series(coefficients(e2, 13, 30),

@@ -206,3 +206,9 @@ class TestFormats:
         g = build_graph(4, [(1, 2), (2, 3, Fraction(1, 3)), (3, 4, 2)])
         g2 = graph_from_json(graph_to_json(g))
         assert g2.weights == g.weights
+
+    def test_zero_denominator_weight_rejected(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_edge_list("n 2\n1 2 -1/0\n")
+        with pytest.raises(ValueError, match="zero denominator"):
+            graph_from_json('{"n": 2, "edges": [[1, 2, "1/0"]]}')

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -169,7 +170,7 @@ class TestIntegerEngine:
         assert table.bit_length_profile() == reference.bit_length_profile()
 
     def test_float_branch_is_bit_identical(self):
-        # float-typed weights take the mpmath branch; rational ones the integers
+        # float-typed weights run the loop on mpf scalars; rational ones on integers
         checked = 0
         for seed in range(3):
             g = float_weighted(erdos_renyi(20, Fraction(1, 2), 500 + seed))
@@ -191,6 +192,27 @@ class TestIntegerEngine:
                                     table_values(coefficients(g, q, 12, exact_domain())), bits)
                 checked += 1
         assert checked >= 3
+
+    @pytest.mark.parametrize("bits", [53, 128, 256])
+    def test_fractional_float_weights_are_bit_identical(self, bits):
+        # weights with full 53-bit significands, where float_weighted gives integers
+        rng = random.Random(2024)
+        checked = 0
+        for seed in range(2):
+            base = erdos_renyi(20, Fraction(3, 10), 700 + seed)
+            g = build_graph(20, [(u, v, rng.uniform(0.1, 2)) for u, v, _ in base.edges()])
+            for q in sorted(degree_profile(g).unique_nodes)[:2]:
+                domain = float_domain(bits)
+                _assert_same_table(coefficients(g, q, 30, domain),
+                                   reference_coefficients(g, q, 30, domain))
+                checked += 1
+        assert checked >= 2
+
+    def test_float_typed_isolated_node_yields_mpf_zeros(self):
+        g = build_graph(4, [(1, 2, 0.5), (2, 3, 1.25)])  # node 4 has the unique degree 0
+        table = coefficients(g, 4, 6, float_domain(128))
+        assert table._exact is None
+        assert all(isinstance(cj, mpmath.mpf) and cj == 0 for cj in table.c)
 
     def test_float_branch_isolated_node_yields_mpf(self):
         g = build_graph(4, [(1, 2), (2, 3)])  # node 4 has the unique degree 0

@@ -67,6 +67,19 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="singular"):
             ExperimentConfig(t_grid=(Fraction(1),), zeta=Fraction(-1))
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"K_max": "30"}', "K_max"),
+        ('{"t_grid": 5}', "t_grid"),
+        ('{"trails": 3}', "trails"),
+    ], ids=["string-int", "scalar-grid", "unknown-key"])
+    def test_config_json_bad_key_named(self, text, key):
+        with pytest.raises(ValueError, match=f"config key '{key}'"):
+            ExperimentConfig.from_json(text)
+
+    def test_config_json_must_be_an_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            ExperimentConfig.from_json("[1, 2]")
+
     def test_config_json_round_trip(self):
         text = json.dumps({
             "graph_source": "erdos_renyi", "q_selector": "max_unique_degree",
@@ -182,6 +195,19 @@ NEGATIVE_RATIONAL_ARGVS = {
                             "--zeta", "-1e-1"],
     "contour-zeta": ["contour", "--gen", "ring_with_core:21,1", "--zeta", "-1/2"],
     "sweep-t": ["sweep", "--n", "8", "--trials", "2", "--t", "-1/2,-1"],
+}
+
+# edge lists that the CLI reads from a file: a zero denominator, and a weight
+# beyond the float64 range that the 53-bit oracle cannot take
+BAD_EDGE_LISTS = {"zero": "n 3\n1 2 -1/0\n2 3\n", "huge": "n 3\n1 2 1e400\n2 3\n"}
+
+BAD_INPUT_ARGVS = {
+    "t-zero-denominator": ["euler", "--example", "e2", "--q", "13", "--t", "1/0"],
+    "p-zero-denominator": ["sweep", "--n", "6", "--trials", "1", "--p", "1/0"],
+    "weight-zero-denominator": ["euler", "--graph", "{zero}", "--q", "3"],
+    "huge-weight-euler": ["euler", "--graph", "{huge}", "--q", "3"],
+    "huge-weight-oracle": ["oracle", "--graph", "{huge}"],
+    "huge-weight-sweep": ["sweep", "--source", "file:{huge}", "--trials", "1"],
 }
 
 REPRODUCE_FIRST_CHECK = {
@@ -304,6 +330,16 @@ class TestCli:
     def test_unwritable_out_exit(self, capsys, tmp_path):
         out = tmp_path / "no-such-dir" / "cells.csv"
         assert main(["sweep", "--n", "6", "--trials", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", BAD_INPUT_ARGVS)
+    def test_bad_input_exits_2_with_one_line(self, capsys, tmp_path, name):
+        paths = {}
+        for key, text in BAD_EDGE_LISTS.items():
+            paths[key] = tmp_path / f"{key}.edges"
+            paths[key].write_text(text)
+        assert main([arg.format(**paths) for arg in BAD_INPUT_ARGVS[name]]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
