@@ -245,13 +245,17 @@ def contour_eigenvalue(
     Uses the periodic trapezoid rule with point doubling until the value
     changes by less than rel_tol (relative).
 
-    Raises ContourError when the circle encloses the generating function's
-    nearest pole (radius >= 1/lambda_1), when |zeta/(x z f(z))| >= 1
-    somewhere on the circle (log branch condition), or when doubling up to
-    ``max_points`` does not converge.
+    Raises ValueError unless 2**-precision_bits <= 2**-10 rel_tol: a coarser
+    working precision stops changing long before rel_tol is met.  Raises
+    ContourError when the circle encloses the generating function's nearest
+    pole (radius >= 1/lambda_1), when |zeta/(x z f(z))| >= 1 somewhere on the
+    circle (log branch condition), or when doubling up to ``max_points`` does
+    not converge.
     """
     if quad_points < 4 or quad_points & (quad_points - 1) != 0:
         raise ValueError("quad_points must be a power of two, at least 4")
+    if not 2.0 ** (10 - precision_bits) <= rel_tol:
+        raise ValueError(f"precision_bits = {precision_bits} is too coarse for rel_tol = {rel_tol}")
     g = arg.graph
     with mpmath.workprec(precision_bits):
         spec = symmetric_eigen(g.weights, precision_bits=precision_bits)

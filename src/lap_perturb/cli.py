@@ -76,10 +76,16 @@ def _graph_from_args(args) -> object:
     return resolve_graph_source(args.gen)
 
 
+def _prec(args, default=None):
+    """--prec in bits, or ``default`` when it is not given; below 24 raises ValueError."""
+    if args.prec is not None and args.prec < 24:
+        raise ValueError(f"--prec must be at least 24 bits, not {args.prec}")
+    return default if args.prec is None else args.prec
+
+
 def _domain_from_args(args) -> NumberDomain:
-    if getattr(args, "exact", False):
-        return exact_domain()
-    return float_domain(args.prec) if getattr(args, "prec", None) else exact_domain()
+    prec = _prec(args)
+    return exact_domain() if args.exact or prec is None else float_domain(prec)
 
 
 def _format_value(x, exact: bool) -> str:
@@ -105,10 +111,11 @@ def _series_rows(series, mus, alpha_threshold, K_check, exact):
     tval = "" if series.t is None else str(series.t)
     rows = []
     for K in series.orders:
+        alpha = accuracy_alpha(series.at(K), report.matched_mu)
         rows.append((
             series.q, tval, K, _format_value(series.at(K), exact),
-            f"{report.alphas[K]:.6f}", repr(float(report.matched_mu)),
-            str(bool(report.alphas[K] <= alpha_threshold)).lower(),
+            f"{alpha:.6f}", repr(float(report.matched_mu)),
+            str(bool(alpha <= alpha_threshold)).lower(),
         ))
     return rows
 
@@ -206,8 +213,8 @@ def _reproduce_e3(digest: _Digest) -> list:
                 converged_degrees.add(int(profile.degrees[q - 1]))
             for K in (10, 30, 60, 100):
                 rows.append((q, t, K, _format_value(es.at(K), False),
-                             f"{report.alphas[K]:.6f}", repr(float(report.matched_mu)),
-                             str(report.converged).lower()))
+                             f"{accuracy_alpha(es.at(K), report.matched_mu):.6f}",
+                             repr(float(report.matched_mu)), str(report.converged).lower()))
     digest.check_bool(
         f"e3 converged degrees over t in {DEFAULT_T_GRID} are exactly {{7, 8, 9}} "
         f"(got {sorted(converged_degrees)})",
@@ -323,7 +330,7 @@ def cmd_oracle(args) -> int:
         "adjacency": g.weights,
         "signless": perturbed_matrix(g, 1),
     }[args.matrix]
-    prec = args.prec or 53
+    prec = _prec(args, 53)
     spec = symmetric_eigen(matrix, precision_bits=prec)
     with mpmath.workprec(max(prec, 53)):
         print(spectrum_to_json(spec, digits=int(prec * 0.302) + 1))
@@ -331,6 +338,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_contour(args) -> int:
+    prec = _prec(args, 128)
     g = _graph_from_args(args)
     arg = almost_regular(g)
     result = contour_eigenvalue(
@@ -338,9 +346,9 @@ def cmd_contour(args) -> int:
         parse_number(args.zeta),
         radius=parse_number(args.radius) if args.radius else None,
         quad_points=args.points,
-        precision_bits=args.prec or 128,
+        precision_bits=prec,
     )
-    with mpmath.workprec(args.prec or 128):
+    with mpmath.workprec(prec):
         print(json.dumps({
             "radius": float(result.radius),
             "points": result.points,

@@ -9,11 +9,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from numbers import Rational
 
-import mpmath
-
-from .domain import parse_number, to_mpf
+from .domain import _exact_value, parse_number
 
 __all__ = ["printed_half_ulp", "matches_printed"]
 
@@ -30,13 +27,9 @@ def printed_half_ulp(text: str) -> Fraction:
 
 
 def matches_printed(value, text: str) -> bool:
-    """True iff |value - printed| <= half an ulp of the last printed digit."""
-    ref = parse_number(text)
-    tol = printed_half_ulp(text)
-    if isinstance(value, Rational):
-        return abs(Fraction(value) - ref) <= tol
-    # mpf inputs keep their own precision; difference them well above it so
-    # the comparison never rounds the reference away
-    with mpmath.workprec(512):
-        diff = abs(to_mpf(value) - to_mpf(ref))
-        return diff <= to_mpf(tol)
+    """True iff |value - printed| <= half an ulp of the last printed digit.
+
+    ``value`` (int, Fraction, float or mpf) is compared at its exact value;
+    NaN or an infinity raises ValueError.
+    """
+    return abs(_exact_value(value) - parse_number(text)) <= printed_half_ulp(text)

@@ -21,9 +21,9 @@ float domain rounds each partial sum once at the table's precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, inf, isfinite, lcm
 
 from .domain import NumberDomain, _exact_value, to_mpf
 from .eigen import accuracy_alpha
@@ -33,18 +33,12 @@ __all__ = [
     "EulerParams",
     "ConvergenceReport",
     "binomial",
-    "pascal_row",
     "euler_series",
     "taylor_partial_sums",
     "euler_k4_estimate",
     "euler_transform_generic",
     "convergence_classify",
 ]
-
-
-def pascal_row(m: int) -> list:
-    """Row m of Pascal's triangle: [C(m, 0), ..., C(m, m)], exact integers."""
-    return [comb(m, k) for k in range(m + 1)]
 
 
 def binomial(n: int, k: int) -> int:
@@ -174,9 +168,11 @@ def euler_transform_generic(f0, coeffs, t, z, M: int) -> list:
 class ConvergenceReport:
     """Outcome of matching a series against an oracle spectrum.
 
-    ``matched_mu`` is the eigenvalue nearest to the partial sum at
-    ``K_check`` (ties resolved toward the larger eigenvalue); ``alphas``
-    maps each available order K to log10 |xi_K - matched_mu|.
+    ``matched_mu`` is the eigenvalue nearest to the partial sum xi at
+    ``K_check`` (ties resolved toward the larger eigenvalue), and ``alpha``
+    is log10 |xi - matched_mu| there, the value ``converged`` follows from.
+    The accuracy at any other order K is
+    ``accuracy_alpha(series.at(K), report.matched_mu)``.
     """
 
     q: int
@@ -185,7 +181,7 @@ class ConvergenceReport:
     zeta: object
     matched_mu: object
     matched_index: int
-    alphas: dict = field(repr=False)
+    alpha: float
     alpha_threshold: float
     K_check: int
     converged: bool
@@ -197,35 +193,35 @@ def convergence_classify(
     alpha_threshold: float = -4.0,
     K_check: int = 30,
 ) -> ConvergenceReport:
-    """Classify a series as converged iff alpha(K_check) <= alpha_threshold."""
+    """Classify a series as converged iff alpha at K_check <= alpha_threshold.
+
+    Raises ValueError for an empty, unsorted or non-finite spectrum, a
+    non-finite threshold, or a series without a partial sum at K_check.
+    """
     mus = list(oracle_eigenvalues)
     if not mus:
         raise ValueError("oracle spectrum is empty")
+    if not all(mu == mu and abs(mu) != inf for mu in mus):  # mu == mu fails for NaN
+        raise ValueError("oracle eigenvalues must be finite")
     if any(mus[i] < mus[i + 1] for i in range(len(mus) - 1)):
         raise ValueError("oracle eigenvalues must be sorted descending")
+    if not isfinite(alpha_threshold):
+        raise ValueError(f"alpha threshold must be finite, not {alpha_threshold}")
     if K_check not in series.partial_sums:
         raise ValueError(f"series has no partial sum at K = {K_check}")
 
-    xi_check = series.partial_sums[K_check]
-    # nearest eigenvalue; first index wins a tie, i.e. the larger eigenvalue
-    best = 0
-    best_alpha = accuracy_alpha(xi_check, mus[0])
-    for i in range(1, len(mus)):
-        alpha_i = accuracy_alpha(xi_check, mus[i])
-        if alpha_i < best_alpha:
-            best, best_alpha = i, alpha_i
-    matched = mus[best]
-
-    alphas = {K: accuracy_alpha(xi, matched) for K, xi in series.partial_sums.items()}
+    xi = series.partial_sums[K_check]
+    # nearest eigenvalue; the first index wins a tie, i.e. the larger eigenvalue
+    alpha, best = min((accuracy_alpha(xi, mu), i) for i, mu in enumerate(mus))
     return ConvergenceReport(
         q=series.q,
         kind=series.kind,
         t=series.t,
         zeta=series.zeta,
-        matched_mu=matched,
+        matched_mu=mus[best],
         matched_index=best + 1,
-        alphas=alphas,
+        alpha=alpha,
         alpha_threshold=alpha_threshold,
         K_check=K_check,
-        converged=alphas[K_check] <= alpha_threshold,
+        converged=alpha <= alpha_threshold,
     )

@@ -14,8 +14,6 @@ from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
 
-import numpy as np
-
 from .domain import parse_number
 
 __all__ = [
@@ -60,11 +58,6 @@ class Graph:
         """Edge weight between 1-based nodes ``u`` and ``v`` (0 if absent)."""
         return self.weights[u - 1][v - 1]
 
-    def neighbors(self, u: int) -> tuple:
-        """1-based indices of nodes adjacent to ``u``."""
-        row = self.weights[u - 1]
-        return tuple(j + 1 for j, w in enumerate(row) if w != 0)
-
     def edges(self) -> tuple:
         """All edges as (u, v, weight) with u < v, 1-based."""
         out = []
@@ -74,11 +67,6 @@ class Graph:
                 if row[j] != 0:
                     out.append((i + 1, j + 1, row[j]))
         return tuple(out)
-
-    def adjacency_array(self) -> np.ndarray:
-        """Weight matrix as a float64 numpy array (for double-precision paths)."""
-        return np.array([[float(w) for w in row] for row in self.weights])
-
 
 @dataclass(frozen=True)
 class DegreeProfile:

@@ -118,11 +118,9 @@ def _rational_weights(g: Graph) -> bool:
     return all(_rational(w) for row in g.weights for w in row)
 
 
-def default_domain(g: Graph, *values) -> NumberDomain:
-    """Exact rationals when the graph and all extra values are rational, else 128-bit floats."""
-    if _rational_weights(g) and all(_rational(v) for v in values):
-        return exact_domain()
-    return float_domain(128)
+def default_domain(g: Graph) -> NumberDomain:
+    """Exact rationals when every weight is rational, else 128-bit floats."""
+    return exact_domain() if _rational_weights(g) else float_domain(128)
 
 
 def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -> CoefficientTable:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import inf, isfinite
 
 from .domain import NumberDomain, exact_domain, parse_number
 from .eigen import symmetric_eigen
@@ -100,6 +101,10 @@ class ExperimentConfig:
                 raise ValueError(f"t = {t} is singular for zeta = {self.zeta}")
         if self.K_check > self.K_max:
             raise ValueError("K_check cannot exceed K_max")
+        if self.trials < 0:
+            raise ValueError(f"trials must be non-negative, not {self.trials}")
+        if not isfinite(self.alpha_threshold):
+            raise ValueError(f"alpha_threshold must be finite, not {self.alpha_threshold}")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -209,15 +214,22 @@ def _laplacian_spectrum(g: Graph) -> list:
     return [float(v) for v in symmetric_eigen(laplacian(g)).eigenvalues]
 
 
+def _float(x) -> float:
+    """``x`` rounded to a double, or an infinity of its sign beyond the double range."""
+    try:
+        return float(x)
+    except OverflowError:  # float() of a Fraction overflows; of an mpf it gives the infinity
+        return inf if x > 0 else -inf
+
+
 def _classify(table: CoefficientTable, t, config: ExperimentConfig, mus: list) -> TrialRecord:
     """Classify the Euler series of ``table`` at t against ``mus``, the Laplacian spectrum."""
     series = euler_series(table, EulerParams(t=t, zeta=config.zeta, K_max=config.K_max))
     report = convergence_classify(series, mus, config.alpha_threshold, config.K_check)
-    xi = series.at(config.K_check)
     return TrialRecord(
         q=table.q, t=t, K=config.K_check,
-        xi=float(xi) if abs(xi) < 1e300 else float("inf"),  # compared before float() can overflow
-        alpha=report.alphas[config.K_check],
+        xi=_float(series.at(config.K_check)),
+        alpha=report.alpha,
         matched_mu=float(report.matched_mu),
         converged=report.converged,
     )

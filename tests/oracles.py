@@ -36,10 +36,11 @@ code with ``perturb.coefficients`` or with the closed form
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from lap_perturb.almost_regular import AlmostRegularGraph
 from lap_perturb.domain import NumberDomain, exact_domain
-from lap_perturb.euler import EulerParams, pascal_row
+from lap_perturb.euler import EulerParams
 from lap_perturb.graph import Graph, degree_profile
 from lap_perturb.perturb import (
     CoefficientTable,
@@ -47,6 +48,11 @@ from lap_perturb.perturb import (
     SeriesEvaluation,
     default_domain,
 )
+
+
+def pascal_row(m: int) -> list:
+    """Row m of Pascal's triangle: [C(m, 0), ..., C(m, m)], exact integers."""
+    return [comb(m, k) for k in range(m + 1)]
 
 
 def reference_coefficients(g: Graph, q: int, K: int,

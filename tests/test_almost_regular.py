@@ -259,6 +259,13 @@ class TestContourEigenvalue:
         assert result.last_change < mpmath.mpf(10) ** -10
         assert result.branch_ok
 
+    @pytest.mark.parametrize("bits, rel_tol", [(24, 1e-10), (43, 1e-10), (60, 1e-16)])
+    def test_precision_too_coarse_for_tolerance_rejected(self, bits, rel_tol):
+        # a coarse working precision stops changing long before rel_tol is met
+        arg = almost_regular(ring_with_core(21, 1))
+        with pytest.raises(ValueError, match="too coarse"):
+            contour_eigenvalue(arg, Fraction(-1, 2), precision_bits=bits, rel_tol=rel_tol)
+
     def test_pole_inside_contour_rejected(self):
         arg = almost_regular(ring_with_core(21, 1))
         with pytest.raises(ContourError, match="pole"):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lap_perturb.digits import matches_printed
 from lap_perturb.domain import exact_domain, float_domain
-from lap_perturb.eigen import symmetric_eigen
+from lap_perturb.eigen import accuracy_alpha, symmetric_eigen
 from lap_perturb.euler import (
     EulerParams,
     binomial,
@@ -17,7 +17,6 @@ from lap_perturb.euler import (
     euler_k4_estimate,
     euler_series,
     euler_transform_generic,
-    pascal_row,
     taylor_partial_sums,
 )
 from lap_perturb.examples_data import E2_Q13_XI, E2_Q3_XI, E2_Q7_XI
@@ -31,7 +30,12 @@ from helpers import (
     random_unique_degree_graphs,
     table_values,
 )
-from oracles import euler_series_t_minus_one, reference_euler_series, reference_transform
+from oracles import (
+    euler_series_t_minus_one,
+    pascal_row,
+    reference_euler_series,
+    reference_transform,
+)
 
 T_GRID = (Fraction(-3), Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(2))
 ZETAS = (Fraction(-1), Fraction(-1, 3))
@@ -268,7 +272,8 @@ class TestConvergenceClassify:
                               EulerParams(t=Fraction(-1), zeta=Fraction(-1), K_max=30))
         report = convergence_classify(series, mus, alpha_threshold=-4.0, K_check=30)
         assert report.matched_index == 2
-        assert abs(report.alphas[20] - (-3.68)) < 0.01
+        assert abs(accuracy_alpha(series.at(20), report.matched_mu) - (-3.68)) < 0.01
+        assert report.alpha == accuracy_alpha(series.at(30), report.matched_mu)
         assert report.converged
 
     def test_e2_q4_never_converges(self, e2):
@@ -285,14 +290,15 @@ class TestConvergenceClassify:
             series = euler_series(coefficients(e2, q, 30),
                                   EulerParams(t=Fraction(-1), zeta=Fraction(-1), K_max=30))
             report = convergence_classify(series, mus, K_check=30)
-            assert report.alphas[10] > report.alphas[20] > report.alphas[30]
+            alpha_10, alpha_20 = (accuracy_alpha(series.at(K), report.matched_mu) for K in (10, 20))
+            assert alpha_10 > alpha_20 > report.alpha
 
     def test_exact_hit_floors_alpha(self):
         series = SeriesEvaluation(q=1, zeta=Fraction(-1), kind="euler",
                                   partial_sums={K: Fraction(5) for K in range(2, 31)},
                                   t=Fraction(-1))
         report = convergence_classify(series, [Fraction(5), Fraction(1), Fraction(0)])
-        assert report.alphas[30] == -300.0
+        assert report.alpha == -300.0
         assert report.matched_mu == 5 and report.converged
 
     def test_tie_matches_larger_eigenvalue(self):
@@ -306,6 +312,18 @@ class TestConvergenceClassify:
         series = taylor_partial_sums(coefficients(e1, 1, 4), -1)
         with pytest.raises(ValueError, match="empty"):
             convergence_classify(series, [], K_check=4)
+
+    @pytest.mark.parametrize("mus, threshold", [
+        ([4.0, math.nan], -4.0),
+        ([math.inf, 1.0], -4.0),
+        ([4.0, 1.0], math.nan),
+        ([4.0, 1.0], math.inf),
+        ([4.0, 1.0], -math.inf),
+    ], ids=["nan-mu", "inf-mu", "nan-threshold", "inf-threshold", "minus-inf-threshold"])
+    def test_non_finite_input_rejected(self, e1, mus, threshold):
+        series = taylor_partial_sums(coefficients(e1, 1, 4), -1)
+        with pytest.raises(ValueError, match="finite"):
+            convergence_classify(series, mus, threshold, K_check=4)
 
     def test_unsorted_oracle_rejected(self, e1):
         series = taylor_partial_sums(coefficients(e1, 1, 4), -1)

@@ -3,15 +3,19 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 import lap_perturb.cli as cli
+import lap_perturb.euler as euler
 import lap_perturb.sweep as sweep
 from lap_perturb.almost_regular import closed_form_table
 from lap_perturb.cli import main
 from lap_perturb.domain import exact_domain, float_domain
+from lap_perturb.eigen import accuracy_alpha
 from lap_perturb.graph import build_graph, format_edge_list
 from lap_perturb.sweep import ExperimentConfig, resolve_graph_source, run_sweep, select_nodes
 
@@ -60,8 +64,27 @@ class TestRunSweep:
         config = ExperimentConfig(trials=3, t_grid=(Fraction(0),), zeta=Fraction(-10**12), seed=1000)
         cells, details = run_sweep(config, detail=True)
         assert len(details) == 3
-        assert all(r.xi == float("inf") and not r.converged for r in details)
+        assert all(abs(r.xi) == math.inf and not r.converged for r in details)
+        assert {r.xi for r in details} == {math.inf, -math.inf}
         assert cells[0].converged == 0
+
+    @pytest.mark.parametrize("value, expected", [
+        (Fraction(-10**400), -math.inf),
+        (Fraction(10**400, 3), math.inf),
+        (mpmath.mpf("-1e400"), -math.inf),
+        (Fraction(10**305), 1e305),
+        (-Fraction(17, 10) * 10**308, -1.7e308),
+    ], ids=["fraction-low", "fraction-high", "mpf-low", "fraction-1e305", "fraction-near-max"])
+    def test_xi_keeps_sign_and_double_range(self, value, expected):
+        assert sweep._float(value) == expected
+
+    def test_hugely_negative_xi_detail(self, tmp_path, capsys):
+        # xi_30 at t = 0 is about -1.56e583: far below the double range
+        path = tmp_path / "path.edges"
+        path.write_text("n 5\n1 2 1\n2 3 1.00000000000000000001\n3 4 1\n4 5 1\n")
+        assert main(["sweep", "--source", f"file:{path}", "--q", "4", "--t", "0", "--detail"]) == 0
+        (row,) = capsys.readouterr().out.strip().splitlines()[1:]
+        assert row.split(",")[3] == "-inf"
 
     def test_singular_t_rejected(self):
         with pytest.raises(ValueError, match="singular"):
@@ -165,11 +188,28 @@ class TestResolveGraphSource:
             resolve_graph_source("petersen:10")
 
 
-# SHA-256 of the CSVs that hold only exact series and 128-bit mpmath values;
-# e3.csv and almost_regular.csv also hold LAPACK float64 values
+# SHA-256 of the reproduce CSVs.  e1.csv and e2.csv hold only exact series and
+# 128-bit mpmath values; e3.csv and almost_regular.csv also hold LAPACK float64
+# eigenvalues and the alphas computed from them
 REPRODUCE_CSV_SHA256 = {
     "e1": "5237df42ef162320623ea924a2a0ccfefcf94283939e520c3eb89bab41425cc0",
     "e2": "f569135f411a01278b143a926158ed8ae07af49ef779f583664a0b90e0d418e1",
+    "e3": "d5130e357b431d480c0c72928c81a3385d73a01c15725346c05ae0f2b86a81f5",
+    "almost_regular": "70db37cf1c36c0eeade4e04e00be3d83c8b47625bc4113f9bb9d03b9db39f3d0",
+}
+
+# SHA-256 of the stdout of `euler` and `taylor`, whose alpha column is
+# computed per order against the matched eigenvalue
+SERIES_STDOUT_SHA256 = {
+    "euler-e2-exact": (["euler", "--example", "e2", "--q", "13", "--K", "100"],
+                       "730ba1e6d38b96ebedc13c5f5bb628357387bacdbf842684988e1b26cd65109b"),
+    "euler-e2-53": (["euler", "--example", "e2", "--q", "13", "--K", "100", "--prec", "53"],
+                    "451629f66b67f956493b826da7e2723ca3de1aaf91e7db2a626f915bfd7528bb"),
+    "taylor-e3-exact": (["taylor", "--example", "e3", "--q", "10", "--K", "60", "--zeta", "-1/3"],
+                        "f63d4d9c002f96f1cb821d3ab9ddcf980f8adcc09d57707b76deb61012bf3b9e"),
+    "taylor-e3-53": (["taylor", "--example", "e3", "--q", "10", "--K", "60", "--zeta", "-1/3",
+                      "--prec", "53"],
+                     "73c3200dfc7b9c2fe0c14eb34ba5c4aa354818c8b7bd052c7be468104ed1488b"),
 }
 
 # SHA-256 of `sweep --detail` CSVs in the 128-bit domain: the benchmark's
@@ -197,9 +237,11 @@ NEGATIVE_RATIONAL_ARGVS = {
     "sweep-t": ["sweep", "--n", "8", "--trials", "2", "--t", "-1/2,-1"],
 }
 
-# edge lists that the CLI reads from a file: a zero denominator, and a weight
-# beyond the float64 range that the 53-bit oracle cannot take
-BAD_EDGE_LISTS = {"zero": "n 3\n1 2 -1/0\n2 3\n", "huge": "n 3\n1 2 1e400\n2 3\n"}
+# files that the CLI reads: edge lists with a zero denominator and with a
+# weight beyond the float64 range that the 53-bit oracle cannot take, and a
+# sweep config whose threshold no alpha can be compared with
+BAD_INPUT_FILES = {"zero": "n 3\n1 2 -1/0\n2 3\n", "huge": "n 3\n1 2 1e400\n2 3\n",
+                   "nan_threshold": '{"alpha_threshold": NaN}'}
 
 BAD_INPUT_ARGVS = {
     "t-zero-denominator": ["euler", "--example", "e2", "--q", "13", "--t", "1/0"],
@@ -208,6 +250,23 @@ BAD_INPUT_ARGVS = {
     "huge-weight-euler": ["euler", "--graph", "{huge}", "--q", "3"],
     "huge-weight-oracle": ["oracle", "--graph", "{huge}"],
     "huge-weight-sweep": ["sweep", "--source", "file:{huge}", "--trials", "1"],
+    # a threshold or trial count that would make every verdict the same
+    "nan-threshold-euler": ["euler", "--example", "e2", "--q", "13", "--alpha-threshold", "nan"],
+    "inf-threshold-euler": ["euler", "--example", "e2", "--q", "13", "--alpha-threshold", "inf"],
+    "nan-threshold-sweep": ["sweep", "--alpha-threshold", "nan", "--trials", "1"],
+    "nan-threshold-config": ["sweep", "--config", "{nan_threshold}"],
+    "negative-trials": ["sweep", "--n", "6", "--trials", "-3"],
+    # a working precision below 24 bits, or too coarse for the contour's rel_tol
+    "prec-0-coeffs": ["coeffs", "--example", "e2", "--q", "13", "--prec", "0"],
+    "prec-0-taylor": ["taylor", "--example", "e2", "--q", "13", "--prec", "0"],
+    "prec-0-euler": ["euler", "--example", "e2", "--q", "13", "--prec", "0"],
+    "prec-20-euler": ["euler", "--example", "e2", "--q", "13", "--prec", "20"],
+    "prec-0-exact-euler": ["euler", "--example", "e2", "--q", "13", "--exact", "--prec", "0"],
+    "prec-0-oracle": ["oracle", "--example", "e2", "--prec", "0"],
+    "prec-16-oracle": ["oracle", "--example", "e2", "--prec", "16"],
+    "prec-0-contour": ["contour", "--gen", "ring_with_core:21,1", "--zeta", "-1/2", "--prec", "0"],
+    "prec-8-contour": ["contour", "--gen", "ring_with_core:21,1", "--zeta", "-1/2", "--prec", "8"],
+    "prec-24-contour": ["contour", "--gen", "ring_with_core:21,1", "--zeta", "-1/2", "--prec", "24"],
 }
 
 REPRODUCE_FIRST_CHECK = {
@@ -302,6 +361,25 @@ class TestCli:
         assert "FAIL" not in capsys.readouterr().out
         assert built == [80, 60]  # ring_with_core(21, 1) and (21, 9)
 
+    @pytest.mark.parametrize("name", list(SERIES_STDOUT_SHA256))
+    def test_series_stdout_bytes(self, capsys, name):
+        argv, sha256 = SERIES_STDOUT_SHA256[name]
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+    def test_reproduce_e3_alpha_calls(self, capsys, tmp_path, monkeypatch):
+        # 40 series: 10 to match each, and 4 printed orders
+        calls = []
+
+        def counted(xi, mu):
+            calls.append(None)
+            return accuracy_alpha(xi, mu)
+        for module in (cli, euler):
+            monkeypatch.setattr(module, "accuracy_alpha", counted)
+        assert main(["reproduce", "e3", "--out-dir", str(tmp_path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert len(calls) <= 600
+
     @pytest.mark.parametrize("name", list(SWEEP_128_CONFIGS))
     def test_sweep_detail_128_bytes(self, capsys, tmp_path, name):
         config, sha256 = SWEEP_128_CONFIGS[name]
@@ -336,8 +414,8 @@ class TestCli:
     @pytest.mark.parametrize("name", BAD_INPUT_ARGVS)
     def test_bad_input_exits_2_with_one_line(self, capsys, tmp_path, name):
         paths = {}
-        for key, text in BAD_EDGE_LISTS.items():
-            paths[key] = tmp_path / f"{key}.edges"
+        for key, text in BAD_INPUT_FILES.items():
+            paths[key] = tmp_path / key
             paths[key].write_text(text)
         assert main([arg.format(**paths) for arg in BAD_INPUT_ARGVS[name]]) == 2
         err = capsys.readouterr().err
