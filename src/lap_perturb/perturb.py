@@ -13,13 +13,16 @@ One loop, ``_recursion``, runs the recursion on scaled weights.  Rational
 weights run it on integers, in a float domain too: the float table then
 holds each value rounded once from the exact one, and keeps the exact d_q
 and c for ``euler`` to sum.  Float-typed weights run the same loop on mpmath
-reals with unit scale.
+reals with unit scale.  No series reads beta, so a table built on integers
+keeps the integer rows and makes its beta values the first time
+``CoefficientTable.beta`` is read (``reconstruct_eigenvector`` does).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from operator import mul
 
@@ -51,6 +54,30 @@ class NonUniqueDegreeError(ValueError):
     """The expansion node's degree is shared by another node."""
 
 
+class _BuiltOnFirstRead:
+    """A dataclass field that may be given a zero-argument builder instead of its value.
+
+    The builder runs the first time the field is read and its result replaces
+    it; a value that is not callable is kept as it is.  The generated
+    ``__eq__``, ``__hash__`` and ``__repr__`` read the field, so they see the
+    built value.
+    """
+
+    def __set_name__(self, owner, name) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)  # no class-level default for the dataclass
+        value = obj.__dict__[self.name]
+        if callable(value):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = value
+
+
 @dataclass(frozen=True)
 class CoefficientTable:
     """Perturbation coefficients c_2..c_K and the beta table for one node.
@@ -61,13 +88,19 @@ class CoefficientTable:
     A float table built from rational weights holds each value correctly
     rounded from the exact one, and ``_exact`` holds that exact (d_q, c); it
     is None for every other table and takes no part in comparisons.
+
+    ``beta`` may be given as a zero-argument function that returns the rows;
+    it is then called on the first read of ``beta``, and the rows are kept.
+    ``coefficients`` does so on rational weights, where the rows are exact
+    quotients of integers (rounded at the domain's precision in a float
+    domain, whatever the working precision at the time of the read).
     """
 
     q: int
     K: int
     d_q: object
     c: tuple
-    beta: tuple
+    beta: tuple = _BuiltOnFirstRead()
     domain: NumberDomain
     _exact: tuple | None = field(default=None, compare=False, repr=False)
 
@@ -135,13 +168,17 @@ def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -
     same sum that defines the coefficients; this keeps the total cost at
     O(K^2 N + K |E|).  When every weight is rational the recursion runs on
     scaled integers (see ``_integer_recursion``) in any domain; a float
-    domain then rounds each d_q, c_j and beta_jr once, to nearest at its
-    precision, and keeps the exact d_q and c for the series.  Other weights
-    run the same loop in mpmath at the domain's precision, with unit scale:
-    m_r = 1 / (d_q - d_r), so B_j = beta_j and C_j = c_j.
+    domain then rounds each d_q and c_j once, to nearest at its precision,
+    and keeps the exact d_q and c for the series.  Its beta values are made
+    from the integer rows on the first read of ``table.beta``, each rounded
+    once in the same way.  Other weights run the same loop in mpmath at the
+    domain's precision, with unit scale: m_r = 1 / (d_q - d_r), so
+    B_j = beta_j and C_j = c_j.  A node outside 1..n raises ValueError.
     """
     if K < 2:
         raise ValueError("K must be at least 2")
+    if not 1 <= q <= g.n:
+        raise ValueError(f"node {q} out of range 1..{g.n}")
     profile = degree_profile(g)
     if q not in profile.unique_nodes:
         raise NonUniqueDegreeError(f"node {q} does not have a unique degree")
@@ -150,7 +187,7 @@ def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -
 
     qi = q - 1
     if domain.is_exact:
-        return CoefficientTable(q, K, *_integer_recursion(g, qi, K, Fraction), domain)
+        return CoefficientTable(q, K, *_integer_recursion(g, qi, K, domain), domain)
     with domain.context():
         if not _rational_weights(g):
             a = [[domain.coerce(w) for w in row] for row in g.weights]
@@ -158,38 +195,42 @@ def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -
             m = {r: 1 / (d[qi] - d[r]) for r in range(g.n) if r != qi}
             C, B = _recursion(a, d[qi] * 0, qi, m, K)
             return CoefficientTable(q, K, d[qi], tuple(C), tuple(map(tuple, B)), domain)
-        d_q, c, beta = _integer_recursion(g, qi, K, _rounded_ratio)
+        d_q, c, beta = _integer_recursion(g, qi, K, domain)
         return CoefficientTable(q, K, to_mpf(d_q), tuple(map(to_mpf, c)), beta, domain,
                                 _exact=(d_q, c))
 
 
-def _integer_recursion(g: Graph, qi: int, K: int, ratio) -> tuple:
+def _integer_recursion(g: Graph, qi: int, K: int, domain: NumberDomain) -> tuple:
     """The recursion on integers for rational weights; returns (d_q, c, beta).
 
-    d_q and c are Fractions; each beta_jr is ``ratio(numerator, denominator)``,
-    a ``Fraction`` or a value rounded straight from the two integers.
+    d_q and c are Fractions.  beta is a zero-argument function that makes
+    the beta rows (``_beta_rows``): ``Fraction``s in the exact domain, else
+    values rounded straight from two integers at the domain's precision.
 
     With W the lcm of the weight denominators, the weights a = W A and the
-    gaps G_r = W (d_q - d_r) are integers.  With D = lcm_r |G_r| and the
-    integer m_r = D / G_r, the scaled quantities B_j = D^j beta_j and
-    C_j = W D^(j-1) c_j follow ``_recursion``, so no step divides (the idea
-    of Bareiss's fraction-free elimination).  W cancels out of beta.
-    Fractions are made only for the returned values.  A weight that is not
-    rational raises TypeError.
+    gaps G_r = W (d_q - d_r) are integers (``Graph.integer_weights``, made
+    once per graph).  With D = lcm_r |G_r| and the integer m_r = D / G_r,
+    the scaled quantities B_j = D^j beta_j and C_j = W D^(j-1) c_j follow
+    ``_recursion``, so no step divides (the idea of Bareiss's fraction-free
+    elimination).  W cancels out of beta.  Fractions are made only for the
+    returned values.  A weight that is not rational raises TypeError.
     """
-    coerce = exact_domain().coerce
-    rational = [[coerce(w) for w in row] for row in g.weights]
-    W = lcm(*(w.denominator for row in rational for w in row))
-    a = [[w.numerator * (W // w.denominator) for w in row] for row in rational]
+    W, a = g.integer_weights
     d = [sum(row) for row in a]
     D = lcm(*(abs(d[qi] - d[r]) for r in range(g.n) if r != qi))
     m = {r: D // (d[qi] - d[r]) for r in range(g.n) if r != qi}
     C, B = _recursion(a, 0, qi, m, K)
 
     powers = [D ** j for j in range(K + 1)]
-    beta = tuple(tuple(ratio(x, Dj) for x in row) for row, Dj in zip(B, powers[1:]))
     c = tuple(Fraction(Cj, W * powers[j]) for j, Cj in enumerate(C, start=1))
-    return Fraction(d[qi], W), c, beta
+    return Fraction(d[qi], W), c, partial(_beta_rows, B, powers[1:], domain)
+
+
+def _beta_rows(B, powers, domain: NumberDomain) -> tuple:
+    """The rows beta_j = B_j / D^j: Fractions, or rounded once at the domain's precision."""
+    ratio = Fraction if domain.is_exact else _rounded_ratio
+    with domain.context():
+        return tuple(tuple(ratio(x, Dj) for x in row) for row, Dj in zip(B, powers))
 
 
 def _recursion(a, zero, qi: int, m: dict, K: int) -> tuple:

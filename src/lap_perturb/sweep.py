@@ -197,9 +197,14 @@ class TrialRecord:
 
 
 def select_nodes(g: Graph, q_selector) -> tuple:
-    """Resolve a q_selector against a graph; empty tuple when nothing qualifies."""
+    """Resolve a q_selector against a graph; empty tuple when nothing qualifies.
+
+    A node index outside 1..n raises ValueError.
+    """
     profile = degree_profile(g)
     if isinstance(q_selector, int):
+        if not 1 <= q_selector <= g.n:
+            raise ValueError(f"node {q_selector} out of range 1..{g.n}")
         return (q_selector,) if q_selector in profile.unique_nodes else ()
     if q_selector == "max_unique_degree":
         if not profile.unique_nodes:

@@ -26,6 +26,10 @@ formula, as an independent reference for the general transform.
 with integer arithmetic alone, the reference for values that a float domain
 rounds once from an exact one.
 
+``reference_residual`` is the loop that ``eigen.symmetric_eigen`` ran for
+its 53-bit residual before it moved to numpy: max_k ||M v_k - lambda_k v_k||_2
+in Python floats, one row at a time.
+
 ``explicit_c2_c3_c4`` gives c2..c4 from the paper's closed neighbour-sum
 formulas, and ``cm_recursion`` the c_m of a one-high-degree-node graph from
 the beta recursion specialised to its constant degree gap.  Neither shares
@@ -36,7 +40,7 @@ code with ``perturb.coefficients`` or with the closed form
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, inf, sqrt
 
 from lap_perturb.almost_regular import AlmostRegularGraph
 from lap_perturb.domain import NumberDomain, exact_domain
@@ -308,3 +312,22 @@ def round_to_nearest(x: Fraction, bits: int) -> Fraction:
         e += 1
     m = round(Fraction(p, q) / Fraction(2) ** e)  # Fraction.__round__ ties to even
     return (1 if x > 0 else -1) * m * Fraction(2) ** e
+
+
+def reference_residual(matrix, spectrum) -> float:
+    """max_k ||M v_k - lambda_k v_k||_2 of a 53-bit spectrum, summed term by term in Python.
+
+    A non-finite column sum of squares raises RuntimeError.
+    """
+    rows = [[float(x) for x in row] for row in matrix]
+    n = len(rows)
+    worst = 0.0
+    for lam, col in zip(spectrum.eigenvalues, spectrum.eigenvectors):
+        acc = 0.0
+        for i in range(n):
+            ri = sum(rows[i][j] * col[j] for j in range(n)) - lam * col[i]
+            acc += ri * ri
+        if not acc < inf:  # also NaN, which max() would read as 0
+            raise RuntimeError("non-finite eigenvector residual")
+        worst = max(worst, acc)
+    return sqrt(worst)

@@ -17,6 +17,8 @@ from lap_perturb.graph import (
     laplacian,
     ring_with_core,
 )
+from lap_perturb.sweep import resolve_graph_source
+from oracles import reference_residual
 
 
 INFINITE_WEIGHT_LAPLACIAN = laplacian(build_graph(3, [(1, 2, math.inf), (2, 3, 1)]))
@@ -91,6 +93,17 @@ class TestSymmetricEigen:
         # above double precision the residual must follow the requested bits
         bound = 1e-12 if bits == 53 else 2.0 ** -(bits - 16)
         assert 0 <= spec.residual < bound
+
+    @pytest.mark.parametrize("source", ["example:e1", "example:e2", "example:e3",
+                                        "erdos_renyi:20,1/5,11", "erdos_renyi:20,1/2,12",
+                                        "erdos_renyi:20,4/5,13"])
+    def test_53_bit_residual_matches_python_loop(self, source):
+        # numpy's residual against the term-by-term Python loop it replaced
+        matrix = laplacian(resolve_graph_source(source))
+        spec = symmetric_eigen(matrix)
+        n = len(matrix)
+        scale = max(abs(float(x)) for row in matrix for x in row)
+        assert abs(spec.residual - reference_residual(matrix, spec)) <= n * 2.0 ** -52 * scale
 
     @pytest.mark.parametrize("bits, matrix", [
         pytest.param(53, INFINITE_WEIGHT_LAPLACIAN, id="53"),

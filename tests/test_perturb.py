@@ -28,6 +28,7 @@ from helpers import (
 )
 from oracles import explicit_c2_c3_c4, reference_coefficients
 from lap_perturb.perturb import (
+    CoefficientTable,
     NonUniqueDegreeError,
     coefficient_bounds_ok,
     coefficient_table_to_json,
@@ -218,6 +219,76 @@ class TestIntegerEngine:
         g = build_graph(4, [(1, 2), (2, 3)])  # node 4 has the unique degree 0
         table = coefficients(g, 4, 6, float_domain(128))
         assert all(isinstance(cj, mpmath.mpf) and cj == 0 for cj in table.c)
+
+
+class TestLazyBeta:
+    """Tables from rational weights make beta from the integer rows on its first read."""
+
+    @pytest.mark.parametrize("ambient", [24, 512])
+    @pytest.mark.parametrize("bits", [53, 128, 256])
+    def test_read_at_another_working_precision_is_rounded_at_the_tables(self, e2, bits, ambient):
+        table = coefficients(e2, 13, 20, float_domain(bits))
+        with mpmath.workprec(ambient):
+            beta = table.beta
+            assert mpmath.mp.prec == ambient
+        exact = coefficients(e2, 13, 20, exact_domain())
+        assert_rounded_once([b for row in beta for b in row],
+                            [b for row in exact.beta for b in row], bits)
+
+    def test_rows_are_made_once(self, e2):
+        table = coefficients(e2, 13, 10)
+        assert callable(vars(table)["beta"])
+        assert table.beta is table.beta
+        assert vars(table)["beta"] is table.beta
+
+    @pytest.mark.parametrize("bits", [None, 128])
+    def test_equality_hash_and_repr_match_an_eager_table(self, e2, bits):
+        domain = exact_domain() if bits is None else float_domain(bits)
+        built = coefficients(e2, 13, 12, domain)
+        lazy = coefficients(e2, 13, 12, domain)
+        eager = CoefficientTable(built.q, built.K, built.d_q, built.c, tuple(built.beta), domain)
+        assert callable(vars(lazy)["beta"])
+        assert lazy == eager and hash(lazy) == hash(eager)
+        assert repr(coefficients(e2, 13, 12, domain)) == repr(eager)
+
+
+class TestPerGraphIntegerWeights:
+    """``Graph.integer_weights`` is made once per graph and changes nothing visible."""
+
+    def test_graph_equality_and_hash_unchanged(self, e2):
+        g = build_graph(e2.n, e2.edges())
+        fresh = build_graph(e2.n, e2.edges())
+        before = hash(g)
+        coefficients(g, 13, 10)
+        assert "integer_weights" in vars(g)
+        assert g == fresh and fresh == g
+        assert hash(g) == before == hash(fresh)
+        assert repr(g) == repr(fresh)
+
+    def test_float_typed_weight_in_exact_domain_raises(self):
+        g = build_graph(3, [(1, 2, 0.5), (2, 3, 1)])
+        for _ in range(2):  # a cached_property that raises keeps nothing
+            with pytest.raises(TypeError,
+                               match=r"^exact_rational domain cannot represent 0\.5; use a float domain$"):
+                coefficients(g, 1, 4, exact_domain())
+
+    @pytest.mark.parametrize("domain", [exact_domain(), float_domain(128)], ids=["exact", "128"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "rational"])
+    def test_two_nodes_of_one_graph_match_fresh_copies(self, domain, weighted):
+        def make():
+            g = erdos_renyi(20, Fraction(1, 2), 502)
+            if weighted:
+                g = build_graph(20, [(u, v, Fraction(1 + (u * v) % 5, 1 + (u + v) % 3))
+                                     for u, v, _ in g.edges()])
+            return g
+        shared = make()
+        nodes = sorted(degree_profile(shared).unique_nodes)[:2]
+        assert len(nodes) == 2
+        for q in nodes:
+            fresh = coefficients(make(), q, 20, domain)
+            table = coefficients(shared, q, 20, domain)
+            assert table == fresh
+            assert table._exact == fresh._exact
 
 
 class TestExplicitFormulas:

@@ -11,6 +11,7 @@ import pytest
 
 import lap_perturb.cli as cli
 import lap_perturb.euler as euler
+import lap_perturb.perturb as perturb
 import lap_perturb.sweep as sweep
 from lap_perturb.almost_regular import closed_form_table
 from lap_perturb.cli import main
@@ -30,6 +31,11 @@ class TestSelectNodes:
     def test_explicit_index(self, e2):
         assert select_nodes(e2, 13) == (13,)
         assert select_nodes(e2, 1) == ()  # degree 4 is shared
+
+    @pytest.mark.parametrize("q", [0, 21, -1])
+    def test_index_out_of_range(self, e2, q):
+        with pytest.raises(ValueError, match=rf"^node {q} out of range 1\.\.20$"):
+            select_nodes(e2, q)
 
     def test_unknown_selector(self, e2):
         with pytest.raises(ValueError):
@@ -155,6 +161,21 @@ class TestSweepWorkPerTrial:
         assert len(pairs) * len(MULTI_T) == len(details)
 
     @pytest.mark.parametrize("domain", DOMAINS)
+    def test_sweep_builds_no_beta(self, monkeypatch, e2, domain):
+        # no verdict reads beta, so no table of a sweep makes its rows
+        built = []
+        beta_rows = perturb._beta_rows
+
+        def counted(*args):
+            built.append(None)
+            return beta_rows(*args)
+        monkeypatch.setattr(perturb, "_beta_rows", counted)
+        _, details = run_sweep(_multi_t_config(domain), detail=True)
+        assert details and built == []
+        assert perturb.coefficients(e2, 13, 6, domain).beta  # a read is counted
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("domain", DOMAINS)
     @pytest.mark.parametrize("source, selector", [
         ("erdos_renyi", "all_unique"),
         ("erdos_renyi", "max_unique_degree"),
@@ -267,6 +288,15 @@ BAD_INPUT_ARGVS = {
     "prec-0-contour": ["contour", "--gen", "ring_with_core:21,1", "--zeta", "-1/2", "--prec", "0"],
     "prec-8-contour": ["contour", "--gen", "ring_with_core:21,1", "--zeta", "-1/2", "--prec", "8"],
     "prec-24-contour": ["contour", "--gen", "ring_with_core:21,1", "--zeta", "-1/2", "--prec", "24"],
+}
+
+# a node index outside 1..n (n = 20), on the command line or in a sweep config
+OUT_OF_RANGE_NODE_ARGVS = {
+    **{f"{cmd}-q{q}": ([cmd, "--example", "e2", "--q", str(q)], q)
+       for cmd in ("euler", "taylor", "coeffs") for q in (0, 21)},
+    **{f"sweep-q{q}": (["sweep", "--q", str(q), "--trials", "2"], q) for q in (0, 21)},
+    "sweep-e2-q99": (["sweep", "--source", "example:e2", "--q", "99"], 99),
+    "sweep-config-q99": (["sweep", "--config", "{config}"], 99),
 }
 
 REPRODUCE_FIRST_CHECK = {
@@ -420,6 +450,16 @@ class TestCli:
         assert main([arg.format(**paths) for arg in BAD_INPUT_ARGVS[name]]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", OUT_OF_RANGE_NODE_ARGVS)
+    def test_node_out_of_range_exits_2(self, capsys, tmp_path, name):
+        argv, q = OUT_OF_RANGE_NODE_ARGVS[name]
+        config = tmp_path / "config.json"
+        config.write_text('{"q_selector": 99, "trials": 2}')
+        assert main([arg.format(config=config) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: node {q} out of range 1..20\n"
+        assert captured.out == ""
 
     def test_nonunique_node_error_exit(self, capsys):
         assert main(["coeffs", "--example", "e2", "--q", "1", "--K", "4"]) == 2
