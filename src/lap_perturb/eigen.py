@@ -92,8 +92,7 @@ def symmetric_eigen(matrix, precision_bits: int = 53) -> Spectrum:
         array = np.array(rows, dtype=float)
         values, vectors = np.linalg.eigh(array)
         eigenvalues, columns = values.tolist(), vectors.T.tolist()
-        # column k of R is M v_k - lambda_k v_k; einsum, unlike @ (BLAS gemm), gave the
-        # printed residuals of the former Python loop unchanged and allocates no gemm buffer
+        # column k of R is M v_k - lambda_k v_k; einsum, unlike @, allocates no BLAS gemm buffer
         R = np.einsum("ij,jk->ik", array, vectors) - vectors * values
         residual = float(np.sqrt(np.max(np.einsum("ij,ij->j", R, R))))
     else:

@@ -12,10 +12,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from numbers import Rational
 
-from .domain import exact_domain, parse_number
+from .domain import parse_number
 
 __all__ = [
     "Graph",
@@ -54,20 +53,6 @@ class Graph:
     def degrees(self) -> tuple:
         """Nodal strengths: row sums of the weight matrix (1-based order)."""
         return tuple(sum(row) for row in self.weights)
-
-    @cached_property
-    def integer_weights(self) -> tuple:
-        """(W, rows): W the lcm of the weight denominators, rows the integer matrix W * weights.
-
-        Read from each weight's numerator and denominator; a weight that is
-        not rational raises the exact domain's TypeError.
-        """
-        for w in (w for row in self.weights for w in row if not isinstance(w, Rational)):
-            exact_domain().coerce(w)  # raises TypeError
-        W = lcm(*(int(w.denominator) for row in self.weights for w in row))
-        rows = tuple(tuple(int(w.numerator) * (W // int(w.denominator)) for w in row)
-                     for row in self.weights)
-        return W, rows
 
     def weight(self, u: int, v: int):
         """Edge weight between 1-based nodes ``u`` and ``v`` (0 if absent)."""

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from math import lcm
+from numbers import Rational
 from operator import mul
 
 from .domain import (
@@ -54,28 +55,27 @@ class NonUniqueDegreeError(ValueError):
     """The expansion node's degree is shared by another node."""
 
 
-class _BuiltOnFirstRead:
-    """A dataclass field that may be given a zero-argument builder instead of its value.
+class _BetaRows(partial):
+    """The deferred ``_beta_rows`` call that ``coefficients`` stores as ``beta``."""
 
-    The builder runs the first time the field is read and its result replaces
-    it; a value that is not callable is kept as it is.  The generated
-    ``__eq__``, ``__hash__`` and ``__repr__`` read the field, so they see the
-    built value.
+
+class _BetaOnFirstRead:
+    """The ``beta`` field: a stored ``_BetaRows`` is called on the first read and replaced by its rows.
+
+    The generated ``__eq__``, ``__hash__`` and ``__repr__`` read the field, so
+    they see the rows.
     """
-
-    def __set_name__(self, owner, name) -> None:
-        self.name = name
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            raise AttributeError(self.name)  # no class-level default for the dataclass
-        value = obj.__dict__[self.name]
-        if callable(value):
-            value = obj.__dict__[self.name] = value()
+            raise AttributeError("beta")  # no class-level default for the dataclass
+        value = obj.__dict__["beta"]
+        if isinstance(value, _BetaRows):
+            value = obj.__dict__["beta"] = value()
         return value
 
     def __set__(self, obj, value) -> None:
-        obj.__dict__[self.name] = value
+        obj.__dict__["beta"] = value
 
 
 @dataclass(frozen=True)
@@ -89,18 +89,16 @@ class CoefficientTable:
     rounded from the exact one, and ``_exact`` holds that exact (d_q, c); it
     is None for every other table and takes no part in comparisons.
 
-    ``beta`` may be given as a zero-argument function that returns the rows;
-    it is then called on the first read of ``beta``, and the rows are kept.
-    ``coefficients`` does so on rational weights, where the rows are exact
-    quotients of integers (rounded at the domain's precision in a float
-    domain, whatever the working precision at the time of the read).
+    On rational weights ``coefficients`` makes the beta rows on the first
+    read of ``beta`` and keeps them; a float table rounds them at its own
+    precision, whatever the working precision at the time of the read.
     """
 
     q: int
     K: int
     d_q: object
     c: tuple
-    beta: tuple = _BuiltOnFirstRead()
+    beta: tuple = _BetaOnFirstRead()
     domain: NumberDomain
     _exact: tuple | None = field(default=None, compare=False, repr=False)
 
@@ -203,19 +201,22 @@ def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -
 def _integer_recursion(g: Graph, qi: int, K: int, domain: NumberDomain) -> tuple:
     """The recursion on integers for rational weights; returns (d_q, c, beta).
 
-    d_q and c are Fractions.  beta is a zero-argument function that makes
-    the beta rows (``_beta_rows``): ``Fraction``s in the exact domain, else
-    values rounded straight from two integers at the domain's precision.
+    d_q and c are Fractions.  beta is a ``_BetaRows`` that makes the beta
+    rows on call: ``Fraction``s in the exact domain, else values rounded
+    straight from two integers at the domain's precision.
 
     With W the lcm of the weight denominators, the weights a = W A and the
-    gaps G_r = W (d_q - d_r) are integers (``Graph.integer_weights``, made
-    once per graph).  With D = lcm_r |G_r| and the integer m_r = D / G_r,
+    gaps G_r = W (d_q - d_r) are integers, read from each weight's numerator
+    and denominator.  With D = lcm_r |G_r| and the integer m_r = D / G_r,
     the scaled quantities B_j = D^j beta_j and C_j = W D^(j-1) c_j follow
     ``_recursion``, so no step divides (the idea of Bareiss's fraction-free
     elimination).  W cancels out of beta.  Fractions are made only for the
     returned values.  A weight that is not rational raises TypeError.
     """
-    W, a = g.integer_weights
+    for w in (w for row in g.weights for w in row if not isinstance(w, Rational)):
+        exact_domain().coerce(w)  # raises TypeError
+    W = lcm(*(int(w.denominator) for row in g.weights for w in row))
+    a = [[int(w.numerator) * (W // int(w.denominator)) for w in row] for row in g.weights]
     d = [sum(row) for row in a]
     D = lcm(*(abs(d[qi] - d[r]) for r in range(g.n) if r != qi))
     m = {r: D // (d[qi] - d[r]) for r in range(g.n) if r != qi}
@@ -223,7 +224,7 @@ def _integer_recursion(g: Graph, qi: int, K: int, domain: NumberDomain) -> tuple
 
     powers = [D ** j for j in range(K + 1)]
     c = tuple(Fraction(Cj, W * powers[j]) for j, Cj in enumerate(C, start=1))
-    return Fraction(d[qi], W), c, partial(_beta_rows, B, powers[1:], domain)
+    return Fraction(d[qi], W), c, _BetaRows(_beta_rows, B, powers[1:], domain)
 
 
 def _beta_rows(B, powers, domain: NumberDomain) -> tuple:

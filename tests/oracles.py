@@ -26,9 +26,9 @@ formula, as an independent reference for the general transform.
 with integer arithmetic alone, the reference for values that a float domain
 rounds once from an exact one.
 
-``reference_residual`` is the loop that ``eigen.symmetric_eigen`` ran for
-its 53-bit residual before it moved to numpy: max_k ||M v_k - lambda_k v_k||_2
-in Python floats, one row at a time.
+``reference_residual`` sums max_k ||M v_k - lambda_k v_k||_2 in Python
+floats, one row at a time, as a cross-check for the numpy residual that
+``eigen.symmetric_eigen`` reports at 53 bits.
 
 ``explicit_c2_c3_c4`` gives c2..c4 from the paper's closed neighbour-sum
 formulas, and ``cm_recursion`` the c_m of a one-high-degree-node graph from

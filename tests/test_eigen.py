@@ -98,7 +98,7 @@ class TestSymmetricEigen:
                                         "erdos_renyi:20,1/5,11", "erdos_renyi:20,1/2,12",
                                         "erdos_renyi:20,4/5,13"])
     def test_53_bit_residual_matches_python_loop(self, source):
-        # numpy's residual against the term-by-term Python loop it replaced
+        # numpy's residual against a term-by-term Python loop, within rounding
         matrix = laplacian(resolve_graph_source(source))
         spec = symmetric_eigen(matrix)
         n = len(matrix)

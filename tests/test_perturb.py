@@ -27,6 +27,7 @@ from helpers import (
     table_values,
 )
 from oracles import explicit_c2_c3_c4, reference_coefficients
+from lap_perturb import perturb
 from lap_perturb.perturb import (
     CoefficientTable,
     NonUniqueDegreeError,
@@ -237,9 +238,15 @@ class TestLazyBeta:
 
     def test_rows_are_made_once(self, e2):
         table = coefficients(e2, 13, 10)
-        assert callable(vars(table)["beta"])
+        assert isinstance(vars(table)["beta"], perturb._BetaRows)
         assert table.beta is table.beta
         assert vars(table)["beta"] is table.beta
+
+    def test_a_callable_given_as_beta_is_kept(self, e2):
+        # only the table's own deferred rows are made on read
+        built = coefficients(e2, 13, 6)
+        table = CoefficientTable(built.q, built.K, built.d_q, built.c, tuple, built.domain)
+        assert table.beta is tuple
 
     @pytest.mark.parametrize("bits", [None, 128])
     def test_equality_hash_and_repr_match_an_eager_table(self, e2, bits):
@@ -247,30 +254,28 @@ class TestLazyBeta:
         built = coefficients(e2, 13, 12, domain)
         lazy = coefficients(e2, 13, 12, domain)
         eager = CoefficientTable(built.q, built.K, built.d_q, built.c, tuple(built.beta), domain)
-        assert callable(vars(lazy)["beta"])
+        assert isinstance(vars(lazy)["beta"], perturb._BetaRows)
         assert lazy == eager and hash(lazy) == hash(eager)
         assert repr(coefficients(e2, 13, 12, domain)) == repr(eager)
 
 
-class TestPerGraphIntegerWeights:
-    """``Graph.integer_weights`` is made once per graph and changes nothing visible."""
+class TestIntegerScaling:
+    """Scaling the weights to integers leaves the graph and its other nodes as they were."""
 
     def test_graph_equality_and_hash_unchanged(self, e2):
         g = build_graph(e2.n, e2.edges())
         fresh = build_graph(e2.n, e2.edges())
         before = hash(g)
         coefficients(g, 13, 10)
-        assert "integer_weights" in vars(g)
         assert g == fresh and fresh == g
         assert hash(g) == before == hash(fresh)
         assert repr(g) == repr(fresh)
 
     def test_float_typed_weight_in_exact_domain_raises(self):
         g = build_graph(3, [(1, 2, 0.5), (2, 3, 1)])
-        for _ in range(2):  # a cached_property that raises keeps nothing
-            with pytest.raises(TypeError,
-                               match=r"^exact_rational domain cannot represent 0\.5; use a float domain$"):
-                coefficients(g, 1, 4, exact_domain())
+        with pytest.raises(TypeError,
+                           match=r"^exact_rational domain cannot represent 0\.5; use a float domain$"):
+            coefficients(g, 1, 4, exact_domain())
 
     @pytest.mark.parametrize("domain", [exact_domain(), float_domain(128)], ids=["exact", "128"])
     @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "rational"])
