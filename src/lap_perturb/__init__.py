@@ -62,6 +62,7 @@ from .perturb import (
     CoefficientTable,
     NonUniqueDegreeError,
     SeriesEvaluation,
+    beta_rows,
     coefficient_bounds_ok,
     coefficients,
     reconstruct_eigenvector,

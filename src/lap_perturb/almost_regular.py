@@ -197,7 +197,7 @@ def closed_form_table(arg: AlmostRegularGraph, K: int) -> CoefficientTable:
     return CoefficientTable(
         q=arg.special, K=K, d_q=Fraction(arg.graph.degrees[arg.special - 1]),
         c=tuple(cm_closed_form(arg, chc, m) for m in range(2, K + 1)),
-        beta=(), domain=exact_domain(),
+        domain=exact_domain(),
     )
 
 

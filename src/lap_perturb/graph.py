@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import inf
 from numbers import Rational
 
 from .domain import parse_number
@@ -101,8 +102,8 @@ def build_graph(n: int, edges) -> Graph:
     """Build a graph from 1-based edges ``(u, v)`` or ``(u, v, weight)``.
 
     Rejects self-loops, duplicate unordered pairs, out-of-range indices and
-    non-positive weights.  ``is_weighted`` is set iff any weight differs
-    from 1.
+    non-positive or non-finite weights.  ``is_weighted`` is set iff any
+    weight differs from 1.
     """
     if n < 0:
         raise ValueError("node count must be non-negative")
@@ -125,8 +126,9 @@ def build_graph(n: int, edges) -> Graph:
         if key in seen:
             raise ValueError(f"duplicate edge {key}")
         seen.add(key)
-        if not w > 0:
-            raise ValueError(f"edge {key} has non-positive weight {w!r}")
+        if not 0 < w < inf:
+            kind = "non-positive" if w <= 0 else "non-finite"
+            raise ValueError(f"edge {key} has {kind} weight {w!r}")
         if w != 1:
             weighted = True
         rows[u - 1][v - 1] = w

@@ -13,16 +13,15 @@ One loop, ``_recursion``, runs the recursion on scaled weights.  Rational
 weights run it on integers, in a float domain too: the float table then
 holds each value rounded once from the exact one, and keeps the exact d_q
 and c for ``euler`` to sum.  Float-typed weights run the same loop on mpmath
-reals with unit scale.  No series reads beta, so a table built on integers
-keeps the integer rows and makes its beta values the first time
-``CoefficientTable.beta`` is read (``reconstruct_eigenvector`` does).
+reals with unit scale.  No series reads beta, so the table holds only d_q
+and the c_j; ``beta_rows`` gives the beta rows of the same recursion, and
+``reconstruct_eigenvector`` sums them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 from math import lcm
 from numbers import Rational
 from operator import mul
@@ -46,6 +45,7 @@ __all__ = [
     "coefficients",
     "coefficient_bounds_ok",
     "CoefficientBoundsReport",
+    "beta_rows",
     "reconstruct_eigenvector",
     "coefficient_table_to_json",
 ]
@@ -55,50 +55,22 @@ class NonUniqueDegreeError(ValueError):
     """The expansion node's degree is shared by another node."""
 
 
-class _BetaRows(partial):
-    """The deferred ``_beta_rows`` call that ``coefficients`` stores as ``beta``."""
-
-
-class _BetaOnFirstRead:
-    """The ``beta`` field: a stored ``_BetaRows`` is called on the first read and replaced by its rows.
-
-    The generated ``__eq__``, ``__hash__`` and ``__repr__`` read the field, so
-    they see the rows.
-    """
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            raise AttributeError("beta")  # no class-level default for the dataclass
-        value = obj.__dict__["beta"]
-        if isinstance(value, _BetaRows):
-            value = obj.__dict__["beta"] = value()
-        return value
-
-    def __set__(self, obj, value) -> None:
-        obj.__dict__["beta"] = value
-
-
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Perturbation coefficients c_2..c_K and the beta table for one node.
+    """Perturbation coefficients c_2..c_K for one node: what the series read.
 
-    ``c[j - 2]`` holds c_j; c_0 = d_q and c_1 = 0 are implicit.  ``beta[j - 1]``
-    is the row (beta_j1, ..., beta_jN) with beta_jq = 0 by the eigenvector
-    scaling choice.  Values are Fractions in exact mode, mpmath reals otherwise.
-    A float table built from rational weights holds each value correctly
-    rounded from the exact one, and ``_exact`` holds that exact (d_q, c); it
-    is None for every other table and takes no part in comparisons.
-
-    On rational weights ``coefficients`` makes the beta rows on the first
-    read of ``beta`` and keeps them; a float table rounds them at its own
-    precision, whatever the working precision at the time of the read.
+    ``c[j - 2]`` holds c_j; c_0 = d_q and c_1 = 0 are implicit.  Values are
+    Fractions in exact mode, mpmath reals otherwise.  A float table built
+    from rational weights holds each value correctly rounded from the exact
+    one, and ``_exact`` holds that exact (d_q, c); it is None for every
+    other table and takes no part in comparisons.  The eigenvector
+    coefficients beta_jr of the same recursion come from ``beta_rows``.
     """
 
     q: int
     K: int
     d_q: object
     c: tuple
-    beta: tuple = _BetaOnFirstRead()
     domain: NumberDomain
     _exact: tuple | None = field(default=None, compare=False, repr=False)
 
@@ -165,54 +137,76 @@ def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -
     where the c convolution reuses c_m = sum_{l != q} beta_{m-1,l} a_ql, the
     same sum that defines the coefficients; this keeps the total cost at
     O(K^2 N + K |E|).  When every weight is rational the recursion runs on
-    scaled integers (see ``_integer_recursion``) in any domain; a float
+    scaled integers (see ``_expand``) in any domain; a float
     domain then rounds each d_q and c_j once, to nearest at its precision,
-    and keeps the exact d_q and c for the series.  Its beta values are made
-    from the integer rows on the first read of ``table.beta``, each rounded
-    once in the same way.  Other weights run the same loop in mpmath at the
-    domain's precision, with unit scale: m_r = 1 / (d_q - d_r), so
-    B_j = beta_j and C_j = c_j.  A node outside 1..n raises ValueError.
+    and keeps the exact d_q and c for the series.  Other weights run the
+    same loop in mpmath at the domain's precision, with unit scale:
+    m_r = 1 / (d_q - d_r), so B_j = beta_j and C_j = c_j.  K below 2 or a
+    node outside 1..n raises ValueError.
     """
-    if K < 2:
-        raise ValueError("K must be at least 2")
+    domain, d_q, C, _, scale = _expand(g, q, K, domain, least_K=2)
+    if scale is None:
+        return CoefficientTable(q, K, d_q, tuple(C), domain)
+    W, D = scale
+    d_q = Fraction(d_q, W)
+    c = tuple(Fraction(Cj, W * D ** j) for j, Cj in enumerate(C, start=1))
+    if domain.is_exact:
+        return CoefficientTable(q, K, d_q, c, domain)
+    with domain.context():
+        return CoefficientTable(q, K, to_mpf(d_q), tuple(map(to_mpf, c)), domain, _exact=(d_q, c))
+
+
+def beta_rows(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -> tuple:
+    """The rows (beta_j1, ..., beta_jN) for j = 1..K of the recursion in ``coefficients``.
+
+    beta_jq = 0 by the eigenvector scaling choice, and K = 0 gives no row.
+    On rational weights the rows are Fractions in the exact domain and, in
+    a float domain, each value rounded once from the exact one at the
+    domain's precision, whatever the working precision of the caller.
+    Float-typed weights give the mpmath rows of the recursion.  Arguments
+    are checked as in ``coefficients``, except that K may be 0 or 1.
+    """
+    domain, _, _, B, scale = _expand(g, q, K, domain, least_K=0)
+    B = B[:K]  # _recursion makes B_1 even for K = 0
+    if scale is None:
+        return tuple(map(tuple, B))
+    powers = [scale[1] ** j for j in range(1, K + 1)]
+    ratio = Fraction if domain.is_exact else _rounded_ratio
+    with domain.context():
+        return tuple(tuple(ratio(x, Dj) for x in row) for row, Dj in zip(B, powers))
+
+
+def _expand(g: Graph, q: int, K: int, domain: NumberDomain | None, least_K: int) -> tuple:
+    """Check the arguments, pick the domain and run ``_recursion`` around node q.
+
+    Returns (domain, d, C, B, scale).  Rational weights, and any weights in
+    the exact domain, run the loop on integers.  With W the lcm of the
+    weight denominators, the weights a = W A and the gaps G_r = W (d_q - d_r)
+    are integers, read from each weight's numerator and denominator.  With
+    D = lcm_r |G_r| and the integer m_r = D / G_r, the scaled quantities
+    B_j = D^j beta_j and C_j = W D^(j-1) c_j follow ``_recursion``, so no
+    step divides (the idea of Bareiss's fraction-free elimination); then
+    d = W d_q and scale = (W, D).  A weight that is not rational raises
+    TypeError there.  Float-typed weights in a float domain run the loop on
+    mpmath reals at the domain's precision with m_r = 1 / (d_q - d_r);
+    scale is then None, and d, C and B are d_q, c and beta themselves.
+    """
+    if K < least_K:
+        raise ValueError(f"K must be at least {least_K}")
     if not 1 <= q <= g.n:
         raise ValueError(f"node {q} out of range 1..{g.n}")
-    profile = degree_profile(g)
-    if q not in profile.unique_nodes:
+    if q not in degree_profile(g).unique_nodes:
         raise NonUniqueDegreeError(f"node {q} does not have a unique degree")
     if domain is None:
         domain = default_domain(g)
 
     qi = q - 1
-    if domain.is_exact:
-        return CoefficientTable(q, K, *_integer_recursion(g, qi, K, domain), domain)
-    with domain.context():
-        if not _rational_weights(g):
+    if not domain.is_exact and not _rational_weights(g):
+        with domain.context():
             a = [[domain.coerce(w) for w in row] for row in g.weights]
             d = [sum(row) for row in a]
             m = {r: 1 / (d[qi] - d[r]) for r in range(g.n) if r != qi}
-            C, B = _recursion(a, d[qi] * 0, qi, m, K)
-            return CoefficientTable(q, K, d[qi], tuple(C), tuple(map(tuple, B)), domain)
-        d_q, c, beta = _integer_recursion(g, qi, K, domain)
-        return CoefficientTable(q, K, to_mpf(d_q), tuple(map(to_mpf, c)), beta, domain,
-                                _exact=(d_q, c))
-
-
-def _integer_recursion(g: Graph, qi: int, K: int, domain: NumberDomain) -> tuple:
-    """The recursion on integers for rational weights; returns (d_q, c, beta).
-
-    d_q and c are Fractions.  beta is a ``_BetaRows`` that makes the beta
-    rows on call: ``Fraction``s in the exact domain, else values rounded
-    straight from two integers at the domain's precision.
-
-    With W the lcm of the weight denominators, the weights a = W A and the
-    gaps G_r = W (d_q - d_r) are integers, read from each weight's numerator
-    and denominator.  With D = lcm_r |G_r| and the integer m_r = D / G_r,
-    the scaled quantities B_j = D^j beta_j and C_j = W D^(j-1) c_j follow
-    ``_recursion``, so no step divides (the idea of Bareiss's fraction-free
-    elimination).  W cancels out of beta.  Fractions are made only for the
-    returned values.  A weight that is not rational raises TypeError.
-    """
+            return domain, d[qi], *_recursion(a, d[qi] * 0, qi, m, K), None
     for w in (w for row in g.weights for w in row if not isinstance(w, Rational)):
         exact_domain().coerce(w)  # raises TypeError
     W = lcm(*(int(w.denominator) for row in g.weights for w in row))
@@ -220,18 +214,7 @@ def _integer_recursion(g: Graph, qi: int, K: int, domain: NumberDomain) -> tuple
     d = [sum(row) for row in a]
     D = lcm(*(abs(d[qi] - d[r]) for r in range(g.n) if r != qi))
     m = {r: D // (d[qi] - d[r]) for r in range(g.n) if r != qi}
-    C, B = _recursion(a, 0, qi, m, K)
-
-    powers = [D ** j for j in range(K + 1)]
-    c = tuple(Fraction(Cj, W * powers[j]) for j, Cj in enumerate(C, start=1))
-    return Fraction(d[qi], W), c, _BetaRows(_beta_rows, B, powers[1:], domain)
-
-
-def _beta_rows(B, powers, domain: NumberDomain) -> tuple:
-    """The rows beta_j = B_j / D^j: Fractions, or rounded once at the domain's precision."""
-    ratio = Fraction if domain.is_exact else _rounded_ratio
-    with domain.context():
-        return tuple(tuple(ratio(x, Dj) for x in row) for row, Dj in zip(B, powers))
+    return domain, d[qi], *_recursion(a, 0, qi, m, K), (W, D)
 
 
 def _recursion(a, zero, qi: int, m: dict, K: int) -> tuple:
@@ -316,21 +299,22 @@ def coefficient_bounds_ok(g: Graph, q: int, table: CoefficientTable) -> Coeffici
     )
 
 
-def reconstruct_eigenvector(table: CoefficientTable, zeta, K: int) -> tuple:
-    """e_q + sum_{j=1}^K zeta^j sum_{r != q} beta_jr e_r; component q is exactly 1."""
-    if not 0 <= K <= table.K:
-        raise ValueError(f"K must lie in 0..{table.K}")
-    with table.domain.context():
-        z = table.domain.coerce(zeta)
-        n = len(table.beta[0]) if table.beta else 0
-        vec = [table.d_q * 0] * n
-        vec[table.q - 1] = vec[table.q - 1] + 1
+def reconstruct_eigenvector(g: Graph, q: int, zeta, K: int, domain: NumberDomain | None = None) -> tuple:
+    """e_q + sum_{j=1}^K zeta^j sum_{r != q} beta_jr e_r; component q is exactly 1.
+
+    The rows are ``beta_rows(g, q, K, domain)``, so K = 0 gives e_q.
+    """
+    if domain is None:
+        domain = default_domain(g)
+    rows = beta_rows(g, q, K, domain)
+    with domain.context():
+        z = domain.coerce(zeta)
+        vec = [domain.coerce(0)] * g.n
+        vec[q - 1] = vec[q - 1] + 1
         zpow = 1
-        for j in range(1, K + 1):
+        for row in rows:
             zpow = zpow * z
-            row = table.beta[j - 1]
-            for r in range(n):
-                vec[r] = vec[r] + zpow * row[r]
+            vec = [v + zpow * b for v, b in zip(vec, row)]
         return tuple(vec)
 
 

@@ -8,6 +8,7 @@ import mpmath
 from mpmath.libmp import to_rational
 
 from lap_perturb.graph import Graph, build_graph, degree_profile, erdos_renyi
+from lap_perturb.perturb import beta_rows
 from oracles import round_to_nearest
 
 
@@ -38,9 +39,10 @@ def mpf_value(x) -> Fraction:
     return Fraction(*to_rational(x._mpf_))
 
 
-def table_values(table) -> list:
-    """d_q, every c_j and every beta_jr of a coefficient table."""
-    return [table.d_q, *table.c, *(b for row in table.beta for b in row)]
+def table_values(g: Graph, table) -> list:
+    """d_q and every c_j of a coefficient table of ``g``, then every beta_jr of its node."""
+    rows = beta_rows(g, table.q, table.K, table.domain)
+    return [table.d_q, *table.c, *(b for row in rows for b in row)]
 
 
 def assert_rounded_once(values, exact_values, bits: int) -> None:

@@ -60,8 +60,8 @@ def pascal_row(m: int) -> list:
 
 
 def reference_coefficients(g: Graph, q: int, K: int,
-                           domain: NumberDomain | None = None) -> CoefficientTable:
-    """Coefficient table via the beta recursion around the unique degree d_q.
+                           domain: NumberDomain | None = None) -> tuple:
+    """(coefficient table, beta rows) via the beta recursion around the unique degree d_q.
 
     beta_1r = a_rq / (d_q - d_r) and, for j > 1,
 
@@ -70,7 +70,7 @@ def reference_coefficients(g: Graph, q: int, K: int,
 
     where the c convolution reuses c_m = sum_{l != q} beta_{m-1,l} a_ql.
     Rows and coefficients are produced interleaved: beta_1, c_2, beta_2,
-    c_3, ..., beta_K.
+    c_3, ..., beta_K.  The rows are those ``perturb.beta_rows`` gives.
     """
     if K < 2:
         raise ValueError("K must be at least 2")
@@ -111,14 +111,14 @@ def reference_coefficients(g: Graph, q: int, K: int,
             if j + 1 <= K:
                 c[j + 1] = sum(row[r] * a[qi][r] for r in others)
 
-        return CoefficientTable(
+        table = CoefficientTable(
             q=q,
             K=K,
             d_q=d[qi],
             c=tuple(c[j] for j in range(2, K + 1)),
-            beta=tuple(tuple(row) for row in beta_rows),
             domain=domain,
         )
+        return table, tuple(tuple(row) for row in beta_rows)
 
 
 def reference_transform(f0, coeffs, t, z, M: int) -> list:

@@ -21,7 +21,8 @@ from lap_perturb.sweep import resolve_graph_source
 from oracles import reference_residual
 
 
-INFINITE_WEIGHT_LAPLACIAN = laplacian(build_graph(3, [(1, 2, math.inf), (2, 3, 1)]))
+# the Laplacian an infinite weight on edge (1, 2) would give; build_graph rejects that weight
+INFINITE_WEIGHT_LAPLACIAN = ((math.inf, -math.inf, 0), (-math.inf, math.inf, -1), (0, -1, 1))
 NAN_ENTRY_MATRIX = [[math.nan, 0], [0, 1]]
 # a weight beyond the float64 range: LAPACK cannot take it, mpmath can
 HUGE_WEIGHT_LAPLACIAN = laplacian(build_graph(3, [(1, 2, Fraction(10) ** 400), (2, 3, 1)]))

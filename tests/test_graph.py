@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from lap_perturb.graph import (
@@ -70,6 +72,9 @@ class TestBuildGraph:
             ([(1, 6)], "out of range"),
             ([(1, 2, 0)], "non-positive"),
             ([(1, 2, -3)], "non-positive"),
+            ([(1, 2, math.inf)], r"^edge \(1, 2\) has non-finite weight inf$"),
+            ([(1, 2, mpmath.inf), (2, 3)], "non-finite"),
+            ([(1, 2, math.nan)], "non-finite"),
         ],
     )
     def test_rejects_bad_edges(self, edges, message):
@@ -212,3 +217,8 @@ class TestFormats:
             parse_edge_list("n 2\n1 2 -1/0\n")
         with pytest.raises(ValueError, match="zero denominator"):
             graph_from_json('{"n": 2, "edges": [[1, 2, "1/0"]]}')
+
+    @pytest.mark.parametrize("weight", ["Infinity", "NaN"])
+    def test_json_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match=r"^edge \(1, 2\) has non-finite weight "):
+            graph_from_json(f'{{"n": 2, "edges": [[1, 2, {weight}]]}}')

@@ -27,10 +27,9 @@ from helpers import (
     table_values,
 )
 from oracles import explicit_c2_c3_c4, reference_coefficients
-from lap_perturb import perturb
 from lap_perturb.perturb import (
-    CoefficientTable,
     NonUniqueDegreeError,
+    beta_rows,
     coefficient_bounds_ok,
     coefficient_table_to_json,
     coefficients,
@@ -52,7 +51,7 @@ class TestCoefficients:
     def test_c1_is_zero_and_beta_q_column_vanishes(self, e2):
         table = coefficients(e2, 7, 8)
         assert table.c_at(1) == 0
-        assert all(row[6] == 0 for row in table.beta)
+        assert all(row[6] == 0 for row in beta_rows(e2, 7, 8))
 
     def test_non_unique_degree_rejected(self, e2):
         with pytest.raises(NonUniqueDegreeError):
@@ -138,12 +137,15 @@ def _graphs_with_isolated_node(draw):
     return build_graph(n + 1, edges)
 
 
-def _assert_same_table(table, reference):
+def _assert_same_table(g, table, reference):
+    """``table`` and the beta rows of its node equal the (table, rows) of ``reference_coefficients``."""
+    reference, reference_beta = reference
+    beta = beta_rows(g, table.q, table.K, table.domain)
     assert table.d_q == reference.d_q
     assert table.c == reference.c
-    assert table.beta == reference.beta
+    assert beta == reference_beta
     if table.domain.is_exact:
-        values = (table.d_q, *table.c, *(b for row in table.beta for b in row))
+        values = (table.d_q, *table.c, *(b for row in beta for b in row))
         assert all(type(v) is Fraction for v in values)
 
 
@@ -156,20 +158,20 @@ class TestIntegerEngine:
         unique = sorted(degree_profile(g).unique_nodes)
         assume(unique)
         q = data.draw(st.sampled_from(unique))
-        _assert_same_table(coefficients(g, q, K), reference_coefficients(g, q, K))
+        _assert_same_table(g, coefficients(g, q, K), reference_coefficients(g, q, K))
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(g=_graphs_with_isolated_node(), K=st.integers(2, 12))
     def test_isolated_unique_node_has_zero_coefficients(self, g, K):
         table = coefficients(g, g.n, K)
         assert all(cj == 0 for cj in table.c)
-        _assert_same_table(table, reference_coefficients(g, g.n, K))
+        _assert_same_table(g, table, reference_coefficients(g, g.n, K))
 
     def test_e2_q13_full_order(self, e2):
         table = coefficients(e2, 13, 100)
         reference = reference_coefficients(e2, 13, 100)
-        _assert_same_table(table, reference)
-        assert table.bit_length_profile() == reference.bit_length_profile()
+        _assert_same_table(e2, table, reference)
+        assert table.bit_length_profile() == reference[0].bit_length_profile()
 
     def test_float_branch_is_bit_identical(self):
         # float-typed weights run the loop on mpf scalars; rational ones on integers
@@ -178,7 +180,7 @@ class TestIntegerEngine:
             g = float_weighted(erdos_renyi(20, Fraction(1, 2), 500 + seed))
             for q in sorted(degree_profile(g).unique_nodes)[:2]:
                 domain = float_domain(128)
-                _assert_same_table(coefficients(g, q, 12, domain),
+                _assert_same_table(g, coefficients(g, q, 12, domain),
                                    reference_coefficients(g, q, 12, domain))
                 checked += 1
         assert checked >= 3
@@ -190,8 +192,8 @@ class TestIntegerEngine:
         for seed in range(3):
             g = erdos_renyi(20, Fraction(1, 2), 500 + seed)
             for q in sorted(degree_profile(g).unique_nodes)[:2]:
-                assert_rounded_once(table_values(coefficients(g, q, 12, float_domain(bits))),
-                                    table_values(coefficients(g, q, 12, exact_domain())), bits)
+                assert_rounded_once(table_values(g, coefficients(g, q, 12, float_domain(bits))),
+                                    table_values(g, coefficients(g, q, 12, exact_domain())), bits)
                 checked += 1
         assert checked >= 3
 
@@ -205,7 +207,7 @@ class TestIntegerEngine:
             g = build_graph(20, [(u, v, rng.uniform(0.1, 2)) for u, v, _ in base.edges()])
             for q in sorted(degree_profile(g).unique_nodes)[:2]:
                 domain = float_domain(bits)
-                _assert_same_table(coefficients(g, q, 30, domain),
+                _assert_same_table(g, coefficients(g, q, 30, domain),
                                    reference_coefficients(g, q, 30, domain))
                 checked += 1
         assert checked >= 2
@@ -223,40 +225,32 @@ class TestIntegerEngine:
 
 
 class TestLazyBeta:
-    """Tables from rational weights make beta from the integer rows on its first read."""
+    """Beta rows are made only on request, by ``beta_rows``."""
 
     @pytest.mark.parametrize("ambient", [24, 512])
     @pytest.mark.parametrize("bits", [53, 128, 256])
     def test_read_at_another_working_precision_is_rounded_at_the_tables(self, e2, bits, ambient):
-        table = coefficients(e2, 13, 20, float_domain(bits))
         with mpmath.workprec(ambient):
-            beta = table.beta
+            beta = beta_rows(e2, 13, 20, float_domain(bits))
             assert mpmath.mp.prec == ambient
-        exact = coefficients(e2, 13, 20, exact_domain())
+        exact = beta_rows(e2, 13, 20, exact_domain())
         assert_rounded_once([b for row in beta for b in row],
-                            [b for row in exact.beta for b in row], bits)
+                            [b for row in exact for b in row], bits)
 
-    def test_rows_are_made_once(self, e2):
-        table = coefficients(e2, 13, 10)
-        assert isinstance(vars(table)["beta"], perturb._BetaRows)
-        assert table.beta is table.beta
-        assert vars(table)["beta"] is table.beta
-
-    def test_a_callable_given_as_beta_is_kept(self, e2):
-        # only the table's own deferred rows are made on read
-        built = coefficients(e2, 13, 6)
-        table = CoefficientTable(built.q, built.K, built.d_q, built.c, tuple, built.domain)
-        assert table.beta is tuple
-
-    @pytest.mark.parametrize("bits", [None, 128])
-    def test_equality_hash_and_repr_match_an_eager_table(self, e2, bits):
-        domain = exact_domain() if bits is None else float_domain(bits)
-        built = coefficients(e2, 13, 12, domain)
-        lazy = coefficients(e2, 13, 12, domain)
-        eager = CoefficientTable(built.q, built.K, built.d_q, built.c, tuple(built.beta), domain)
-        assert isinstance(vars(lazy)["beta"], perturb._BetaRows)
-        assert lazy == eager and hash(lazy) == hash(eager)
-        assert repr(coefficients(e2, 13, 12, domain)) == repr(eager)
+    @pytest.mark.parametrize("name", ["coefficients", "beta_rows", "reconstruct_eigenvector"])
+    def test_bad_arguments_raise_as_coefficients_does(self, e2, name):
+        call = {
+            "coefficients": coefficients,
+            "beta_rows": beta_rows,
+            "reconstruct_eigenvector": lambda g, q, K: reconstruct_eigenvector(g, q, -1, K),
+        }[name]
+        for q in (0, 21):
+            with pytest.raises(ValueError, match=rf"^node {q} out of range 1\.\.20$"):
+                call(e2, q, 4)
+        with pytest.raises(NonUniqueDegreeError, match="^node 1 does not have a unique degree$"):
+            call(e2, 1, 4)
+        with pytest.raises(ValueError, match="^K must be at least "):
+            call(e2, 13, -1)
 
 
 class TestIntegerScaling:
@@ -367,13 +361,12 @@ class TestTaylorPartialSums:
 
 class TestReconstructEigenvector:
     def test_k0_is_unit_vector(self, e1):
-        v = reconstruct_eigenvector(coefficients(e1, 1, 4), -1, 0)
+        v = reconstruct_eigenvector(e1, 1, -1, 0)
         assert v == (1, 0, 0, 0, 0)
 
     def test_k1_components(self, e1):
-        table = coefficients(e1, 1, 4)
         zeta = Fraction(-1, 2)
-        v = reconstruct_eigenvector(table, zeta, 1)
+        v = reconstruct_eigenvector(e1, 1, zeta, 1)
         d = e1.degrees
         for r in range(2, 6):
             expected = zeta * e1.weight(r, 1) / (d[0] - d[r - 1])
@@ -381,15 +374,14 @@ class TestReconstructEigenvector:
         assert v[0] == 1
 
     def test_q_component_is_exactly_one(self, e2):
-        table = coefficients(e2, 13, 12)
-        v = reconstruct_eigenvector(table, Fraction(-1, 3), 12)
+        v = reconstruct_eigenvector(e2, 13, Fraction(-1, 3), 12)
         assert v[12] == 1
 
     def test_residual_small_where_series_converges(self):
         g = ring_with_core(21, 1)
         table = coefficients(g, 1, 40)
         xi = taylor_partial_sums(table, -1, 40).at(40)
-        v = reconstruct_eigenvector(table, -1, 40)
+        v = reconstruct_eigenvector(g, 1, -1, 40)
         lap = laplacian(g)
         res = [sum(lap[i][j] * v[j] for j in range(21)) - xi * v[i] for i in range(21)]
         rnorm = math.sqrt(sum(float(r) ** 2 for r in res))
@@ -400,7 +392,7 @@ class TestReconstructEigenvector:
         zeta = Fraction(-1, 4)
         table = coefficients(e2, 7, 40)
         xi = taylor_partial_sums(table, zeta, 40).at(40)
-        v = reconstruct_eigenvector(table, zeta, 40)
+        v = reconstruct_eigenvector(e2, 7, zeta, 40)
         w = perturbed_matrix(e2, zeta)
         res = [sum(w[i][j] * v[j] for j in range(20)) - xi * v[i] for i in range(20)]
         rnorm = math.sqrt(sum(float(r) ** 2 for r in res))

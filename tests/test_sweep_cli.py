@@ -162,17 +162,17 @@ class TestSweepWorkPerTrial:
 
     @pytest.mark.parametrize("domain", DOMAINS)
     def test_sweep_builds_no_beta(self, monkeypatch, e2, domain):
-        # no verdict reads beta, so no table of a sweep makes its rows
+        # no verdict reads beta, so a sweep never makes the rows
         built = []
-        beta_rows = perturb._beta_rows
+        beta_rows = perturb.beta_rows
 
         def counted(*args):
             built.append(None)
             return beta_rows(*args)
-        monkeypatch.setattr(perturb, "_beta_rows", counted)
+        monkeypatch.setattr(perturb, "beta_rows", counted)
         _, details = run_sweep(_multi_t_config(domain), detail=True)
         assert details and built == []
-        assert perturb.coefficients(e2, 13, 6, domain).beta  # a read is counted
+        assert perturb.reconstruct_eigenvector(e2, 13, -1, 6, domain)  # a call is counted
         assert len(built) == 1
 
     @pytest.mark.parametrize("domain", DOMAINS)
