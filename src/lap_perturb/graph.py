@@ -329,10 +329,27 @@ def graph_to_json(g: Graph) -> str:
 
 
 def graph_from_json(text: str) -> Graph:
+    """Read the ``{"n": N, "edges": [[u, v, w], ...]}`` form that ``graph_to_json`` writes.
+
+    A weight is a JSON number or a string ``parse_number`` reads.  A
+    non-object document, a missing key, an edge that is not a three-element
+    list, or a weight that is ``true``, ``false`` or ``null`` raises
+    ValueError naming the key or the edge.
+    """
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("graph JSON must be an object")
+    for key in ("n", "edges"):
+        if key not in data:
+            raise ValueError(f"graph JSON has no {key!r} key")
     edges = []
-    for u, v, w in data["edges"]:
+    for edge in data["edges"]:
+        if not isinstance(edge, list) or len(edge) != 3:
+            raise ValueError(f"edge {json.dumps(edge)} is not a [u, v, weight] list")
+        u, v, w = edge
         if isinstance(w, str):
             w = parse_number(w)
+        elif isinstance(w, bool) or not isinstance(w, (int, float)):
+            raise ValueError(f"edge {json.dumps(edge)} has weight {json.dumps(w)}, not a number")
         edges.append((u, v, w))
     return build_graph(data["n"], edges)

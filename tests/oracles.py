@@ -28,7 +28,11 @@ rounds once from an exact one.
 
 ``reference_residual`` sums max_k ||M v_k - lambda_k v_k||_2 in Python
 floats, one row at a time, as a cross-check for the numpy residual that
-``eigen.symmetric_eigen`` reports at 53 bits.
+``eigen.symmetric_eigen`` reports at 53 bits.  ``eigsy_eigenvalues`` is
+``mpmath.eigsy`` (Householder tridiagonalisation and implicit QL), which
+``symmetric_eigen`` ran above 53 bits before it refined a float64 start in
+exact arithmetic; at three times the precision it is the reference for the
+refined eigenvalues.
 
 ``explicit_c2_c3_c4`` gives c2..c4 from the paper's closed neighbour-sum
 formulas, and ``cm_recursion`` the c_m of a one-high-degree-node graph from
@@ -42,8 +46,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, inf, sqrt
 
+import mpmath
+
 from lap_perturb.almost_regular import AlmostRegularGraph
-from lap_perturb.domain import NumberDomain, exact_domain
+from lap_perturb.domain import NumberDomain, exact_domain, to_mpf
 from lap_perturb.euler import EulerParams
 from lap_perturb.graph import Graph, degree_profile
 from lap_perturb.perturb import (
@@ -331,3 +337,14 @@ def reference_residual(matrix, spectrum) -> float:
             raise RuntimeError("non-finite eigenvector residual")
         worst = max(worst, acc)
     return sqrt(worst)
+
+
+def eigsy_eigenvalues(matrix, precision_bits: int) -> list:
+    """Eigenvalues of a symmetric matrix by ``mpmath.eigsy`` at ``precision_bits``, descending.
+
+    Each entry is rounded once to that precision first.
+    """
+    with mpmath.workprec(precision_bits):
+        values = mpmath.eigsy(mpmath.matrix([[to_mpf(x) for x in row] for row in matrix]),
+                              eigvals_only=True)
+        return sorted((values[k] for k in range(len(matrix))), reverse=True)

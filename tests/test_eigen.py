@@ -18,14 +18,48 @@ from lap_perturb.graph import (
     ring_with_core,
 )
 from lap_perturb.sweep import resolve_graph_source
-from oracles import reference_residual
+from oracles import eigsy_eigenvalues, reference_residual
 
 
 # the Laplacian an infinite weight on edge (1, 2) would give; build_graph rejects that weight
 INFINITE_WEIGHT_LAPLACIAN = ((math.inf, -math.inf, 0), (-math.inf, math.inf, -1), (0, -1, 1))
 NAN_ENTRY_MATRIX = [[math.nan, 0], [0, 1]]
-# a weight beyond the float64 range: LAPACK cannot take it, mpmath can
+# a weight beyond the float64 range: LAPACK cannot take it, the exact refinement can
 HUGE_WEIGHT_LAPLACIAN = laplacian(build_graph(3, [(1, 2, Fraction(10) ** 400), (2, 3, 1)]))
+
+
+def near_degenerate(gap) -> list:
+    """H diag(1, 1 + gap, 3, 7) H with H = I - 2 v v^T / v^T v, v = (1, 2, 3, 4), exactly."""
+    v = (1, 2, 3, 4)
+    h = [[int(i == j) - Fraction(2 * v[i] * v[j], 30) for j in range(4)] for i in range(4)]
+    d = (1, 1 + gap, 3, 7)
+    return [[sum(h[i][k] * d[k] * h[k][j] for k in range(4)) for j in range(4)] for i in range(4)]
+
+
+# matrices for the refined spectra: separated, repeated (complete_graph(8) has one
+# eigenvalue of multiplicity 7, the ring adjacencies have pairs) and nearly repeated ones
+REFINED_CASES = {
+    "e1": lambda: laplacian(resolve_graph_source("example:e1")),
+    "e2": lambda: laplacian(resolve_graph_source("example:e2")),
+    "e3": lambda: laplacian(resolve_graph_source("example:e3")),
+    "ring-21-1-adjacency": lambda: ring_with_core(21, 1).weights,
+    "ring-21-9-adjacency": lambda: ring_with_core(21, 9).weights,
+    "complete-8": lambda: laplacian(complete_graph(8)),
+    "er-20-1/5": lambda: laplacian(erdos_renyi(20, Fraction(1, 5), 11)),
+    "er-20-1/2": lambda: laplacian(erdos_renyi(20, Fraction(1, 2), 12)),
+    "er-20-4/5": lambda: laplacian(erdos_renyi(20, Fraction(4, 5), 13)),
+    "gap-1e-8": lambda: near_degenerate(Fraction(1, 10**8)),
+    "gap-1e-20": lambda: near_degenerate(Fraction(1, 10**20)),
+    "gap-1e-30": lambda: near_degenerate(Fraction(1, 10**30)),
+    # float and mpf entries are dyadic rationals, read at their exact values
+    "float-12": lambda: random_symmetric(12, 7).tolist(),
+    "mpf-6": lambda: [[mpmath.mpf(v) / 3 for v in row] for row in random_symmetric(6, 8).tolist()],
+}
+
+
+def random_symmetric(n: int, seed: int) -> np.ndarray:
+    m = np.random.default_rng(seed).standard_normal((n, n))
+    return (m + m.T) / 2
 
 
 class TestSymmetricEigen:
@@ -119,22 +153,67 @@ class TestSymmetricEigen:
 
     @pytest.mark.parametrize("bits", [53, 128])
     def test_nan_eigenvector_raises(self, monkeypatch, bits):
-        # finite eigenvalues with a NaN column: the residual must not read as 0
+        # finite eigenvalues with a NaN column: the residual must not read as 0,
+        # and above 53 bits the float start must not reach the refinement
         def fake_eigh(a):
             return np.array([0.0, 2.0]), np.array([[math.nan, 1.0], [math.nan, 0.0]])
 
-        def fake_eigsy(a):
-            return (mpmath.matrix([0, 2]),
-                    mpmath.matrix([[mpmath.nan, 1], [mpmath.nan, 0]]))
-
         monkeypatch.setattr(np.linalg, "eigh", fake_eigh)
-        monkeypatch.setattr(mpmath, "eigsy", fake_eigsy)
         with pytest.raises(RuntimeError, match="residual"):
             symmetric_eigen([[1, 1], [1, 1]], precision_bits=bits)
+
+    def test_refinement_step_cap_raises(self, monkeypatch):
+        # equal columns stay equal under every step, so the orthogonality certificate never holds
+        def fake_eigh(a):
+            return np.zeros(len(a)), np.ones_like(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", fake_eigh)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            symmetric_eigen([[2, 1], [1, 2]], precision_bits=128)
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    @pytest.mark.parametrize("name", REFINED_CASES)
+    def test_refined_eigenvalues_match_eigsy(self, name, bits):
+        # every eigenvalue within 2^-bits max|lambda| of eigsy at three times the precision
+        matrix = REFINED_CASES[name]()
+        spec = symmetric_eigen(matrix, precision_bits=bits)
+        reference = eigsy_eigenvalues(matrix, 3 * bits)
+        with mpmath.workprec(3 * bits):
+            tol = mpmath.ldexp(max(abs(v) for v in reference), -bits)
+            assert all(abs(mu - ref) <= tol for mu, ref in zip(spec.eigenvalues, reference))
+        assert 0 <= spec.residual < 2.0 ** -(bits - 8)
+
+    def test_huge_weight_at_128_bits(self):
+        # an entry beyond the float64 range is exact input above 53 bits, whatever its type
+        as_int = laplacian(build_graph(3, [(1, 2, 10**400), (2, 3, 1)]))
+        spec = symmetric_eigen(HUGE_WEIGHT_LAPLACIAN, precision_bits=128)
+        assert symmetric_eigen(as_int, precision_bits=128) == spec
+        reference = eigsy_eigenvalues(HUGE_WEIGHT_LAPLACIAN, 384)
+        with mpmath.workprec(384):
+            tol = mpmath.ldexp(reference[0], -128)
+            assert all(abs(mu - ref) <= tol for mu, ref in zip(spec.eigenvalues, reference))
+        assert 0 <= spec.residual <= 2.0 ** -128 * 2e400
+
+    @pytest.mark.parametrize("entry, message", [
+        pytest.param(math.nan, "non-finite entry", id="nan"),
+        pytest.param(-math.inf, "non-finite entry", id="inf"),
+        pytest.param(Fraction(10) ** 400, "beyond the float64 range", id="fraction"),
+        pytest.param(mpmath.mpf("1e400"), "beyond the float64 range", id="mpf"),
+    ])
+    def test_53_bit_entry_check_messages(self, entry, message):
+        with pytest.raises(RuntimeError, match=message):
+            symmetric_eigen([[entry, 0], [0, 1]])
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             symmetric_eigen([[0, 1], [2, 0]])
+
+    def test_rejects_non_symmetric_exactly_above_53_bits(self):
+        # entries beyond the float64 range, 1e-10 and 1e-15 apart relative to their size
+        big = 10**400
+        with pytest.raises(ValueError, match=r"not symmetric at \(1, 2\)"):
+            symmetric_eigen([[0, big], [big + 10**390, 0]], precision_bits=128)
+        symmetric_eigen([[0, big], [big + 10**385, 0]], precision_bits=128)
 
     def test_spectrum_json(self, e3):
         import json

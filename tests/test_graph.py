@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -217,6 +218,23 @@ class TestFormats:
             parse_edge_list("n 2\n1 2 -1/0\n")
         with pytest.raises(ValueError, match="zero denominator"):
             graph_from_json('{"n": 2, "edges": [[1, 2, "1/0"]]}')
+
+    @pytest.mark.parametrize("weight", ["true", "false", "null"])
+    def test_json_non_number_weight_rejected(self, weight):
+        # a bool weight would pass build_graph's 0 < w check; None would raise TypeError
+        with pytest.raises(ValueError, match=rf"^edge \[1, 2, {weight}\] has weight {weight}, "):
+            graph_from_json(f'{{"n": 3, "edges": [[1, 2, {weight}], [2, 3, 2]]}}')
+
+    def test_json_two_element_edge_rejected(self):
+        with pytest.raises(ValueError, match=r"^edge \[1, 2\] is not a \[u, v, weight\] list"):
+            graph_from_json('{"n": 3, "edges": [[1, 2], [2, 3, 2]]}')
+
+    @pytest.mark.parametrize("key", ["n", "edges"])
+    def test_json_missing_key_rejected(self, key):
+        data = {"n": 2, "edges": [[1, 2, 1]]}
+        del data[key]
+        with pytest.raises(ValueError, match=f"no '{key}' key"):
+            graph_from_json(json.dumps(data))
 
     @pytest.mark.parametrize("weight", ["Infinity", "NaN"])
     def test_json_non_finite_weight_rejected(self, weight):
