@@ -14,8 +14,13 @@ and bounds for A[k, m], the eigenvalue series and its Euler transform
 (exact rationals: the closed-form c_m fill a ``CoefficientTable``,
 ``closed_form_table``, that ``euler.taylor_partial_sums`` and
 ``euler.euler_series`` sum), and a
-contour-integral evaluation of the same eigenvalue.  The specialised
-constant-gap recursion for c_m is a test oracle in ``tests/oracles.py``.
+contour-integral evaluation of the same eigenvalue.  The contour reads the
+walk generating function f(z) = sum_m (A^m)_11 z^m as the rational function
+P/Q that the exact walk counts fix (Berlekamp-Massey), sums half of the
+circle (the integrand is conjugate-symmetric), and takes its radius from
+lambda_1, f's nearest pole by Perron-Frobenius.  The specialised
+constant-gap recursion for c_m and the eigenvector spectral-sum contour are
+test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -202,14 +207,21 @@ def closed_form_table(arg: AlmostRegularGraph, K: int) -> CoefficientTable:
 
 
 def almost_regular_series(arg: AlmostRegularGraph, zeta, K: int) -> SeriesEvaluation:
-    """Partial sums d_q + x sum_m (sum_k g_k(m) A[k, m]) (zeta/x)^m up to K, exact."""
+    """Partial sums d_q + x sum_m (sum_k g_k(m) A[k, m]) (zeta/x)^m up to K, exact.
+
+    Each call rebuilds ``closed_form_table(arg, K)``, O(K^3) ``Fraction``
+    operations that outweigh the sum itself; to sum at several zeta, build
+    the table once and call ``euler.taylor_partial_sums``.
+    """
     return taylor_partial_sums(closed_form_table(arg, K), Fraction(zeta))
 
 
 def almost_regular_euler(arg: AlmostRegularGraph, zeta, t, K: int) -> SeriesEvaluation:
     """Euler t-transform of the almost-regular series, exact in rationals.
 
-    t = 0 reduces term-by-term to the plain series.
+    t = 0 reduces term-by-term to the plain series.  Each call rebuilds
+    ``closed_form_table(arg, K)``; to sum at several zeta and t, build the
+    table once and call ``euler.euler_series``.
     """
     return euler_series(closed_form_table(arg, K),
                         EulerParams(t=Fraction(t), zeta=Fraction(zeta), K_max=K))
@@ -226,6 +238,42 @@ class ContourResult:
     last_change: object
 
 
+def _walk_generating_function(g: Graph, q: int) -> tuple:
+    """(P, Q), exact coefficient lists lowest order first, with Q(0) = 1 and
+
+        sum_m (A^m)_qq z^m = P(z) / Q(z).
+
+    Q is the connection polynomial of the minimal linear recurrence of the
+    walk counts (Berlekamp-Massey over ``Fraction``s).  Its length L, the
+    number of distinct eigenvalues node q sees (the dimension of e_q's
+    Krylov space), is at most n, so the counts for m = 0..2n fix it;
+    P = Q * sum_m w_m z^m mod z^L.  Node q sees the eigenvalue 0 exactly when
+    deg P = deg Q = L - 1; otherwise deg Q = L.
+    """
+    w = closed_walk_counts(g, q, 2 * g.n).counts
+    C, B = [Fraction(1)], [Fraction(1)]
+    L, shift, b = 0, 1, Fraction(1)
+    for k in range(len(w)):
+        d = sum(c * w[k - i] for i, c in enumerate(C))  # deg C <= L <= k
+        if d == 0:
+            shift += 1
+            continue
+        T, coef = C, d / b
+        C = C + [0] * (shift + len(B) - len(C))
+        for i, bi in enumerate(B):
+            C[i + shift] -= coef * bi
+        if 2 * L <= k:
+            L, B, b, shift = k + 1 - L, T, d, 1
+        else:
+            shift += 1
+    P = [sum(C[i] * w[k - i] for i in range(min(k + 1, len(C)))) for k in range(L)]
+    while C[-1] == 0:
+        C.pop()
+    while P and P[-1] == 0:
+        P.pop()
+    return P, C
+
+
 def contour_eigenvalue(
     arg: AlmostRegularGraph,
     zeta,
@@ -240,10 +288,21 @@ def contour_eigenvalue(
         d_q + (zeta / (2 pi r)) * integral e^{-i theta}
               log(1 - zeta e^{-i theta} / (x r f(r e^{i theta}))) d theta,
 
-    where f(z) = sum_k ((v_k)_1)^2 / (1 - lambda_k z) is the closed-walk
-    generating function at node 1, from the adjacency spectral decomposition.
-    Uses the periodic trapezoid rule with point doubling until the value
-    changes by less than rel_tol (relative).
+    where f(z) = sum_m (A^m)_11 z^m is the closed-walk generating function at
+    node 1, the rational function P/Q of the exact walk counts
+    (``_walk_generating_function``), its coefficients rounded once and
+    evaluated by Horner (``mpmath.polyval``).  Uses the periodic trapezoid
+    rule with point doubling until the value changes by less than rel_tol
+    (relative).  A, zeta, x and r are real, so the integrand at 1 - theta
+    turns is the conjugate of that at theta: only theta in [0, 1/2] is
+    evaluated, the interior points counted twice by their real part.
+
+    The radius defaults to half of 1/lambda_1, lambda_1 the largest adjacency
+    eigenvalue at ``precision_bits``.  That is f's nearest pole (Perron-
+    Frobenius): every component without node 1 is r-regular with spectral
+    radius r, node 1's component has average degree above r and so spectral
+    radius lambda_1 > r, and being connected its Perron vector is positive at
+    node 1, so node 1 sees lambda_1.
 
     Raises ValueError unless 2**-precision_bits <= 2**-10 rel_tol: a coarser
     working precision stops changing long before rel_tol is met.  Raises
@@ -258,10 +317,7 @@ def contour_eigenvalue(
         raise ValueError(f"precision_bits = {precision_bits} is too coarse for rel_tol = {rel_tol}")
     g = arg.graph
     with mpmath.workprec(precision_bits):
-        spec = symmetric_eigen(g.weights, precision_bits=precision_bits)
-        lam = [to_mpf(v) for v in spec.eigenvalues]
-        wts = [to_mpf(col[0]) ** 2 for col in spec.eigenvectors]
-        lam1 = lam[0]
+        lam1 = to_mpf(symmetric_eigen(g.weights, precision_bits=precision_bits).eigenvalues[0])
         if lam1 <= 0:
             raise ContourError("adjacency spectral radius must be positive")
         pole = 1 / lam1
@@ -277,29 +333,31 @@ def contour_eigenvalue(
         if z == 0:
             return ContourResult(value=d_q, radius=r, points=quad_points,
                                  branch_ok=True, last_change=mpmath.mpf(0))
+        # f = num / den, coefficients highest order first as mpmath.polyval takes them
+        num, den = ([to_mpf(c) for c in reversed(cs)]
+                    for cs in _walk_generating_function(g, arg.special))
 
-        def f_gen(zz):
-            return sum(w / (1 - lv * zz) for w, lv in zip(wts, lam))
-
-        def integrand(theta):
-            zz = r * mpmath.expjpi(2 * theta)  # theta in turns: e^{2 pi i theta}
-            fval = f_gen(zz)
-            ratio = z / (x * zz * fval)
+        def integrand(i, points):
+            """Real part of the integrand at theta = i / points turns."""
+            e = mpmath.expjpi(mpmath.mpf(2 * i) / points)  # e^{2 pi i theta}
+            zz = r * e
+            ratio = z * mpmath.polyval(den, zz) / (x * zz * mpmath.polyval(num, zz))
             if abs(ratio) >= 1:
                 raise ContourError(
                     f"branch condition violated on the contour: |zeta/(x z f(z))| = "
                     f"{mpmath.nstr(abs(ratio), 8)} >= 1"
                 )
-            return mpmath.conj(mpmath.expjpi(2 * theta)) * mpmath.log(1 - ratio)
+            return (mpmath.conj(e) * mpmath.log(1 - ratio)).real
 
         P = quad_points
-        total = sum(integrand(mpmath.mpf(i) / P) for i in range(P))
-        value = d_q + (z / (r * P)) * total.real
+        total = (integrand(0, P) + integrand(P // 2, P)
+                 + 2 * sum(integrand(i, P) for i in range(1, P // 2)))
+        value = d_q + (z / (r * P)) * total
         while True:
-            odd = sum(integrand(mpmath.mpf(2 * i + 1) / (2 * P)) for i in range(P))
-            total = total + odd
+            # odd points i and 2P - i of the doubled grid are conjugate
+            total = total + 2 * sum(integrand(i, 2 * P) for i in range(1, P, 2))
             P *= 2
-            new_value = d_q + (z / (r * P)) * total.real
+            new_value = d_q + (z / (r * P)) * total
             change = abs(new_value - value)
             value = new_value
             if change <= to_mpf(rel_tol) * max(1, abs(value)):

@@ -15,7 +15,7 @@ from functools import cached_property
 from math import inf
 from numbers import Rational
 
-from .domain import parse_number
+from .domain import _exact_value, parse_number
 
 __all__ = [
     "Graph",
@@ -160,8 +160,9 @@ def degree_profile(g: Graph) -> DegreeProfile:
 def closed_walk_counts(g: Graph, q: int, M: int) -> WalkCounts:
     """Counts (A^m)_qq for m = 0..M via iterated matrix-vector products.
 
-    Exact integers for unweighted graphs and exact rationals for rational
-    weights; arbitrary walk lengths are safe (Python bignums).
+    Exact integers for unweighted graphs and exact rationals otherwise: a
+    float or mpf weight is taken at its exact (dyadic) value.  Arbitrary walk
+    lengths are safe (Python bignums).
     """
     if M < 0:
         raise ValueError("M must be non-negative")
@@ -171,7 +172,7 @@ def closed_walk_counts(g: Graph, q: int, M: int) -> WalkCounts:
     vec = [0] * g.n
     vec[qi] = 1
     counts = [1]
-    rows = g.weights
+    rows = [[w if type(w) is int else _exact_value(w) for w in row] for row in g.weights]
     for _ in range(M):
         vec = [sum(rows[i][j] * vec[j] for j in range(g.n) if vec[j] != 0) for i in range(g.n)]
         counts.append(vec[qi])

@@ -34,6 +34,13 @@ floats, one row at a time, as a cross-check for the numpy residual that
 exact arithmetic; at three times the precision it is the reference for the
 refined eigenvalues.
 
+``reference_contour_eigenvalue`` is the contour integral that
+``almost_regular.contour_eigenvalue`` ran before it took the walk generating
+function as the rational P/Q of the exact walk counts and summed half the
+circle: it builds f(z) = sum_k (v_k)_1^2 / (1 - lambda_k z) from the 128-bit
+eigenvectors and sums every quadrature point.  It shares neither the walk
+counts nor the half-circle sum with the library, so it cross-checks both.
+
 ``explicit_c2_c3_c4`` gives c2..c4 from the paper's closed neighbour-sum
 formulas, and ``cm_recursion`` the c_m of a one-high-degree-node graph from
 the beta recursion specialised to its constant degree gap.  Neither shares
@@ -48,8 +55,9 @@ from math import comb, inf, sqrt
 
 import mpmath
 
-from lap_perturb.almost_regular import AlmostRegularGraph
+from lap_perturb.almost_regular import AlmostRegularGraph, ContourError, ContourResult
 from lap_perturb.domain import NumberDomain, exact_domain, to_mpf
+from lap_perturb.eigen import symmetric_eigen
 from lap_perturb.euler import EulerParams
 from lap_perturb.graph import Graph, degree_profile
 from lap_perturb.perturb import (
@@ -348,3 +356,82 @@ def eigsy_eigenvalues(matrix, precision_bits: int) -> list:
         values = mpmath.eigsy(mpmath.matrix([[to_mpf(x) for x in row] for row in matrix]),
                               eigvals_only=True)
         return sorted((values[k] for k in range(len(matrix))), reverse=True)
+
+
+def reference_contour_eigenvalue(
+    arg: AlmostRegularGraph,
+    zeta,
+    radius=None,
+    quad_points: int = 512,
+    precision_bits: int = 128,
+    rel_tol=1e-10,
+    max_points: int = 2**14,
+) -> ContourResult:
+    """The contour integral of ``contour_eigenvalue`` over the spectral sum, every point summed:
+
+        d_q + (zeta / (2 pi r)) * integral e^{-i theta}
+              log(1 - zeta e^{-i theta} / (x r f(r e^{i theta}))) d theta,
+
+    where f(z) = sum_k ((v_k)_1)^2 / (1 - lambda_k z) is the closed-walk
+    generating function at node 1, from the adjacency spectral decomposition.
+    Same arguments, checks and errors as the library function.
+    """
+    if quad_points < 4 or quad_points & (quad_points - 1) != 0:
+        raise ValueError("quad_points must be a power of two, at least 4")
+    if not 2.0 ** (10 - precision_bits) <= rel_tol:
+        raise ValueError(f"precision_bits = {precision_bits} is too coarse for rel_tol = {rel_tol}")
+    g = arg.graph
+    with mpmath.workprec(precision_bits):
+        spec = symmetric_eigen(g.weights, precision_bits=precision_bits)
+        lam = [to_mpf(v) for v in spec.eigenvalues]
+        wts = [to_mpf(col[0]) ** 2 for col in spec.eigenvectors]
+        lam1 = lam[0]
+        if lam1 <= 0:
+            raise ContourError("adjacency spectral radius must be positive")
+        pole = 1 / lam1
+        r = to_mpf(radius) if radius is not None else pole / 2
+        if not 0 < r < pole:
+            raise ContourError(
+                f"radius {mpmath.nstr(r, 8)} encloses the generating-function pole at "
+                f"{mpmath.nstr(pole, 8)}"
+            )
+        z = to_mpf(zeta)
+        x = to_mpf(arg.x)
+        d_q = to_mpf(g.degrees[arg.special - 1])
+        if z == 0:
+            return ContourResult(value=d_q, radius=r, points=quad_points,
+                                 branch_ok=True, last_change=mpmath.mpf(0))
+
+        def f_gen(zz):
+            return sum(w / (1 - lv * zz) for w, lv in zip(wts, lam))
+
+        def integrand(theta):
+            zz = r * mpmath.expjpi(2 * theta)  # theta in turns: e^{2 pi i theta}
+            fval = f_gen(zz)
+            ratio = z / (x * zz * fval)
+            if abs(ratio) >= 1:
+                raise ContourError(
+                    f"branch condition violated on the contour: |zeta/(x z f(z))| = "
+                    f"{mpmath.nstr(abs(ratio), 8)} >= 1"
+                )
+            return mpmath.conj(mpmath.expjpi(2 * theta)) * mpmath.log(1 - ratio)
+
+        P = quad_points
+        total = sum(integrand(mpmath.mpf(i) / P) for i in range(P))
+        value = d_q + (z / (r * P)) * total.real
+        while True:
+            odd = sum(integrand(mpmath.mpf(2 * i + 1) / (2 * P)) for i in range(P))
+            total = total + odd
+            P *= 2
+            new_value = d_q + (z / (r * P)) * total.real
+            change = abs(new_value - value)
+            value = new_value
+            if change <= to_mpf(rel_tol) * max(1, abs(value)):
+                break
+            if P >= max_points:
+                raise ContourError(
+                    f"quadrature did not converge by {max_points} points "
+                    f"(last change {mpmath.nstr(change, 6)})"
+                )
+        return ContourResult(value=value, radius=r, points=P, branch_ok=True,
+                             last_change=change)

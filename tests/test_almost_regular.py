@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import mpmath
@@ -7,6 +8,7 @@ import pytest
 
 from lap_perturb.almost_regular import (
     ContourError,
+    _walk_generating_function,
     almost_regular,
     almost_regular_euler,
     almost_regular_series,
@@ -24,11 +26,12 @@ from lap_perturb.graph import (
     build_graph,
     closed_walk_counts,
     complete_graph,
+    erdos_renyi,
     perturbed_matrix,
     ring_with_core,
 )
 from lap_perturb.perturb import coefficients
-from oracles import cm_recursion
+from oracles import cm_recursion, reference_contour_eigenvalue
 
 # Closed forms for c_2..c_10 of a one-high-degree-node graph in terms of the
 # closed-walk counts w[m] = (A^m)_11 and the gap x; frozen golden vectors.
@@ -288,3 +291,100 @@ class TestContourEigenvalue:
         arg = almost_regular(ring_with_core(21, 1))
         with pytest.raises(ValueError, match="power of two"):
             contour_eigenvalue(arg, Fraction(-1), quad_points=500)
+
+
+def _reweighted(g, weight):
+    return build_graph(g.n, [(u, v, weight) for u, v, _ in g.edges()])
+
+
+def _star(leaves: int):
+    return build_graph(leaves + 1, [(1, v) for v in range(2, leaves + 2)])
+
+
+def _with_disjoint_k4(g):
+    k4 = [(g.n + i, g.n + j) for i in range(1, 5) for j in range(i + 1, 5)]
+    return build_graph(g.n + 4, list(g.edges()) + k4)
+
+
+class TestWalkGeneratingFunction:
+    @staticmethod
+    def taylor(P, Q, M):
+        """Coefficients of P/Q up to z^M by series division (Q(0) = 1)."""
+        s = []
+        for k in range(M + 1):
+            pk = P[k] if k < len(P) else 0
+            s.append(pk - sum(Q[i] * s[k - i] for i in range(1, min(k, len(Q) - 1) + 1)))
+        return s
+
+    @pytest.mark.parametrize("g, q", [
+        (ring_with_core(21, 1), 1),
+        (ring_with_core(13, 1), 5),
+        (build_graph(3, [(1, 2), (2, 3)]), 1),
+        (build_graph(3, [(1, 2), (2, 3)]), 2),
+        (erdos_renyi(9, Fraction(1, 2), 4), 3),
+        (_reweighted(ring_with_core(13, 1), 0.3), 1),
+        (build_graph(4, [(1, 2, Fraction(3, 2)), (2, 3, 2), (3, 4, Fraction(1, 3)), (1, 4, 5)]), 2),
+        (_with_disjoint_k4(ring_with_core(13, 1)), 1),
+    ])
+    def test_taylor_coefficients_are_the_walk_counts(self, g, q):
+        P, Q = _walk_generating_function(g, q)
+        assert Q[0] == 1 and Q[-1] != 0 and len(P) <= len(Q)
+        assert self.taylor(P, Q, 3 * g.n) == list(closed_walk_counts(g, q, 3 * g.n).counts)
+
+    @pytest.mark.parametrize("n, k", [(8, 1), (13, 1), (21, 1), (21, 2), (31, 3), (41, 4)])
+    def test_ring_with_core_has_degree_two(self, n, k):
+        # e_1 and the ring's all-ones vector span node 1's Krylov space
+        P, Q = _walk_generating_function(ring_with_core(n, k), 1)
+        assert Q == [1, -2 * k, -(n - 1)] and P == [1, -2 * k]
+
+    def test_node_that_sees_eigenvalue_zero(self):
+        # the path end sees -sqrt 2, 0 and sqrt 2: f = (1 - z^2) / (1 - 2 z^2),
+        # and the constant term of the 0 eigenvalue makes deg P = deg Q; the
+        # middle node misses 0
+        path = build_graph(3, [(1, 2), (2, 3)])
+        assert _walk_generating_function(path, 1) == ([1, 0, -1], [1, 0, -2])
+        assert _walk_generating_function(path, 2) == ([1], [1, 0, -2])
+
+
+CROSS_CHECK_RINGS = [(21, 1), (21, 2), (31, 3), (13, 1)]
+CROSS_CHECK_GRAPHS = {
+    **{f"ring_{n}_{k}": ring_with_core(n, k) for n, k in CROSS_CHECK_RINGS},
+    "star_8": _star(8),
+    "ring_13_1_weight_3/2": _reweighted(ring_with_core(13, 1), Fraction(3, 2)),
+    "ring_13_1_weight_0.3": _reweighted(ring_with_core(13, 1), 0.3),
+    "ring_13_1_plus_k4": _with_disjoint_k4(ring_with_core(13, 1)),  # disconnected
+}
+CROSS_CHECK_CASES = [
+    *((f"ring_{n}_{k}", zeta) for n, k in CROSS_CHECK_RINGS
+      for zeta in (Fraction(-1, 2), Fraction(-1, 3), Fraction(1, 4))),
+    *((name, Fraction(-1, 2)) for name in list(CROSS_CHECK_GRAPHS)[len(CROSS_CHECK_RINGS):]),
+]
+
+
+class TestContourAgainstSpectralSum:
+    """P/Q over half the circle against the eigenvector spectral sum over all of it."""
+
+    @pytest.mark.parametrize("name, zeta", CROSS_CHECK_CASES)
+    def test_same_points_radius_and_value(self, name, zeta):
+        arg = almost_regular(CROSS_CHECK_GRAPHS[name])
+        new = contour_eigenvalue(arg, zeta)
+        ref = reference_contour_eigenvalue(arg, zeta)
+        assert new.points == ref.points
+        assert new.radius == ref.radius
+        with mpmath.workprec(128):
+            assert abs(new.value - ref.value) <= mpmath.mpf(2) ** -120 * abs(ref.value)
+
+    @pytest.mark.parametrize("n, k, kwargs", [
+        (21, 9, {}),  # branch condition
+        (21, 1, {"radius": 1.0}),  # pole enclosed
+        (21, 1, {"radius": Fraction(17, 100), "quad_points": 16, "max_points": 64,
+                 "rel_tol": 1e-14}),  # no convergence
+    ])
+    def test_same_errors(self, n, k, kwargs):
+        arg = almost_regular(ring_with_core(n, k))
+        messages = []
+        for contour in (contour_eigenvalue, reference_contour_eigenvalue):
+            with pytest.raises(ContourError) as info:
+                contour(arg, Fraction(-1), **kwargs)
+            messages.append(re.split(r" = | at | \(", str(info.value))[0])
+        assert messages[0] == messages[1]

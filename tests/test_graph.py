@@ -127,6 +127,16 @@ class TestClosedWalks:
     def test_m_zero(self, e1):
         assert closed_walk_counts(e1, 4, 0).counts == (1,)
 
+    @pytest.mark.parametrize("weight", [Fraction(3, 2), 0.3])
+    def test_uniform_weights_scale_the_unweighted_counts_exactly(self, weight):
+        # every weight w: (A^m)_11 = w^m times the unweighted count, with w at
+        # its exact (dyadic) value for a float; summing floats would round
+        g = ring_with_core(13, 1)
+        weighted = build_graph(13, [(u, v, weight) for u, v, _ in g.edges()])
+        plain = closed_walk_counts(g, 1, 12).counts
+        counts = closed_walk_counts(weighted, 1, 12).counts
+        assert counts == tuple(c * Fraction(weight) ** m for m, c in enumerate(plain))
+
 
 class TestGenerators:
     def test_ring_with_core_degrees(self):

@@ -351,6 +351,20 @@ class TestCli:
         assert data["branch_ok"] is True
         assert abs(float(data["value"]) - 21) < 1e-12
 
+    @pytest.mark.parametrize("gen, zeta, stdout", [
+        ("ring_with_core:21,1", "-1",
+         '{"radius": 0.089564392373896, "points": 1024, "branch_ok": true, "value": "21.0"}'),
+        ("ring_with_core:21,1", "-1/2",
+         '{"radius": 0.089564392373896, "points": 1024, "branch_ok": true, '
+         '"value": "20.27361849549570375251642"}'),
+        ("ring_with_core:31,3", "-1/2",
+         '{"radius": 0.05408329997330664, "points": 1024, "branch_ok": true, '
+         '"value": "30.28533025558642256818538"}'),
+    ])
+    def test_contour_stdout_pinned(self, capsys, gen, zeta, stdout):
+        assert main(["contour", "--gen", gen, "--zeta", zeta]) == 0
+        assert capsys.readouterr().out == stdout + "\n"
+
     def test_contour_error_exit_code(self, capsys):
         assert main(["contour", "--gen", "ring_with_core:21,9", "--zeta", "-1"]) == 2
         assert "branch condition" in capsys.readouterr().err
