@@ -12,12 +12,10 @@ from .almost_regular import (
     ContourError,
     ContourResult,
     almost_regular,
-    almost_regular_euler,
     almost_regular_series,
     chc_bound,
     chc_bound_half,
     chc_build,
-    closed_form_table,
     cm_closed_form,
     complete_graph_chc,
     contour_eigenvalue,

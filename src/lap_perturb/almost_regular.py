@@ -2,25 +2,24 @@
 
 An "almost regular" graph has a single special node (index 1) of degree
 d_max while every other node shares a common degree r; x = d_max - r is the
-degree gap.  For these graphs the perturbation coefficients c_m have a
-closed form in the characteristic coefficients
+degree gap, both taken from the exact row sums.  For these graphs the
+perturbation coefficients c_m have a closed form in the characteristic
+coefficients
 
     A[k, m] = sum over compositions m = j_1 + ... + j_k (j_i > 0)
               of prod_i (A^{j_i})_11,
 
 built from closed-walk counts at the special node.  This module provides
-the A[k, m] recursion, the closed form for c_m, complete-graph formulas
-and bounds for A[k, m], the eigenvalue series and its Euler transform
-(exact rationals: the closed-form c_m fill a ``CoefficientTable``,
-``closed_form_table``, that ``euler.taylor_partial_sums`` and
-``euler.euler_series`` sum), and a
-contour-integral evaluation of the same eigenvalue.  The contour reads the
+the A[k, m] recursion, the paper's closed form for c_m (``cm_closed_form``,
+a cross-check of ``perturb.coefficients``, which builds every coefficient
+table), complete-graph formulas and bounds for A[k, m], and a
+contour-integral evaluation of the eigenvalue.  The contour reads the
 walk generating function f(z) = sum_m (A^m)_11 z^m as the rational function
 P/Q that the exact walk counts fix (Berlekamp-Massey), sums half of the
 circle (the integrand is conjugate-symmetric), and takes its radius from
-lambda_1, f's nearest pole by Perron-Frobenius.  The specialised
-constant-gap recursion for c_m and the eigenvector spectral-sum contour are
-test oracles in ``tests/oracles.py``.
+lambda_1, f's nearest pole by Perron-Frobenius.  The closed-form
+coefficient table, the specialised constant-gap recursion for c_m and the
+eigenvector spectral-sum contour are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -30,11 +29,11 @@ from fractions import Fraction
 
 import mpmath
 
-from .domain import exact_domain, to_mpf
+from .domain import _exact_value, to_mpf
 from .eigen import symmetric_eigen
-from .euler import EulerParams, binomial, euler_series, taylor_partial_sums
+from .euler import binomial, taylor_partial_sums
 from .graph import Graph, WalkCounts, closed_walk_counts
-from .perturb import CoefficientTable, SeriesEvaluation
+from .perturb import SeriesEvaluation, coefficients
 
 __all__ = [
     "AlmostRegularGraph",
@@ -44,12 +43,10 @@ __all__ = [
     "almost_regular",
     "chc_build",
     "cm_closed_form",
-    "closed_form_table",
     "complete_graph_chc",
     "chc_bound",
     "chc_bound_half",
     "almost_regular_series",
-    "almost_regular_euler",
     "contour_eigenvalue",
     "chc_table_to_csv",
 ]
@@ -70,10 +67,14 @@ class AlmostRegularGraph:
 
 
 def almost_regular(g: Graph) -> AlmostRegularGraph:
-    """Validate and wrap a graph with one high-degree node (node 1 by convention)."""
-    d = g.degrees
+    """Validate and wrap a graph with one high-degree node (node 1 by convention).
+
+    r and x come from the exact row sums: a float or mpf weight is taken at
+    its exact (dyadic) value, as in ``closed_walk_counts``.
+    """
     if g.n < 2:
         raise ValueError("need at least two nodes")
+    d = [sum(w if type(w) is int else _exact_value(w) for w in row) for row in g.weights]
     rest = d[1:]
     r = rest[0]
     if any(di != r for di in rest):
@@ -190,41 +191,16 @@ def chc_bound_half(N: int, k: int, m: int) -> Fraction:
     return Fraction(2) ** (m - k) * Fraction(N - 1) ** m / Fraction(2 * N - 3, 2) ** k
 
 
-def closed_form_table(arg: AlmostRegularGraph, K: int) -> CoefficientTable:
-    """The closed-form c_2..c_K at the special node as an exact coefficient table.
-
-    Its Taylor and Euler series come from ``euler.taylor_partial_sums`` and
-    ``euler.euler_series``; build it once to sum it at several zeta and t.
-    """
-    if K < 2:
-        raise ValueError("K must be at least 2")
-    chc = chc_build(closed_walk_counts(arg.graph, arg.special, K), K)
-    return CoefficientTable(
-        q=arg.special, K=K, d_q=Fraction(arg.graph.degrees[arg.special - 1]),
-        c=tuple(cm_closed_form(arg, chc, m) for m in range(2, K + 1)),
-        domain=exact_domain(),
-    )
-
-
 def almost_regular_series(arg: AlmostRegularGraph, zeta, K: int) -> SeriesEvaluation:
-    """Partial sums d_q + x sum_m (sum_k g_k(m) A[k, m]) (zeta/x)^m up to K, exact.
+    """Taylor partial sums up to K of the eigenvalue branching from d_max.
 
-    Each call rebuilds ``closed_form_table(arg, K)``, O(K^3) ``Fraction``
-    operations that outweigh the sum itself; to sum at several zeta, build
-    the table once and call ``euler.taylor_partial_sums``.
+    The table comes from ``perturb.coefficients`` in its default domain:
+    exact for rational weights, and 128-bit floats for float-typed ones
+    (earlier versions summed those "exactly" from a float-rounded gap x).
+    Each call rebuilds the table; to sum at several zeta or t, build it once
+    and call ``euler.taylor_partial_sums`` or ``euler.euler_series``.
     """
-    return taylor_partial_sums(closed_form_table(arg, K), Fraction(zeta))
-
-
-def almost_regular_euler(arg: AlmostRegularGraph, zeta, t, K: int) -> SeriesEvaluation:
-    """Euler t-transform of the almost-regular series, exact in rationals.
-
-    t = 0 reduces term-by-term to the plain series.  Each call rebuilds
-    ``closed_form_table(arg, K)``; to sum at several zeta and t, build the
-    table once and call ``euler.euler_series``.
-    """
-    return euler_series(closed_form_table(arg, K),
-                        EulerParams(t=Fraction(t), zeta=Fraction(zeta), K_max=K))
+    return taylor_partial_sums(coefficients(arg.graph, arg.special, K), zeta)
 
 
 @dataclass(frozen=True)
@@ -304,8 +280,10 @@ def contour_eigenvalue(
     radius lambda_1 > r, and being connected its Perron vector is positive at
     node 1, so node 1 sees lambda_1.
 
-    Raises ValueError unless 2**-precision_bits <= 2**-10 rel_tol: a coarser
-    working precision stops changing long before rel_tol is met.  Raises
+    Raises ValueError unless quad_points is a power of two, at least 4 and
+    below max_points (the first doubling would pass the cap), and unless
+    2**-precision_bits <= 2**-10 rel_tol: a coarser working precision stops
+    changing long before rel_tol is met.  Raises
     ContourError when the circle encloses the generating function's nearest
     pole (radius >= 1/lambda_1), when |zeta/(x z f(z))| >= 1 somewhere on the
     circle (log branch condition), or when doubling up to ``max_points`` does
@@ -313,6 +291,8 @@ def contour_eigenvalue(
     """
     if quad_points < 4 or quad_points & (quad_points - 1) != 0:
         raise ValueError("quad_points must be a power of two, at least 4")
+    if not quad_points < max_points:
+        raise ValueError(f"quad_points = {quad_points} must be below max_points = {max_points}")
     if not 2.0 ** (10 - precision_bits) <= rel_tol:
         raise ValueError(f"precision_bits = {precision_bits} is too coarse for rel_tol = {rel_tol}")
     g = arg.graph

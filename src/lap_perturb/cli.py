@@ -23,7 +23,6 @@ import mpmath
 from .almost_regular import (
     almost_regular,
     chc_build,
-    closed_form_table,
     cm_closed_form,
     contour_eigenvalue,
 )
@@ -227,7 +226,7 @@ def _reproduce_almost_regular(digest: _Digest) -> list:
     rows = []
 
     g = ring_with_core(21, 1)
-    table = closed_form_table(almost_regular(g), 80)
+    table = coefficients(g, 1, 80)
     mu1 = float(symmetric_eigen(laplacian(g)).eigenvalues[0])
     ser = taylor_partial_sums(table, Fraction(-1))
     digest.check_bool(
@@ -247,7 +246,7 @@ def _reproduce_almost_regular(digest: _Digest) -> list:
             rows.append((1, "", K, _format_value(ser.at(K), False),
                          f"{accuracy_alpha(ser.at(K), mu1):.6f}", repr(mu1), ""))
 
-    table9 = closed_form_table(almost_regular(ring_with_core(21, 9)), 60)
+    table9 = coefficients(ring_with_core(21, 9), 1, 60)
     ser9 = taylor_partial_sums(table9, Fraction(-1))
     digest.check_bool(
         "ring_with_core(21,9): series at zeta=-1 diverges",

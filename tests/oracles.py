@@ -46,6 +46,9 @@ formulas, and ``cm_recursion`` the c_m of a one-high-degree-node graph from
 the beta recursion specialised to its constant degree gap.  Neither shares
 code with ``perturb.coefficients`` or with the closed form
 ``almost_regular.cm_closed_form``, so each cross-checks both.
+``closed_form_table`` fills a whole coefficient table from that closed
+form, the paper's explicit series for almost-regular graphs, so that its
+Taylor and Euler sums can be checked against those of the engine's table.
 """
 
 from __future__ import annotations
@@ -55,11 +58,17 @@ from math import comb, inf, sqrt
 
 import mpmath
 
-from lap_perturb.almost_regular import AlmostRegularGraph, ContourError, ContourResult
+from lap_perturb.almost_regular import (
+    AlmostRegularGraph,
+    ContourError,
+    ContourResult,
+    chc_build,
+    cm_closed_form,
+)
 from lap_perturb.domain import NumberDomain, exact_domain, to_mpf
 from lap_perturb.eigen import symmetric_eigen
 from lap_perturb.euler import EulerParams
-from lap_perturb.graph import Graph, degree_profile
+from lap_perturb.graph import Graph, closed_walk_counts, degree_profile
 from lap_perturb.perturb import (
     CoefficientTable,
     NonUniqueDegreeError,
@@ -316,6 +325,22 @@ def cm_recursion(arg: AlmostRegularGraph, K: int) -> tuple:
     return tuple(c[j] for j in range(2, K + 1))
 
 
+def closed_form_table(arg: AlmostRegularGraph, K: int) -> CoefficientTable:
+    """The closed-form c_2..c_K at the special node as an exact coefficient table.
+
+    Each c_m is ``cm_closed_form`` over the ``chc_build`` table of the exact
+    walk counts, and d_q = r + x; O(K^3) ``Fraction`` operations.
+    """
+    if K < 2:
+        raise ValueError("K must be at least 2")
+    chc = chc_build(closed_walk_counts(arg.graph, arg.special, K), K)
+    return CoefficientTable(
+        q=arg.special, K=K, d_q=Fraction(arg.r + arg.x),
+        c=tuple(cm_closed_form(arg, chc, m) for m in range(2, K + 1)),
+        domain=exact_domain(),
+    )
+
+
 def round_to_nearest(x: Fraction, bits: int) -> Fraction:
     """x rounded to the nearest value m 2^e with |m| < 2^bits, ties to even m."""
     if x == 0:
@@ -378,6 +403,8 @@ def reference_contour_eigenvalue(
     """
     if quad_points < 4 or quad_points & (quad_points - 1) != 0:
         raise ValueError("quad_points must be a power of two, at least 4")
+    if not quad_points < max_points:
+        raise ValueError(f"quad_points = {quad_points} must be below max_points = {max_points}")
     if not 2.0 ** (10 - precision_bits) <= rel_tol:
         raise ValueError(f"precision_bits = {precision_bits} is too coarse for rel_tol = {rel_tol}")
     g = arg.graph

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 import mpmath
 import pytest
@@ -10,7 +11,6 @@ from lap_perturb.almost_regular import (
     ContourError,
     _walk_generating_function,
     almost_regular,
-    almost_regular_euler,
     almost_regular_series,
     chc_bound,
     chc_bound_half,
@@ -20,8 +20,9 @@ from lap_perturb.almost_regular import (
     complete_graph_chc,
     contour_eigenvalue,
 )
-from lap_perturb.domain import to_mpf
+from lap_perturb.domain import exact_domain, to_mpf
 from lap_perturb.eigen import symmetric_eigen
+from lap_perturb.euler import EulerParams, euler_series, taylor_partial_sums
 from lap_perturb.graph import (
     build_graph,
     closed_walk_counts,
@@ -31,7 +32,7 @@ from lap_perturb.graph import (
     ring_with_core,
 )
 from lap_perturb.perturb import coefficients
-from oracles import cm_recursion, reference_contour_eigenvalue
+from oracles import closed_form_table, cm_recursion, reference_contour_eigenvalue
 
 # Closed forms for c_2..c_10 of a one-high-degree-node graph in terms of the
 # closed-walk counts w[m] = (A^m)_11 and the gap x; frozen golden vectors.
@@ -70,6 +71,11 @@ class TestAlmostRegularClassifier:
     def test_star(self):
         arg = almost_regular(star(6))
         assert (arg.r, arg.x) == (1, 4)
+
+    def test_float_weights_give_exact_r_and_x(self):
+        # each weight 0.3 is the dyadic Fraction(0.3); the float row sums are not exact
+        arg = almost_regular(_reweighted(ring_with_core(13, 1), 0.3))
+        assert (arg.r, arg.x) == (3 * Fraction(0.3), 9 * Fraction(0.3))
 
     def test_regular_graph_rejected(self):
         with pytest.raises(ValueError, match="strictly largest"):
@@ -150,6 +156,15 @@ class TestCmClosedForm:
             for m in range(2, 11):
                 assert rec[m - 2] == cm_closed_form(arg, chc, m) == table.c_at(m)
 
+    def test_float_weights_match_engine_on_their_exact_values(self):
+        # the float gap 12 * 0.3 - 3 * 0.3 is 2.6999999999999993; the closed form
+        # must use the exact one, as the engine does on the same dyadic weights
+        g = _reweighted(ring_with_core(13, 1), 0.3)
+        arg = almost_regular(g)
+        chc = chc_build(closed_walk_counts(g, 1, 12), 12)
+        table = coefficients(_reweighted(g, Fraction(0.3)), 1, 12, exact_domain())
+        assert [cm_closed_form(arg, chc, m) for m in range(2, 13)] == list(table.c)
+
     def test_half_range_sum_equals_full_range(self):
         g = ring_with_core(9, 1)
         arg = almost_regular(g)
@@ -188,6 +203,12 @@ class TestChcBound:
             chc_bound(2, 1, 4)
 
 
+@lru_cache(maxsize=None)
+def _closed_form(n: int, k: int, K: int):
+    """The oracle closed-form table of ring_with_core(n, k) up to K."""
+    return closed_form_table(almost_regular(ring_with_core(n, k)), K)
+
+
 class TestAlmostRegularSeries:
     def test_zeta_zero_is_degree(self):
         arg = almost_regular(ring_with_core(9, 1))
@@ -196,12 +217,13 @@ class TestAlmostRegularSeries:
 
     def test_partial_sums_match_general_taylor(self):
         g = ring_with_core(11, 2)
-        arg = almost_regular(g)
-        series = almost_regular_series(arg, Fraction(-1, 2), 12)
-        from lap_perturb.euler import taylor_partial_sums
+        closed = taylor_partial_sums(closed_form_table(almost_regular(g), 12), Fraction(-1, 2))
+        general = almost_regular_series(almost_regular(g), Fraction(-1, 2), 12)
+        assert all(closed.at(K) == general.at(K) for K in range(2, 13))
 
-        general = taylor_partial_sums(coefficients(g, 1, 12), Fraction(-1, 2))
-        assert all(series.at(K) == general.at(K) for K in range(2, 13))
+    @pytest.mark.parametrize("n, k, K", [(21, 1, 80), (21, 9, 60)])
+    def test_closed_form_table_equals_engine(self, n, k, K):
+        assert _closed_form(n, k, K) == coefficients(ring_with_core(n, k), 1, K)
 
     def test_ring_21_1_converges_to_mu1(self):
         g = ring_with_core(21, 1)
@@ -215,33 +237,35 @@ class TestAlmostRegularSeries:
         assert abs(series.at(60)) > 10**60
 
 
-class TestAlmostRegularEuler:
+class TestClosedFormEuler:
+    """The Euler transform of the paper's closed-form series."""
+
     def test_t_zero_collapses_to_plain_series(self):
-        arg = almost_regular(ring_with_core(10, 1))
-        eul = almost_regular_euler(arg, Fraction(-1, 2), 0, 12)
-        ser = almost_regular_series(arg, Fraction(-1, 2), 12)
+        table = _closed_form(10, 1, 12)
+        eul = euler_series(table, EulerParams(t=0, zeta=Fraction(-1, 2), K_max=12))
+        ser = taylor_partial_sums(table, Fraction(-1, 2))
         assert all(eul.at(K) == ser.at(K) for K in range(2, 13))
 
     def test_extends_convergence_beyond_plain_series(self):
         g = ring_with_core(21, 1)
-        arg = almost_regular(g)
+        table = _closed_form(21, 1, 80)
         mu1 = symmetric_eigen(perturbed_matrix(g, -2), precision_bits=128).eigenvalues[0]
-        plain = almost_regular_series(arg, -2, 80)
-        euler = almost_regular_euler(arg, -2, -1, 80)
+        plain = taylor_partial_sums(table, -2)
+        euler = euler_series(table, EulerParams(t=-1, zeta=-2, K_max=80))
         with mpmath.workprec(128):
             assert abs(to_mpf(plain.at(80)) - mu1) > mpmath.mpf(10) ** -3
             assert abs(to_mpf(euler.at(80)) - mu1) < mpmath.mpf(10) ** -8
 
     def test_ring_21_9_diverges_for_all_t(self):
-        arg = almost_regular(ring_with_core(21, 9))
+        table = _closed_form(21, 9, 60)
         for t in (-1, -2, -3):
-            eul = almost_regular_euler(arg, -2, t, 60)
+            eul = euler_series(table, EulerParams(t=t, zeta=-2, K_max=60))
             assert abs(eul.at(60)) > 10**20, t
 
     def test_singular_transform_rejected(self):
-        arg = almost_regular(ring_with_core(10, 1))
+        table = _closed_form(10, 1, 10)
         with pytest.raises(ValueError, match="singular"):
-            almost_regular_euler(arg, -1, 1, 10)
+            euler_series(table, EulerParams(t=1, zeta=-1, K_max=10))
 
 
 class TestContourEigenvalue:
@@ -387,4 +411,19 @@ class TestContourAgainstSpectralSum:
             with pytest.raises(ContourError) as info:
                 contour(arg, Fraction(-1), **kwargs)
             messages.append(re.split(r" = | at | \(", str(info.value))[0])
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("kwargs", [
+        {"quad_points": 64, "max_points": 16},
+        {"quad_points": 16, "max_points": 16},
+        {"quad_points": 500},
+        {"precision_bits": 24},
+    ])
+    def test_same_argument_errors(self, kwargs):
+        arg = almost_regular(ring_with_core(21, 1))
+        messages = []
+        for contour in (contour_eigenvalue, reference_contour_eigenvalue):
+            with pytest.raises(ValueError) as info:
+                contour(arg, Fraction(-1), **kwargs)
+            messages.append(str(info.value))
         assert messages[0] == messages[1]

@@ -13,7 +13,6 @@ import lap_perturb.cli as cli
 import lap_perturb.euler as euler
 import lap_perturb.perturb as perturb
 import lap_perturb.sweep as sweep
-from lap_perturb.almost_regular import closed_form_table
 from lap_perturb.cli import main
 from lap_perturb.domain import exact_domain, float_domain
 from lap_perturb.eigen import accuracy_alpha
@@ -369,6 +368,13 @@ class TestCli:
         assert main(["contour", "--gen", "ring_with_core:21,9", "--zeta", "-1"]) == 2
         assert "branch condition" in capsys.readouterr().err
 
+    def test_contour_points_at_or_above_cap_exit_code(self, capsys):
+        # the cap is 2**14: 32768 starting points used to run past it
+        assert main(["contour", "--gen", "ring_with_core:21,1", "--points", "32768"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: quad_points = 32768 must be below max_points = 16384\n"
+        assert captured.out == ""
+
     def test_sweep_csv(self, capsys):
         assert main(["sweep", "--n", "10", "--p", "0.4", "--trials", "4", "--seed", "2"]) == 0
         rows = capsys.readouterr().out.strip().splitlines()
@@ -397,13 +403,14 @@ class TestCli:
     def test_reproduce_almost_regular_builds_each_table_once(self, capsys, tmp_path, monkeypatch):
         built = []
 
-        def counted(arg, K):
+        def counted(g, q, K, domain=None):
             built.append(K)
-            return closed_form_table(arg, K)
-        monkeypatch.setattr(cli, "closed_form_table", counted)
+            return perturb.coefficients(g, q, K, domain)
+        monkeypatch.setattr(cli, "coefficients", counted)
         assert main(["reproduce", "almost_regular", "--out-dir", str(tmp_path)]) == 0
         assert "FAIL" not in capsys.readouterr().out
-        assert built == [80, 60]  # ring_with_core(21, 1) and (21, 9)
+        # ring_with_core(21, 1) and (21, 9), then the three closed-form checks
+        assert built == [80, 60, 10, 10, 10]
 
     @pytest.mark.parametrize("name", list(SERIES_STDOUT_SHA256))
     def test_series_stdout_bytes(self, capsys, name):
