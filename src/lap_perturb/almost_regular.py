@@ -17,7 +17,7 @@ contour-integral evaluation of the eigenvalue.  The contour reads the
 walk generating function f(z) = sum_m (A^m)_11 z^m as the rational function
 P/Q that the exact walk counts fix (Berlekamp-Massey), sums half of the
 circle (the integrand is conjugate-symmetric), and takes its radius from
-lambda_1, f's nearest pole by Perron-Frobenius.  The closed-form
+lambda_1, f's nearest pole, a root of Q (no eigensolver).  The closed-form
 coefficient table, the specialised constant-gap recursion for c_m and the
 eigenvector spectral-sum contour are test oracles in ``tests/oracles.py``.
 """
@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import mpmath
 
-from .domain import _exact_value, to_mpf
-from .eigen import symmetric_eigen
+from .domain import _exact_value, _rounded_ratio, to_mpf
 from .euler import binomial, taylor_partial_sums
 from .graph import Graph, WalkCounts, closed_walk_counts
 from .perturb import SeriesEvaluation, coefficients
@@ -250,6 +250,27 @@ def _walk_generating_function(g: Graph, q: int) -> tuple:
     return P, C
 
 
+def _largest_eigenvalue(Q: list, r, x) -> mpmath.mpf:
+    """lambda_1 of an almost-regular graph from its node 1's Q, rounded once.
+
+    R(lambda) = lambda^deg Q * Q(1/lambda) is the product of (lambda - lambda_i)
+    over the nonzero eigenvalues node 1 sees, and R(r) <= 0 < R(r + x):
+    lambda_2 <= r by Cauchy interlacing (deleting node 1 leaves every row sum
+    <= r), r < lambda_1 < r + x by Perron-Frobenius (node 1's component is not
+    regular).  Bisection in integers narrows that to below 2^-(prec + 8) r.
+    """
+    scale = lcm(r.denominator, x.denominator) << (mpmath.mp.prec + 8)
+    den = lcm(*(c.denominator for c in Q))
+    terms = [int(c * den) * scale**k for k, c in enumerate(Q)]
+    lo, hi = int(r * scale), int((r + x) * scale)
+    while hi - lo > 1:
+        mid, value = (lo + hi) // 2, 0
+        for t in terms:  # value = den scale^deg R(mid / scale), by Horner
+            value = value * mid + t
+        lo, hi = (lo, mid) if value > 0 else (mid, hi)
+    return _rounded_ratio(lo, scale)
+
+
 def contour_eigenvalue(
     arg: AlmostRegularGraph,
     zeta,
@@ -273,21 +294,17 @@ def contour_eigenvalue(
     turns is the conjugate of that at theta: only theta in [0, 1/2] is
     evaluated, the interior points counted twice by their real part.
 
-    The radius defaults to half of 1/lambda_1, lambda_1 the largest adjacency
-    eigenvalue at ``precision_bits``.  That is f's nearest pole (Perron-
-    Frobenius): every component without node 1 is r-regular with spectral
-    radius r, node 1's component has average degree above r and so spectral
-    radius lambda_1 > r, and being connected its Perron vector is positive at
-    node 1, so node 1 sees lambda_1.
+    The radius defaults to half of 1/lambda_1, f's nearest pole: lambda_1 is the
+    only root of lambda^deg Q * Q(1/lambda) in (r, r + x] (``_largest_eigenvalue``).
 
     Raises ValueError unless quad_points is a power of two, at least 4 and
-    below max_points (the first doubling would pass the cap), and unless
-    2**-precision_bits <= 2**-10 rel_tol: a coarser working precision stops
-    changing long before rel_tol is met.  Raises
-    ContourError when the circle encloses the generating function's nearest
-    pole (radius >= 1/lambda_1), when |zeta/(x z f(z))| >= 1 somewhere on the
-    circle (log branch condition), or when doubling up to ``max_points`` does
-    not converge.
+    below max_points (the first doubling would pass the cap), unless a given
+    radius is positive, and unless 2**-precision_bits <= 2**-10 rel_tol: a
+    coarser working precision stops changing long before rel_tol is met.
+    Raises ContourError when the circle encloses the generating function's
+    nearest pole (radius >= 1/lambda_1), when |zeta/(x z f(z))| >= 1 somewhere
+    on the circle (log branch condition), or when doubling up to
+    ``max_points`` does not converge.
     """
     if quad_points < 4 or quad_points & (quad_points - 1) != 0:
         raise ValueError("quad_points must be a power of two, at least 4")
@@ -295,27 +312,25 @@ def contour_eigenvalue(
         raise ValueError(f"quad_points = {quad_points} must be below max_points = {max_points}")
     if not 2.0 ** (10 - precision_bits) <= rel_tol:
         raise ValueError(f"precision_bits = {precision_bits} is too coarse for rel_tol = {rel_tol}")
-    g = arg.graph
+    if radius is not None and not radius > 0:
+        raise ValueError(f"radius must be positive, not {radius}")
+    P, Q = _walk_generating_function(arg.graph, arg.special)
     with mpmath.workprec(precision_bits):
-        lam1 = to_mpf(symmetric_eigen(g.weights, precision_bits=precision_bits).eigenvalues[0])
-        if lam1 <= 0:
-            raise ContourError("adjacency spectral radius must be positive")
-        pole = 1 / lam1
+        pole = 1 / _largest_eigenvalue(Q, arg.r, arg.x)
         r = to_mpf(radius) if radius is not None else pole / 2
-        if not 0 < r < pole:
+        if not r < pole:
             raise ContourError(
                 f"radius {mpmath.nstr(r, 8)} encloses the generating-function pole at "
                 f"{mpmath.nstr(pole, 8)}"
             )
         z = to_mpf(zeta)
         x = to_mpf(arg.x)
-        d_q = to_mpf(g.degrees[arg.special - 1])
+        d_q = to_mpf(arg.r + arg.x)
         if z == 0:
             return ContourResult(value=d_q, radius=r, points=quad_points,
                                  branch_ok=True, last_change=mpmath.mpf(0))
         # f = num / den, coefficients highest order first as mpmath.polyval takes them
-        num, den = ([to_mpf(c) for c in reversed(cs)]
-                    for cs in _walk_generating_function(g, arg.special))
+        num, den = ([to_mpf(c) for c in reversed(cs)] for cs in (P, Q))
 
         def integrand(i, points):
             """Real part of the integrand at theta = i / points turns."""

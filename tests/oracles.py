@@ -407,6 +407,8 @@ def reference_contour_eigenvalue(
         raise ValueError(f"quad_points = {quad_points} must be below max_points = {max_points}")
     if not 2.0 ** (10 - precision_bits) <= rel_tol:
         raise ValueError(f"precision_bits = {precision_bits} is too coarse for rel_tol = {rel_tol}")
+    if radius is not None and not radius > 0:
+        raise ValueError(f"radius must be positive, not {radius}")
     g = arg.graph
     with mpmath.workprec(precision_bits):
         spec = symmetric_eigen(g.weights, precision_bits=precision_bits)
@@ -424,7 +426,7 @@ def reference_contour_eigenvalue(
             )
         z = to_mpf(zeta)
         x = to_mpf(arg.x)
-        d_q = to_mpf(g.degrees[arg.special - 1])
+        d_q = to_mpf(arg.r + arg.x)
         if z == 0:
             return ContourResult(value=d_q, radius=r, points=quad_points,
                                  branch_ok=True, last_change=mpmath.mpf(0))

@@ -9,6 +9,7 @@ import pytest
 
 from lap_perturb.almost_regular import (
     ContourError,
+    _largest_eigenvalue,
     _walk_generating_function,
     almost_regular,
     almost_regular_series,
@@ -272,6 +273,10 @@ class TestContourEigenvalue:
     def test_zeta_zero_is_degree_exactly(self):
         result = contour_eigenvalue(almost_regular(ring_with_core(21, 1)), 0)
         assert result.value == 20
+        # the exact degree 12 * 0.3 rounded once, not the float row sum
+        result = contour_eigenvalue(almost_regular(_reweighted(ring_with_core(13, 1), 0.3)), 0)
+        with mpmath.workprec(128):
+            assert result.value == to_mpf(12 * Fraction(0.3))
 
     def test_agrees_with_series_limit(self):
         arg = almost_regular(ring_with_core(21, 1))
@@ -330,6 +335,14 @@ def _with_disjoint_k4(g):
     return build_graph(g.n + 4, list(g.edges()) + k4)
 
 
+def _cube9():
+    """The 3-cube on nodes 2..9 (node 2 + b for bit string b) without the edges
+    2-3 and 8-9, plus node 1 joined to 2, 3, 8 and 9: degrees (4, 3, ..., 3)."""
+    cube = [(2 + b, 2 + (b ^ (1 << i))) for b in range(8) for i in range(3) if b < b ^ (1 << i)]
+    edges = [e for e in cube if e not in ((2, 3), (8, 9))]
+    return build_graph(9, edges + [(1, v) for v in (2, 3, 8, 9)])
+
+
 class TestWalkGeneratingFunction:
     @staticmethod
     def taylor(P, Q, M):
@@ -377,12 +390,41 @@ CROSS_CHECK_GRAPHS = {
     "ring_13_1_weight_3/2": _reweighted(ring_with_core(13, 1), Fraction(3, 2)),
     "ring_13_1_weight_0.3": _reweighted(ring_with_core(13, 1), 0.3),
     "ring_13_1_plus_k4": _with_disjoint_k4(ring_with_core(13, 1)),  # disconnected
+    "cube9": _cube9(),  # deg Q = 3
 }
 CROSS_CHECK_CASES = [
     *((f"ring_{n}_{k}", zeta) for n, k in CROSS_CHECK_RINGS
       for zeta in (Fraction(-1, 2), Fraction(-1, 3), Fraction(1, 4))),
-    *((name, Fraction(-1, 2)) for name in list(CROSS_CHECK_GRAPHS)[len(CROSS_CHECK_RINGS):]),
+    *((name, Fraction(-1, 2)) for name in list(CROSS_CHECK_GRAPHS)[len(CROSS_CHECK_RINGS):-1]),
+    ("cube9", Fraction(-1, 8)),  # at -1/2 the branch condition fails
 ]
+
+
+class TestLargestEigenvalue:
+    """lambda_1 from the walk generating function's Q against the eigensolver."""
+
+    def test_cube9_has_degree_three(self):
+        assert len(_walk_generating_function(CROSS_CHECK_GRAPHS["cube9"], 1)[1]) == 4
+
+    @pytest.mark.parametrize("name", list(CROSS_CHECK_GRAPHS))
+    def test_bracket(self, name):
+        # R(lambda) = lambda^deg Q * Q(1/lambda) brackets lambda_1 in (r, r + x]
+        arg = almost_regular(CROSS_CHECK_GRAPHS[name])
+        Q = _walk_generating_function(arg.graph, 1)[1]
+
+        def R(lam):
+            return sum(c * lam ** (len(Q) - 1 - k) for k, c in enumerate(Q))
+
+        assert R(arg.r) <= 0 < R(arg.r + arg.x)
+
+    @pytest.mark.parametrize("bits", [128, 256])
+    @pytest.mark.parametrize("name", list(CROSS_CHECK_GRAPHS))
+    def test_equals_certified_spectrum(self, name, bits):
+        arg = almost_regular(CROSS_CHECK_GRAPHS[name])
+        Q = _walk_generating_function(arg.graph, 1)[1]
+        with mpmath.workprec(bits):
+            lam1 = _largest_eigenvalue(Q, arg.r, arg.x)
+        assert lam1 == symmetric_eigen(arg.graph.weights, bits).eigenvalues[0]
 
 
 class TestContourAgainstSpectralSum:
@@ -418,6 +460,8 @@ class TestContourAgainstSpectralSum:
         {"quad_points": 16, "max_points": 16},
         {"quad_points": 500},
         {"precision_bits": 24},
+        {"radius": 0},
+        {"radius": Fraction(-1, 10)},
     ])
     def test_same_argument_errors(self, kwargs):
         arg = almost_regular(ring_with_core(21, 1))

@@ -375,6 +375,13 @@ class TestCli:
         assert captured.err == "error: quad_points = 32768 must be below max_points = 16384\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("radius, shown", [("0", "0"), ("-0.1", "-1/10")])
+    def test_contour_non_positive_radius_exit_code(self, capsys, radius, shown):
+        assert main(["contour", "--gen", "ring_with_core:21,1", f"--radius={radius}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: radius must be positive, not {shown}\n"
+        assert captured.out == ""
+
     def test_sweep_csv(self, capsys):
         assert main(["sweep", "--n", "10", "--p", "0.4", "--trials", "4", "--seed", "2"]) == 0
         rows = capsys.readouterr().out.strip().splitlines()
