@@ -251,24 +251,24 @@ def _walk_generating_function(g: Graph, q: int) -> tuple:
 
 
 def _largest_eigenvalue(Q: list, r, x) -> mpmath.mpf:
-    """lambda_1 of an almost-regular graph from its node 1's Q, rounded once.
+    """lambda_1 of an almost-regular graph from its node 1's Q, correctly rounded.
 
-    R(lambda) = lambda^deg Q * Q(1/lambda) is the product of (lambda - lambda_i)
-    over the nonzero eigenvalues node 1 sees, and R(r) <= 0 < R(r + x):
-    lambda_2 <= r by Cauchy interlacing (deleting node 1 leaves every row sum
-    <= r), r < lambda_1 < r + x by Perron-Frobenius (node 1's component is not
-    regular).  Bisection in integers narrows that to below 2^-(prec + 8) r.
+    R(lambda) = lambda^deg Q * Q(1/lambda), the product of (lambda - lambda_i) over the
+    nonzero eigenvalues node 1 sees, has R(r) <= 0 < R(r + x): lambda_2 <= r by Cauchy
+    interlacing (without node 1 every row sum is <= r), r < lambda_1 < r + x by Perron-
+    Frobenius (node 1's component is not regular).  Bisection on the grid 1/scale, on which
+    lie all rounding boundaries above r > 2^-bitlen(den r), ends at lo or inside (lo, lo + 1).
     """
-    scale = lcm(r.denominator, x.denominator) << (mpmath.mp.prec + 8)
+    scale = lcm(r.denominator, x.denominator) << (mpmath.mp.prec + r.denominator.bit_length())
     den = lcm(*(c.denominator for c in Q))
     terms = [int(c * den) * scale**k for k, c in enumerate(Q)]
-    lo, hi = int(r * scale), int((r + x) * scale)
+    lo, hi, exact = int(r * scale), int((r + x) * scale), False
     while hi - lo > 1:
         mid, value = (lo + hi) // 2, 0
         for t in terms:  # value = den scale^deg R(mid / scale), by Horner
             value = value * mid + t
-        lo, hi = (lo, mid) if value > 0 else (mid, hi)
-    return _rounded_ratio(lo, scale)
+        lo, hi, exact = (lo, mid, exact) if value > 0 else (mid, hi, value == 0)
+    return _rounded_ratio(lo, scale) if exact else _rounded_ratio(2 * lo + 1, 2 * scale)
 
 
 def contour_eigenvalue(

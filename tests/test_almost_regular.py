@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -406,25 +407,28 @@ class TestLargestEigenvalue:
     def test_cube9_has_degree_three(self):
         assert len(_walk_generating_function(CROSS_CHECK_GRAPHS["cube9"], 1)[1]) == 4
 
-    @pytest.mark.parametrize("name", list(CROSS_CHECK_GRAPHS))
-    def test_bracket(self, name):
-        # R(lambda) = lambda^deg Q * Q(1/lambda) brackets lambda_1 in (r, r + x]
-        arg = almost_regular(CROSS_CHECK_GRAPHS[name])
-        Q = _walk_generating_function(arg.graph, 1)[1]
-
-        def R(lam):
-            return sum(c * lam ** (len(Q) - 1 - k) for k, c in enumerate(Q))
-
-        assert R(arg.r) <= 0 < R(arg.r + arg.x)
-
     @pytest.mark.parametrize("bits", [128, 256])
     @pytest.mark.parametrize("name", list(CROSS_CHECK_GRAPHS))
     def test_equals_certified_spectrum(self, name, bits):
         arg = almost_regular(CROSS_CHECK_GRAPHS[name])
         Q = _walk_generating_function(arg.graph, 1)[1]
+        # R(lambda) = lambda^deg Q * Q(1/lambda) brackets lambda_1 in (r, r + x]
+        R = [sum(c * lam ** (len(Q) - 1 - k) for k, c in enumerate(Q))
+             for lam in (arg.r, arg.r + arg.x)]
+        assert R[0] <= 0 < R[1]
         with mpmath.workprec(bits):
             lam1 = _largest_eigenvalue(Q, arg.r, arg.x)
         assert lam1 == symmetric_eigen(arg.graph.weights, bits).eigenvalues[0]
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("r", [1, Fraction(1, 10**6)])
+    def test_rounds_once_at_a_midpoint(self, r, offset):
+        # a root at, just below or just above the midpoint of two 53-bit floats,
+        # from Q(z) = 1 - lambda_1 z; at the midpoint itself ties go to even
+        a = float(Fraction(3, 2) * r)
+        lam1 = Fraction(a) + Fraction(math.ulp(a)) / 2 + offset * Fraction(1, 2**200)
+        with mpmath.workprec(53):
+            assert _largest_eigenvalue([1, -lam1], r, r) == to_mpf(lam1)
 
 
 class TestContourAgainstSpectralSum:
