@@ -2,8 +2,8 @@
 
 An "almost regular" graph has a single special node (index 1) of degree
 d_max while every other node shares a common degree r; x = d_max - r is the
-degree gap, both taken from the exact row sums.  For these graphs the
-perturbation coefficients c_m have a closed form in the characteristic
+degree gap, both read from the exact ``Graph.degrees``.  For these graphs
+the perturbation coefficients c_m have a closed form in the characteristic
 coefficients
 
     A[k, m] = sum over compositions m = j_1 + ... + j_k (j_i > 0)
@@ -30,7 +30,7 @@ from math import lcm
 
 import mpmath
 
-from .domain import _exact_value, _rounded_ratio, to_mpf
+from .domain import _rounded_ratio, to_mpf
 from .euler import binomial, taylor_partial_sums
 from .graph import Graph, WalkCounts, closed_walk_counts
 from .perturb import SeriesEvaluation, coefficients
@@ -69,19 +69,17 @@ class AlmostRegularGraph:
 def almost_regular(g: Graph) -> AlmostRegularGraph:
     """Validate and wrap a graph with one high-degree node (node 1 by convention).
 
-    r and x come from the exact row sums: a float or mpf weight is taken at
-    its exact (dyadic) value, as in ``closed_walk_counts``.
+    r and x come from the exact degrees ``g.degrees``: a float or mpf weight
+    is taken at its exact (dyadic) value, as in ``closed_walk_counts``.
     """
     if g.n < 2:
         raise ValueError("need at least two nodes")
-    d = [sum(w if type(w) is int else _exact_value(w) for w in row) for row in g.weights]
-    rest = d[1:]
-    r = rest[0]
+    d_max, r, *rest = g.degrees
     if any(di != r for di in rest):
         raise ValueError("nodes 2..n must share a common degree")
-    if not d[0] > r:
+    if not d_max > r:
         raise ValueError("node 1 must have the strictly largest degree")
-    return AlmostRegularGraph(graph=g, special=1, r=r, x=d[0] - r)
+    return AlmostRegularGraph(graph=g, special=1, r=r, x=d_max - r)
 
 
 @dataclass(frozen=True)

@@ -343,7 +343,7 @@ def cmd_contour(args) -> int:
     result = contour_eigenvalue(
         arg,
         parse_number(args.zeta),
-        radius=parse_number(args.radius) if args.radius else None,
+        radius=parse_number(args.radius) if args.radius is not None else None,
         quad_points=args.points,
         precision_bits=prec,
     )

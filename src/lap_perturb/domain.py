@@ -6,9 +6,9 @@ value a :class:`fractions.Fraction` (legal only when all inputs are
 rational), while ``float`` returns mpmath reals at a configurable number of
 mantissa bits.  When the weights are all rational (``_rational``),
 ``perturb`` computes exactly in a float domain too and rounds each value once
-(``to_mpf``); float-typed weights run its recursion in mpmath.  ``euler``
-sums every series at the exact value of each input (``_exact_value``) and
-rounds each partial sum once.
+(``to_mpf``); float-typed weights run its recursion in mpmath.  Degrees
+(``Graph.degrees``) and every series in ``euler`` take each input at its
+exact value (``_exact_value``); ``euler`` rounds each partial sum once.
 """
 
 from __future__ import annotations

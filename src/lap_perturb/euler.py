@@ -211,8 +211,9 @@ def convergence_classify(
         raise ValueError(f"series has no partial sum at K = {K_check}")
 
     xi = series.partial_sums[K_check]
-    # nearest eigenvalue; the first index wins a tie, i.e. the larger eigenvalue
-    alpha, best = min((accuracy_alpha(xi, mu), i) for i, mu in enumerate(mus))
+    x = _exact_value(xi)  # the exactly nearest eigenvalue; a tie goes to the first, larger one
+    best = min(range(len(mus)), key=lambda i: abs(x - _exact_value(mus[i])))
+    alpha = accuracy_alpha(xi, mus[best])
     return ConvergenceReport(
         q=series.q,
         kind=series.kind,

@@ -3,7 +3,8 @@
 Nodes are addressed 1-based everywhere in the public API (matrices, edge
 lists, node arguments); internal storage is 0-based.  Weights stay exact
 (int or Fraction) whenever the inputs are exact, so downstream coefficient
-computations can run in rational arithmetic.
+computations can run in rational arithmetic.  Every layer reads the exact
+degrees of ``Graph.degrees``: a float or mpf weight counts as its dyadic value.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import inf
-from numbers import Rational
 
-from .domain import _exact_value, parse_number
+from .domain import _exact_value, _rational, parse_number
 
 __all__ = [
     "Graph",
@@ -52,8 +52,13 @@ class Graph:
 
     @cached_property
     def degrees(self) -> tuple:
-        """Nodal strengths: row sums of the weight matrix (1-based order)."""
-        return tuple(sum(row) for row in self.weights)
+        """Nodal strengths: exact row sums of the weight matrix (1-based order).
+
+        A row of ints or Fractions keeps its ``sum``; other rows add the exact
+        (``_exact_value``) weights, so a NaN or infinite weight raises ValueError.
+        """
+        return tuple(s if _rational(s := sum(row)) else sum(map(_exact_value, row))
+                     for row in self.weights)
 
     def weight(self, u: int, v: int):
         """Edge weight between 1-based nodes ``u`` and ``v`` (0 if absent)."""
@@ -149,11 +154,7 @@ def degree_profile(g: Graph) -> DegreeProfile:
         gaps = [abs(d[q - 1] - d[k]) for k in range(g.n) if k != q - 1]
         if not gaps:
             continue
-        gap = min(gaps)
-        if isinstance(gap, Rational):
-            kappa[q] = Fraction(1, 1) / gap
-        else:
-            kappa[q] = 1.0 / gap
+        kappa[q] = Fraction(1) / min(gaps)
     return DegreeProfile(degrees=d, unique_nodes=unique, kappa_per_node=kappa)
 
 

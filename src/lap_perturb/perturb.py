@@ -13,9 +13,9 @@ One loop, ``_recursion``, runs the recursion on scaled weights.  Rational
 weights run it on integers, in a float domain too: the float table then
 holds each value rounded once from the exact one, and keeps the exact d_q
 and c for ``euler`` to sum.  Float-typed weights run the same loop on mpmath
-reals with unit scale.  No series reads beta, so the table holds only d_q
-and the c_j; ``beta_rows`` gives the beta rows of the same recursion, and
-``reconstruct_eigenvector`` sums them.
+reals with unit scale, from the exact ``Graph.degrees``.  No series reads
+beta, so the table holds only d_q and the c_j; ``beta_rows`` gives the beta
+rows of the same recursion, and ``reconstruct_eigenvector`` sums them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from numbers import Rational
 from operator import mul
 
 from .domain import (
@@ -141,8 +140,8 @@ def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -
     domain then rounds each d_q and c_j once, to nearest at its precision,
     and keeps the exact d_q and c for the series.  Other weights run the
     same loop in mpmath at the domain's precision, with unit scale:
-    m_r = 1 / (d_q - d_r), so B_j = beta_j and C_j = c_j.  K below 2 or a
-    node outside 1..n raises ValueError.
+    m_r = 1 / (d_q - d_r), each exact gap rounded once, so B_j = beta_j and
+    C_j = c_j.  K below 2 or a node outside 1..n raises ValueError.
     """
     domain, d_q, C, _, scale = _expand(g, q, K, domain, least_K=2)
     if scale is None:
@@ -179,17 +178,17 @@ def beta_rows(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -> t
 def _expand(g: Graph, q: int, K: int, domain: NumberDomain | None, least_K: int) -> tuple:
     """Check the arguments, pick the domain and run ``_recursion`` around node q.
 
-    Returns (domain, d, C, B, scale).  Rational weights, and any weights in
-    the exact domain, run the loop on integers.  With W the lcm of the
-    weight denominators, the weights a = W A and the gaps G_r = W (d_q - d_r)
-    are integers, read from each weight's numerator and denominator.  With
+    Returns (domain, d, C, B, scale).  Rational weights run the loop on
+    integers, in any domain.  With W the lcm of the weight denominators,
+    the weights a = W A and the gaps G_r = W (d_q - d_r) are integers,
+    read from each weight's numerator and denominator.  With
     D = lcm_r |G_r| and the integer m_r = D / G_r, the scaled quantities
     B_j = D^j beta_j and C_j = W D^(j-1) c_j follow ``_recursion``, so no
     step divides (the idea of Bareiss's fraction-free elimination); then
-    d = W d_q and scale = (W, D).  A weight that is not rational raises
-    TypeError there.  Float-typed weights in a float domain run the loop on
-    mpmath reals at the domain's precision with m_r = 1 / (d_q - d_r);
-    scale is then None, and d, C and B are d_q, c and beta themselves.
+    d = W d_q and scale = (W, D).  Other weights run it on mpmath reals at
+    the domain's precision (the exact domain's ``coerce`` raises TypeError):
+    d_q and each gap d_q - d_r are the exact ``g.degrees`` rounded once,
+    m_r = 1 / (d_q - d_r), scale is None, and d, C and B are d_q, c and beta.
     """
     if K < least_K:
         raise ValueError(f"K must be at least {least_K}")
@@ -201,14 +200,13 @@ def _expand(g: Graph, q: int, K: int, domain: NumberDomain | None, least_K: int)
         domain = default_domain(g)
 
     qi = q - 1
-    if not domain.is_exact and not _rational_weights(g):
+    if not _rational_weights(g):
         with domain.context():
-            a = [[domain.coerce(w) for w in row] for row in g.weights]
-            d = [sum(row) for row in a]
-            m = {r: 1 / (d[qi] - d[r]) for r in range(g.n) if r != qi}
-            return domain, d[qi], *_recursion(a, d[qi] * 0, qi, m, K), None
-    for w in (w for row in g.weights for w in row if not isinstance(w, Rational)):
-        exact_domain().coerce(w)  # raises TypeError
+            a = [[domain.coerce(w) for w in row] for row in g.weights]  # TypeError if exact
+            d = g.degrees
+            m = {r: 1 / to_mpf(d[qi] - d[r]) for r in range(g.n) if r != qi}
+            d_q = to_mpf(d[qi])
+            return domain, d_q, *_recursion(a, d_q * 0, qi, m, K), None
     W = lcm(*(int(w.denominator) for row in g.weights for w in row))
     a = [[int(w.numerator) * (W // int(w.denominator)) for w in row] for row in g.weights]
     d = [sum(row) for row in a]

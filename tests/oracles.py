@@ -92,8 +92,10 @@ def reference_coefficients(g: Graph, q: int, K: int,
                    - sum_{k=1}^{j-2} beta_kr c_{j-k}) / (d_q - d_r),
 
     where the c convolution reuses c_m = sum_{l != q} beta_{m-1,l} a_ql.
-    Rows and coefficients are produced interleaved: beta_1, c_2, beta_2,
-    c_3, ..., beta_K.  The rows are those ``perturb.beta_rows`` gives.
+    d_q and each gap d_q - d_r are the exact ``g.degrees`` taken into the
+    domain once.  Rows and coefficients are produced interleaved: beta_1,
+    c_2, beta_2, c_3, ..., beta_K.  The rows are those ``perturb.beta_rows``
+    gives.
     """
     if K < 2:
         raise ValueError("K must be at least 2")
@@ -105,14 +107,15 @@ def reference_coefficients(g: Graph, q: int, K: int,
 
     with domain.context():
         a = [[domain.coerce(w) for w in row] for row in g.weights]
-        d = [sum(row) for row in a]
+        d = g.degrees
         n = g.n
         qi = q - 1
         others = [r for r in range(n) if r != qi]
-        zero = d[qi] * 0
+        d_q = domain.coerce(d[qi])
+        zero = d_q * 0
         inv_gap = [zero] * n
         for r in others:
-            inv_gap[r] = 1 / (d[qi] - d[r])
+            inv_gap[r] = 1 / domain.coerce(d[qi] - d[r])
 
         beta_rows = []
         c = {}
@@ -137,7 +140,7 @@ def reference_coefficients(g: Graph, q: int, K: int,
         table = CoefficientTable(
             q=q,
             K=K,
-            d_q=d[qi],
+            d_q=d_q,
             c=tuple(c[j] for j in range(2, K + 1)),
             domain=domain,
         )

@@ -76,8 +76,10 @@ class TestAlmostRegularClassifier:
 
     def test_float_weights_give_exact_r_and_x(self):
         # each weight 0.3 is the dyadic Fraction(0.3); the float row sums are not exact
-        arg = almost_regular(_reweighted(ring_with_core(13, 1), 0.3))
+        g = _reweighted(ring_with_core(13, 1), 0.3)
+        arg = almost_regular(g)
         assert (arg.r, arg.x) == (3 * Fraction(0.3), 9 * Fraction(0.3))
+        assert arg.r + arg.x == g.degrees[0]
 
     def test_regular_graph_rejected(self):
         with pytest.raises(ValueError, match="strictly largest"):

@@ -21,7 +21,7 @@ from lap_perturb.euler import (
 )
 from lap_perturb.examples_data import E2_Q13_XI, E2_Q3_XI, E2_Q7_XI
 from lap_perturb.graph import Graph, build_graph, laplacian
-from lap_perturb.perturb import SeriesEvaluation, coefficients
+from lap_perturb.perturb import CoefficientTable, SeriesEvaluation, coefficients
 
 from helpers import (
     assert_rounded_once,
@@ -112,12 +112,15 @@ class TestEulerSeries:
             assert_rounded_once(series.partial_sums.values(), exact.partial_sums.values(), 128)
 
     def test_nan_coefficient_raises(self):
-        # an infinite float weight makes c_3.. NaN; no partial sum is made of it.
+        # an infinite float weight has no exact degree, so no table is made of it;
         # build_graph rejects that weight, so the graph is made directly
         weights = (0, math.inf, 0), (math.inf, 0, 1.0), (0, 1.0, 0)
         g = Graph(n=3, weights=weights, is_weighted=True)
-        table = coefficients(g, 3, 6, float_domain(53))
-        assert any(mpmath.isnan(cj) for cj in table.c)
+        with pytest.raises(ValueError, match="^inf is not a finite number$"):
+            coefficients(g, 3, 6, float_domain(53))
+        # no partial sum is made of a NaN coefficient
+        c = (mpmath.mpf(1), mpmath.nan, mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(0))
+        table = CoefficientTable(q=3, K=6, d_q=mpmath.mpf(1), c=c, domain=float_domain(53))
         with pytest.raises(ValueError, match="not a finite number"):
             euler_series(table, EulerParams(t=-1, zeta=-1, K_max=6))
 
@@ -309,6 +312,15 @@ class TestConvergenceClassify:
                                   t=Fraction(-1))
         report = convergence_classify(series, [Fraction(4), Fraction(2), Fraction(0)])
         assert report.matched_mu == 4 and report.matched_index == 1
+
+    def test_divergent_xi_matches_nearest_eigenvalue(self):
+        # every float alpha of a divergent xi rounds to the same value; the exact distance decides
+        series = SeriesEvaluation(q=1, zeta=Fraction(-1), kind="euler",
+                                  partial_sums={30: Fraction(-10**16)}, t=Fraction(-1))
+        report = convergence_classify(series, [10.0, 5.0, 1e-15])
+        assert report.matched_mu == 1e-15 and report.matched_index == 3
+        assert report.alpha == accuracy_alpha(Fraction(-10**16), 1e-15)
+        assert not report.converged
 
     def test_empty_oracle_rejected(self, e1):
         series = taylor_partial_sums(coefficients(e1, 1, 4), -1)

@@ -7,6 +7,8 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from lap_perturb.domain import _exact_value
+from lap_perturb.eigen import symmetric_eigen
 from lap_perturb.graph import (
     antiregular,
     build_graph,
@@ -56,6 +58,12 @@ class TestBuildGraph:
         g = build_graph(3, [(1, 2, Fraction("2.5"))])
         assert g.is_weighted
         assert g.degrees == (Fraction(5, 2), Fraction(5, 2), 0)
+
+    def test_exact_degrees_keep_their_types(self, e2):
+        assert all(type(d) is int for d in e2.degrees)
+        g = build_graph(3, [(1, 2, Fraction(1, 3)), (2, 3, Fraction(1, 6))])
+        assert g.degrees == (Fraction(1, 3), Fraction(1, 2), Fraction(1, 6))
+        assert all(type(d) is Fraction for d in g.degrees)
 
     def test_symmetry_and_zero_diagonal(self):
         g = build_graph(4, [(1, 2), (2, 3, 2), (1, 4)])
@@ -194,6 +202,15 @@ class TestLaplacian:
         g = build_graph(4, [(1, 2, Fraction(1, 3)), (2, 3, 2), (3, 4, Fraction(7, 5))])
         for row in laplacian(g):
             assert sum(row) == 0
+
+    def test_float_weighted_rows_sum_to_zero_exactly(self):
+        # node 2's float row sum 0.1 + 0.2 is 0.30000000000000004; its degree is exact
+        g = build_graph(3, [(1, 2, 0.1), (2, 3, 0.2)])
+        L = laplacian(g)
+        assert all(sum(map(_exact_value, row)) == 0 for row in L)
+        spectrum = symmetric_eigen(L, 128).eigenvalues
+        bound = mpmath.ldexp(max(map(abs, spectrum)), -128)
+        assert min(map(abs, spectrum)) <= bound
 
 
 class TestFormats:

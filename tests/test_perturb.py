@@ -22,6 +22,7 @@ from lap_perturb.graph import (
 from helpers import (
     assert_rounded_once,
     float_weighted,
+    mpf_value,
     random_tree,
     random_unique_degree_graphs,
     table_values,
@@ -137,6 +138,16 @@ def _graphs_with_isolated_node(draw):
     return build_graph(n + 1, edges)
 
 
+def _fractional_float_weighted():
+    """(graph, q) pairs from two ER(20, 3/10) graphs with full-significand float weights."""
+    rng = random.Random(2024)
+    for seed in range(2):
+        base = erdos_renyi(20, Fraction(3, 10), 700 + seed)
+        g = build_graph(20, [(u, v, rng.uniform(0.1, 2)) for u, v, _ in base.edges()])
+        for q in sorted(degree_profile(g).unique_nodes)[:2]:
+            yield g, q
+
+
 def _assert_same_table(g, table, reference):
     """``table`` and the beta rows of its node equal the (table, rows) of ``reference_coefficients``."""
     reference, reference_beta = reference
@@ -199,18 +210,28 @@ class TestIntegerEngine:
 
     @pytest.mark.parametrize("bits", [53, 128, 256])
     def test_fractional_float_weights_are_bit_identical(self, bits):
-        # weights with full 53-bit significands, where float_weighted gives integers
-        rng = random.Random(2024)
         checked = 0
-        for seed in range(2):
-            base = erdos_renyi(20, Fraction(3, 10), 700 + seed)
-            g = build_graph(20, [(u, v, rng.uniform(0.1, 2)) for u, v, _ in base.edges()])
-            for q in sorted(degree_profile(g).unique_nodes)[:2]:
-                domain = float_domain(bits)
-                _assert_same_table(g, coefficients(g, q, 30, domain),
-                                   reference_coefficients(g, q, 30, domain))
-                checked += 1
+        for g, q in _fractional_float_weighted():
+            domain = float_domain(bits)
+            _assert_same_table(g, coefficients(g, q, 30, domain),
+                               reference_coefficients(g, q, 30, domain))
+            checked += 1
         assert checked >= 2
+
+    def test_fractional_float_weights_at_53_bits_are_near_the_exact_table(self):
+        # d_q and the gaps come from the exact degrees, so c_j keeps nearly every bit
+        for g, q in _fractional_float_weighted():
+            exact = build_graph(g.n, [(u, v, Fraction(w)) for u, v, w in g.edges()])
+            table = coefficients(g, q, 30, float_domain(53))
+            for cj, x in zip(table.c, coefficients(exact, q, 30, exact_domain()).c, strict=True):
+                assert abs(mpf_value(cj) - x) <= Fraction(1, 10**13) * abs(x)
+
+    def test_near_tied_float_degrees_give_finite_coefficients(self):
+        # nodes 1 and 4 have exact degrees 2.8e-17 apart; their float row sums tie
+        g = build_graph(4, [(1, 2, 0.1), (1, 3, 0.2), (4, 2, 0.30000000000000004)])
+        assert degree_profile(g).unique_nodes == {1, 2, 3, 4}
+        table = coefficients(g, 1, 12, float_domain(53))
+        assert all(mpmath.isfinite(cj) for cj in table.c)
 
     def test_float_typed_isolated_node_yields_mpf_zeros(self):
         g = build_graph(4, [(1, 2, 0.5), (2, 3, 1.25)])  # node 4 has the unique degree 0

@@ -243,7 +243,7 @@ SWEEP_128_CONFIGS = {
     "zeta-third": ({"q_selector": "all_unique", "t_grid": [-3, -1, "-1/2", 0, 2], "zeta": "-1/3",
                     "K_max": 30, "K_check": 30, "domain": {"precision_bits": 128}, "trials": 3,
                     "n_grid": [12, 20], "p_grid": ["1/5", "1/2"], "seed": 7},
-                   "43527128eaac57828b5843a95d04ad291c0e94aed63cdc98a17430c853811220"),
+                   "11f7411345a6b8330b1d13f8868bebac6af453ea960b73b57a4aec814383cd34"),
 }
 
 # a negative rational after --t or --zeta, in the form argparse would take for a flag
@@ -380,6 +380,13 @@ class TestCli:
         assert main(["contour", "--gen", "ring_with_core:21,1", f"--radius={radius}"]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: radius must be positive, not {shown}\n"
+        assert captured.out == ""
+
+    def test_contour_empty_radius_exit_code(self, capsys):
+        # an empty --radius= is an invalid number, as an empty --zeta= is, not the default
+        assert main(["contour", "--gen", "ring_with_core:21,1", "--radius="]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: Invalid literal for Fraction: ''\n"
         assert captured.out == ""
 
     def test_sweep_csv(self, capsys):
