@@ -8,7 +8,8 @@ mantissa bits.  When the weights are all rational (``_rational``),
 ``perturb`` computes exactly in a float domain too and rounds each value once
 (``to_mpf``); float-typed weights run its recursion in mpmath.  Degrees
 (``Graph.degrees``) and every series in ``euler`` take each input at its
-exact value (``_exact_value``); ``euler`` rounds each partial sum once.
+exact value (``_exact_value``); ``euler`` rounds each partial sum once, from
+its unreduced integer ratio (``_rounded_ratio``), when it is read.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 from numbers import Rational
 
 import mpmath
@@ -83,7 +85,7 @@ def _exact_value(value) -> Fraction:
     """
     if type(value) is Fraction:
         return value
-    if isinstance(value, Rational) or isinstance(value, float) and mpmath.isfinite(value):
+    if isinstance(value, Rational) or isinstance(value, float) and isfinite(value):
         return Fraction(value)
     if isinstance(value, mpmath.mpf) and mpmath.isfinite(value):
         return Fraction(*to_rational(value._mpf_))

@@ -5,27 +5,32 @@ The Euler t-transform rewrites a Taylor series f0 + sum f_k z^k as
     f0 + sum_m [ sum_k C(m-1, k-1) f_k t^(m-k) ] (z / (1 + t z))^m,
 
 with a tunable parameter t; it often converges where the plain series does
-not.  At t = 0 it is the plain Taylor series, so ``euler_transform_generic``
-is the one loop behind every partial-sum series in the package, and
-``_table_series`` its one caller: the Taylor and Euler series of a
-coefficient table, whether the table comes from the recursion or from the
-almost-regular closed form, and the four-term estimate.
+not.  At t = 0 it is the plain Taylor series, so ``_transform`` is the one
+loop behind every partial-sum series in the package, and besides the public
+``euler_transform_generic`` it has one caller, ``_table_series``: the Taylor
+and Euler series of a coefficient table, whether the table comes from the
+recursion or from the almost-regular closed form, and the four-term estimate.
 
-The core takes every input at its exact rational value (a finite float or
-mpf real is a dyadic rational) and runs on integers: with the f_k over their
-common denominator, t = a/b and z/(1 + t z) = p/s, each partial sum is one
-integer ratio, reduced once.  Each table is summed on its exact coefficients
-(or the exact values of its stored ones) at the exact zeta and t, and a
-float domain rounds each partial sum once at the table's precision.
+The core takes every input at its exact rational value (a
+finite float or mpf real is a dyadic rational) and runs on integers: with
+the f_k over their common denominator, t = a/b and z/(1 + t z) = p/s, each
+partial sum is f0 plus one integer ratio.  Each table is summed on its exact
+coefficients (or the exact values of its stored ones) at the exact zeta and
+t.  A series makes each partial sum only when it is read: the exact domain
+reduces it to a ``Fraction`` then, and a float domain rounds it once, from
+the unreduced ratio, at the table's precision.  ``convergence_classify``
+reads one of them and finds the nearest eigenvalue by bisection.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, inf, isfinite, lcm
 
-from .domain import NumberDomain, _exact_value, to_mpf
+from .domain import NumberDomain, _exact_value, _rounded_ratio
 from .eigen import accuracy_alpha
 from .perturb import CoefficientTable, SeriesEvaluation, coefficients
 
@@ -64,12 +69,56 @@ class EulerParams:
             raise ValueError(f"singular transform: 1 + t*zeta = 0 (t={self.t}, zeta={self.zeta})")
 
 
+class _PartialSums(Mapping):
+    """Partial sums of orders 2..K_max of one transform, each made on its first read.
+
+    A read of order m gives f0 + num / den with num = nums[m - 1] and
+    den = den0 * step^(m - 1): the exact domain returns it as a reduced
+    ``Fraction``, a float domain rounds the unreduced ratio once, to
+    nearest, at its precision (the same value as rounding the ``Fraction``).
+    """
+
+    def __init__(self, core: tuple, K_max: int, domain: NumberDomain) -> None:
+        self._f0, self._nums, self._den0, self._step = core
+        self._orders = range(2, K_max + 1)
+        self._domain = domain
+        self._cache = {}
+
+    def __getitem__(self, K):
+        if K in self._cache:
+            return self._cache[K]
+        if K not in self._orders:
+            raise KeyError(K)
+        f0, num, den = self._f0, self._nums[K - 1], self._den0 * self._step ** (K - 1)
+        if self._domain.is_exact:
+            value = f0 + Fraction(num, den)
+        else:
+            with self._domain.context():
+                value = _rounded_ratio(f0.numerator * den + num * f0.denominator,
+                                       f0.denominator * den)
+        self._cache[K] = value
+        return value
+
+    def __contains__(self, K) -> bool:
+        return K in self._orders
+
+    def __iter__(self):
+        return iter(self._orders)
+
+    def __len__(self) -> int:
+        return len(self._orders)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 def _table_series(table: CoefficientTable, zeta, t, K_max: int, kind: str) -> SeriesEvaluation:
     """Transform partial sums of orders 2..K_max in the table's domain (c_1 = 0).
 
     The sums run on the exact values of the table's d_q and c (its ``_exact``
-    pair when it keeps one) at the exact zeta and t; a float domain rounds
-    each partial sum once.
+    pair when it keeps one) at the exact zeta and t.  ``partial_sums`` makes
+    each order on its first read: a reduced ``Fraction`` in the exact domain,
+    rounded once in a float domain.
     """
     if K_max > table.K:
         raise ValueError(f"K_max = {K_max} exceeds table order {table.K}")
@@ -78,10 +127,7 @@ def _table_series(table: CoefficientTable, zeta, t, K_max: int, kind: str) -> Se
     with domain.context():
         z = domain.coerce(zeta)
         tt = domain.coerce(t)
-        partials = euler_transform_generic(d_q, (0, *c), t, zeta, K_max)[2:]
-        if not domain.is_exact:
-            partials = map(to_mpf, partials)
-        sums = dict(zip(range(2, K_max + 1), partials))
+    sums = _PartialSums(_transform(d_q, (0, *c), t, zeta, K_max), K_max, domain)
     return SeriesEvaluation(q=table.q, zeta=z, kind=kind, partial_sums=sums,
                             t=tt if kind == "euler" else None)
 
@@ -117,19 +163,31 @@ def euler_transform_generic(f0, coeffs, t, z, M: int) -> list:
     ``coeffs`` supplies f_1..f_M; the result list has M + 1 ``Fraction``s,
     entry m being the transform truncated after the m-th outer term (entry
     0 = f0).  Each input, an int, Fraction, float or mpf, is taken at its
-    exact value; NaN or inf raises ValueError.
+    exact value; NaN or inf raises ValueError.  See ``_transform`` for the
+    integer loop; each entry is reduced once.
+    """
+    f0, nums, den, step = _transform(f0, coeffs, t, z, M)
+    partials = [f0]
+    for num in nums:
+        partials.append(f0 + Fraction(num, den))
+        den *= step
+    return partials
 
-    With f_k = F_k / L over the lcm L of their denominators, t = a/b and
-    w = z/(1 + t z) = p/s, the m-th inner sum is S_m / (L b^(m-1)) for the
-    integer
+
+def _transform(f0, coeffs, t, z, M: int) -> tuple:
+    """The Euler t-transform of f0 + sum_{k<=M} f_k z^k on integers: (f0, nums, den0, step).
+
+    Partial sum m (1 <= m <= M) is f0 + nums[m - 1] / (den0 * step^(m - 1)),
+    unreduced; f0 is the exact value of the input.  With f_k = F_k / L over
+    the lcm L of their denominators, t = a/b and w = z/(1 + t z) = p/s, the
+    m-th inner sum is S_m / (L b^(m-1)) for the integer
 
         S_m = sum_k C(m-1, k-1) a^(m-k) G_k,   G_k = F_k b^(k-1),
 
-    and the m-th partial sum is f0 + N_m / (L b^(m-1) s^m) with
+    so den0 = L s, step = b s and nums[m - 1] = N_m with
     N_m = N_(m-1) b s + S_m p^m.  S_m is the head of the row G after m - 1
     Pascal steps r_i <- a r_i + r_(i+1); at a = 0 (the Taylor series) it is
-    G_m.  Only the returned value of each order becomes a (reduced)
-    ``Fraction``.
+    G_m.
     """
     fs = list(coeffs)
     if len(fs) < M:
@@ -154,22 +212,21 @@ def euler_transform_generic(f0, coeffs, t, z, M: int) -> list:
         for _ in fs:
             sums.append(row[0])
             row = [a * x + y for x, y in zip(row, row[1:])]
-    partials = [f0]
-    num, den, ppow, bs = 0, L * s, 1, b * s
+    nums, num, ppow, bs = [], 0, 1, b * s
     for S in sums:
         ppow *= p
         num = num * bs + S * ppow
-        partials.append(f0 + Fraction(num, den))
-        den *= bs
-    return partials
+        nums.append(num)
+    return f0, nums, L * s, bs
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
     """Outcome of matching a series against an oracle spectrum.
 
-    ``matched_mu`` is the eigenvalue nearest to the partial sum xi at
-    ``K_check`` (ties resolved toward the larger eigenvalue), and ``alpha``
+    ``matched_mu`` is the eigenvalue exactly nearest to the partial sum xi
+    at ``K_check``, found by bisection in the sorted spectrum (an exact tie
+    goes to the first, larger eigenvalue), and ``alpha``
     is log10 |xi - matched_mu| there, the value ``converged`` follows from.
     The accuracy at any other order K is
     ``accuracy_alpha(series.at(K), report.matched_mu)``.
@@ -195,8 +252,12 @@ def convergence_classify(
 ) -> ConvergenceReport:
     """Classify a series as converged iff alpha at K_check <= alpha_threshold.
 
-    Raises ValueError for an empty, unsorted or non-finite spectrum, a
-    non-finite threshold, or a series without a partial sum at K_check.
+    Reads the one partial sum xi at K_check, bisects the descending spectrum
+    on exact values for the last eigenvalue above xi and the first at or
+    below it, and matches the nearer of the two (the first, larger one on an
+    exact tie, and the first index of a repeated value).  Raises ValueError
+    for an empty, unsorted or non-finite spectrum, a non-finite threshold, or
+    a series without a partial sum at K_check.
     """
     mus = list(oracle_eigenvalues)
     if not mus:
@@ -211,8 +272,15 @@ def convergence_classify(
         raise ValueError(f"series has no partial sum at K = {K_check}")
 
     xi = series.partial_sums[K_check]
-    x = _exact_value(xi)  # the exactly nearest eigenvalue; a tie goes to the first, larger one
-    best = min(range(len(mus)), key=lambda i: abs(x - _exact_value(mus[i])))
+    x = _exact_value(xi)
+    key = lambda mu: -_exact_value(mu)  # ascending along the descending spectrum
+    below = bisect_left(mus, -x, key=key)  # mus[:below] > x >= mus[below:]
+    candidates = []
+    if below > 0:  # the first index of the least eigenvalue above x
+        candidates.append(bisect_left(mus, key(mus[below - 1]), hi=below, key=key))
+    if below < len(mus):
+        candidates.append(below)
+    best = min(candidates, key=lambda i: abs(x - _exact_value(mus[i])))  # a tie: the first
     alpha = accuracy_alpha(xi, mus[best])
     return ConvergenceReport(
         q=series.q,

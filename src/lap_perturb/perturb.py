@@ -20,6 +20,7 @@ rows of the same recursion, and ``reconstruct_eigenvector`` sums them.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -99,13 +100,15 @@ class SeriesEvaluation:
     """Partial sums of a truncated eigenvalue series, indexed by order K.
 
     ``kind`` is "taylor" for plain partial sums and "euler" for the
-    t-transformed series (then ``t`` is set).
+    t-transformed series (then ``t`` is set).  ``partial_sums`` is any
+    mapping from order to sum; the series of ``euler`` make each sum on its
+    first read.
     """
 
     q: int
     zeta: object
     kind: str
-    partial_sums: dict
+    partial_sums: Mapping
     t: object = None
 
     def at(self, K: int):

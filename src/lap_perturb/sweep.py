@@ -99,6 +99,10 @@ class ExperimentConfig:
         for t in self.t_grid:
             if 1 + t * self.zeta == 0:
                 raise ValueError(f"t = {t} is singular for zeta = {self.zeta}")
+        if self.K_max < 2:
+            raise ValueError(f"K_max must be at least 2, not {self.K_max}")
+        if self.K_check < 2:
+            raise ValueError(f"K_check must be at least 2, not {self.K_check}")
         if self.K_check > self.K_max:
             raise ValueError("K_check cannot exceed K_max")
         if self.trials < 0:

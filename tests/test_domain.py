@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_rational, round_nearest
@@ -72,6 +73,13 @@ def test_parse_number_rejects_with_value_error(text):
 @pytest.mark.parametrize("value", [math.nan, math.inf, mpmath.nan, -mpmath.inf])
 def test_exact_value_rejects_non_finite(value):
     with pytest.raises(ValueError, match="not a finite number"):
+        _exact_value(value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -math.inf, numpy.float64("nan"),
+                                   numpy.float64("-inf")], ids=["nan", "inf", "-inf", "np-nan", "np-inf"])
+def test_exact_value_rejects_non_finite_float(value):
+    with pytest.raises(ValueError, match="is not a finite number$"):
         _exact_value(value)
 
 

@@ -7,8 +7,9 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import lap_perturb.euler as euler
 from lap_perturb.digits import matches_printed
-from lap_perturb.domain import exact_domain, float_domain
+from lap_perturb.domain import _exact_value, exact_domain, float_domain, to_mpf
 from lap_perturb.eigen import accuracy_alpha, symmetric_eigen
 from lap_perturb.euler import (
     EulerParams,
@@ -179,6 +180,76 @@ class TestRationalInputsRoundOnce:
                              coefficients(e2, 13, 100, exact_domain()), bits)
 
 
+class TestPartialSumsOnRead:
+    """A series makes each partial sum on its first read, with the eager transform's value."""
+
+    TS = (Fraction(0), Fraction(-1), Fraction(-5, 2))
+
+    @pytest.mark.parametrize("typed, domain", [
+        ("rational", exact_domain()), ("rational", float_domain(53)),
+        ("rational", float_domain(128)), ("float", float_domain(53)), ("float", float_domain(128)),
+    ], ids=["rational-exact", "rational-53", "rational-128", "float-53", "float-128"])
+    def test_every_order_equals_the_eager_transform(self, typed, domain):
+        for g, q in random_unique_degree_graphs(4):
+            if typed == "rational":
+                table = coefficients(g, q, 30, domain)
+                d_q, c = (exact := coefficients(g, q, 30, exact_domain())).d_q, exact.c
+            else:
+                table = coefficients(float_weighted(g), q, 30, domain)
+                d_q, c = table.d_q, table.c
+            for t in self.TS:
+                eager = euler_transform_generic(d_q, (0, *c), t, Fraction(-1), 30)
+                series = euler_series(table, EulerParams(t=t, zeta=Fraction(-1), K_max=30))
+                with domain.context():
+                    expected = {m: eager[m] if domain.is_exact else to_mpf(eager[m])
+                                for m in range(2, 31)}
+                with mpmath.workprec(24):  # a read rounds at the table's precision
+                    got = {m: series.at(m) for m in reversed(range(2, 31))}
+                assert got == expected, (q, t)
+                if not domain.is_exact:
+                    assert all(isinstance(v, mpmath.mpf) for v in got.values())
+
+    @pytest.mark.parametrize("domain", [exact_domain(), float_domain(128)], ids=["exact", "128"])
+    def test_classify_makes_only_the_order_it_reads(self, e2, monkeypatch, domain):
+        rounded = []
+        def counted(*args):
+            rounded.append(args)
+            return mpmath.mp.make_mpf(mpmath.libmp.from_rational(*args, mpmath.mp.prec,
+                                                                 mpmath.libmp.round_nearest))
+        monkeypatch.setattr(euler, "_rounded_ratio", counted)
+        mus = [float(v) for v in symmetric_eigen(laplacian(e2)).eigenvalues]
+        series = euler_series(coefficients(e2, 13, 30, domain),
+                              EulerParams(t=Fraction(-1), zeta=Fraction(-1), K_max=30))
+        report = convergence_classify(series, mus, K_check=30)
+        assert report.matched_index == 2 and report.converged
+        assert list(series.partial_sums._cache) == [30]
+        assert len(rounded) == (0 if domain.is_exact else 1)
+        series.at(30)  # a second read is cached
+        assert len(rounded) == (0 if domain.is_exact else 1)
+
+    def test_mapping_behaves_as_the_dict(self, e1):
+        series = euler_series(coefficients(e1, 1, 8), EulerParams(t=Fraction(-1), K_max=6))
+        sums = series.partial_sums
+        assert 2 in sums and 6 in sums and 1 not in sums and 7 not in sums
+        assert not sums._cache  # membership makes no sum
+        assert len(sums) == 5 and list(sums) == [2, 3, 4, 5, 6]
+        assert series.orders == (2, 3, 4, 5, 6)
+        as_dict = SeriesEvaluation(q=series.q, zeta=series.zeta, kind=series.kind,
+                                   partial_sums=dict(sums), t=series.t)
+        assert series == as_dict and as_dict == series
+        assert repr(series) == repr(as_dict)
+
+    @pytest.mark.parametrize("K", [-1, 0, 1, 7, 30])
+    def test_order_outside_the_series_raises_key_error(self, e1, K):
+        series = euler_series(coefficients(e1, 1, 8), EulerParams(t=Fraction(-1), K_max=6))
+        with pytest.raises(KeyError):
+            series.partial_sums[K]
+        with pytest.raises(KeyError):
+            series.at(K)
+        with pytest.raises(ValueError, match=f"^series has no partial sum at K = {K}$"):
+            convergence_classify(series, [4.0, 1.0], K_check=K)
+
+
 class TestEulerK4Estimate:
     def test_e1_values(self, e1):
         assert euler_k4_estimate(e1, 1) == Fraction(135, 32)
@@ -321,6 +392,33 @@ class TestConvergenceClassify:
         assert report.matched_mu == 1e-15 and report.matched_index == 3
         assert report.alpha == accuracy_alpha(Fraction(-10**16), 1e-15)
         assert not report.converged
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(values=st.lists(st.integers(-6, 6), min_size=1, max_size=10),
+           kind=st.sampled_from(["float", "mpf", "Fraction"]),
+           x=st.integers(-32, 32), xi_kind=st.sampled_from(["float", "mpf", "Fraction"]))
+    def test_bisection_equals_the_linear_exact_scan(self, values, kind, x, xi_kind):
+        # eigenvalues on the halves and xi on the quarters: repeated values,
+        # exact ties between neighbours, and xi beyond either end
+        make = {"float": lambda v, d: v / d, "mpf": lambda v, d: mpmath.mpf(v) / d,
+                "Fraction": Fraction}
+        mus = [make[kind](v, 2) for v in sorted(values, reverse=True)]
+        xi = make[xi_kind](x, 4)
+        series = SeriesEvaluation(q=1, zeta=Fraction(-1), kind="euler",
+                                  partial_sums={30: xi}, t=Fraction(-1))
+        report = convergence_classify(series, mus)
+        exact = _exact_value(xi)
+        best = min(range(len(mus)), key=lambda i: abs(exact - _exact_value(mus[i])))
+        assert report.matched_index == best + 1
+        assert report.matched_mu is mus[best]
+
+    def test_repeated_eigenvalue_matches_its_first_index(self):
+        series = SeriesEvaluation(q=1, zeta=Fraction(-1), kind="euler",
+                                  partial_sums={30: Fraction(3)}, t=Fraction(-1))
+        report = convergence_classify(series, [5.0, 4.0, 4.0, 4.0, 2.0, 2.0])
+        assert report.matched_index == 2  # 4 and 2 tie; the first 4 wins
+        report = convergence_classify(series, [5.0, 2.0, 2.0, 1.0])
+        assert report.matched_index == 2
 
     def test_empty_oracle_rejected(self, e1):
         series = taylor_partial_sums(coefficients(e1, 1, 4), -1)

@@ -95,6 +95,17 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="singular"):
             ExperimentConfig(t_grid=(Fraction(1),), zeta=Fraction(-1))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"K_max": 1, "K_check": 1}, "K_max must be at least 2, not 1"),
+        ({"K_check": 1}, "K_check must be at least 2, not 1"),
+        ({"K_check": 0, "trials": 0}, "K_check must be at least 2, not 0"),
+    ], ids=["K_max-1", "K_check-1", "K_check-0"])
+    def test_order_below_two_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentConfig(**kwargs)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentConfig.from_json(json.dumps(kwargs))
+
     @pytest.mark.parametrize("text, key", [
         ('{"K_max": "30"}', "K_max"),
         ('{"t_grid": 5}', "t_grid"),
@@ -495,6 +506,26 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"error: node {q} out of range 1..20\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--K-check", "1", "--trials", "0"], "K_check must be at least 2, not 1"),
+        (["sweep", "--K-check", "0", "--n", "3", "--p", "0", "--trials", "3"],
+         "K_check must be at least 2, not 0"),
+        (["sweep", "--K", "1", "--K-check", "1", "--n", "3", "--p", "0", "--trials", "3"],
+         "K_max must be at least 2, not 1"),
+        (["sweep", "--K-check", "1", "--trials", "2"], "K_check must be at least 2, not 1"),
+        (["sweep", "--config", "{config}"], "K_check must be at least 2, not 1"),
+    ], ids=["K-check-1-no-trials", "K-check-0", "K-1", "K-check-1", "config-K_check-1"])
+    def test_order_below_two_exits_2_before_drawing(self, capsys, tmp_path, monkeypatch,
+                                                    argv, message):
+        drawn = []
+        monkeypatch.setattr(sweep, "erdos_renyi", lambda *args: drawn.append(args))
+        config = tmp_path / "config.json"
+        config.write_text('{"K_check": 1, "trials": 2}')
+        assert main([arg.format(config=config) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == "" and not drawn
 
     def test_nonunique_node_error_exit(self, capsys):
         assert main(["coeffs", "--example", "e2", "--q", "1", "--K", "4"]) == 2
