@@ -193,8 +193,7 @@ def almost_regular_series(arg: AlmostRegularGraph, zeta, K: int) -> SeriesEvalua
     """Taylor partial sums up to K of the eigenvalue branching from d_max.
 
     The table comes from ``perturb.coefficients`` in its default domain:
-    exact for rational weights, and 128-bit floats for float-typed ones
-    (earlier versions summed those "exactly" from a float-rounded gap x).
+    exact for rational weights, and 128-bit floats for float-typed ones.
     Each call rebuilds the table; to sum at several zeta or t, build it once
     and call ``euler.taylor_partial_sums`` or ``euler.euler_series``.
     """

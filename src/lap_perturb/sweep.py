@@ -1,10 +1,10 @@
 """Sweep orchestration: seeded ensembles, convergence classification, CSV rows.
 
-A sweep draws graphs from a generator ensemble (or evaluates a single
-graph), expands around selected unique-degree nodes, classifies each Euler
-series at (alpha_threshold, K_check), and reports the converged fraction per
-(n, p, t) cell.  A graph is drawn, its spectrum computed and each node's
-coefficient table built once, for the whole t grid.  Everything is
+A sweep draws graphs from a generator ensemble (a single graph is a cell
+of one graph), expands around selected unique-degree nodes, classifies each
+Euler series at (alpha_threshold, K_check), and reports the converged
+fraction per (n, p, t) cell.  A graph is drawn, its spectrum computed and
+each node's coefficient table built once, for the whole t grid.  Everything is
 deterministic given the config seed.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import cycle, product
 from math import inf, isfinite
 
 from .domain import NumberDomain, exact_domain, parse_number
@@ -27,7 +28,7 @@ from .graph import (
     parse_edge_list,
     ring_with_core,
 )
-from .perturb import CoefficientTable, coefficients
+from .perturb import coefficients
 
 __all__ = [
     "ExperimentConfig",
@@ -76,8 +77,9 @@ class ExperimentConfig:
     """Sweep parameters; mirrors the JSON config format field for field.
 
     ``graph_source`` is "erdos_renyi" for ensembles (then ``n_grid``,
-    ``p_grid`` and ``trials`` apply) or any single-graph spec accepted by
-    the CLI ("example:e2", "file:PATH", "ring_with_core:21,1", ...).
+    ``p_grid``, ``trials`` and ``seed`` apply) or any single-graph spec
+    accepted by the CLI ("example:e2", "file:PATH", "ring_with_core:21,1",
+    ...), for which those four are ignored.
     ``q_selector`` is a 1-based node index, "max_unique_degree", or
     "all_unique".
     """
@@ -169,16 +171,25 @@ _CONFIG_KEYS = {  # key: (what it must be, parser)
 
 @dataclass(frozen=True)
 class SweepCell:
+    """One (n, p, t) cell of a sweep; ``p`` is "" for a single-graph source.
+
+    ``trials`` counts graphs drawn, ``skipped`` those with no selected node,
+    ``classified`` the (graph, node) series and ``converged`` the converged
+    ones; ``fraction`` = converged / (classified + skipped) never exceeds 1.
+    """
+
     n: int
     p: object
     t: object
     trials: int
     skipped: int
+    classified: int
     converged: int
 
     @property
     def fraction(self) -> float:
-        return self.converged / self.trials if self.trials else 0.0
+        total = self.classified + self.skipped
+        return self.converged / total if total else 0.0
 
     def row(self) -> tuple:
         return (self.n, str(self.p), str(self.t), self.trials, self.skipped,
@@ -231,76 +242,68 @@ def _float(x) -> float:
         return inf if x > 0 else -inf
 
 
-def _classify(table: CoefficientTable, t, config: ExperimentConfig, mus: list) -> TrialRecord:
-    """Classify the Euler series of ``table`` at t against ``mus``, the Laplacian spectrum."""
-    series = euler_series(table, EulerParams(t=t, zeta=config.zeta, K_max=config.K_max))
-    report = convergence_classify(series, mus, config.alpha_threshold, config.K_check)
-    return TrialRecord(
-        q=table.q, t=t, K=config.K_check,
-        xi=_float(series.at(config.K_check)),
-        alpha=report.alpha,
-        matched_mu=float(report.matched_mu),
-        converged=report.converged,
-    )
+def _evaluate(g: Graph, nodes: tuple, config: ExperimentConfig):
+    """Yield (q, t, series, report) for each node of ``nodes`` and each t of the grid.
 
-
-def _evaluate(g: Graph, nodes: tuple, config: ExperimentConfig, records: list) -> None:
-    """Classify every (node, t) of one graph from one spectrum and one table per node.
-
-    The record of the k-th t of the grid is appended to ``records[k]``.
+    One Laplacian spectrum for the graph and one coefficient table per node
+    serve the whole t grid; each node runs through ``config.t_grid`` in order.
     """
     mus = _laplacian_spectrum(g)
     for q in nodes:
         table = coefficients(g, q, config.K_max, config.domain)
-        for k, t in enumerate(config.t_grid):
-            records[k].append(_classify(table, t, config, mus))
+        for t in config.t_grid:
+            series = euler_series(table, EulerParams(t=t, zeta=config.zeta, K_max=config.K_max))
+            yield q, t, series, convergence_classify(series, mus, config.alpha_threshold,
+                                                     config.K_check)
+
+
+def _cells(config: ExperimentConfig):
+    """Yield (n, p, graphs) per cell: each seeded (n, p) ensemble, or the one graph."""
+    if config.graph_source != "erdos_renyi":
+        g = resolve_graph_source(config.graph_source)
+        yield g.n, "", (g,)
+        return
+    for c, (n, p) in enumerate(product(config.n_grid, config.p_grid)):
+        yield n, p, (erdos_renyi(n, p, config.seed + 1_000_003 * c + i)
+                     for i in range(config.trials))
 
 
 def run_sweep(config: ExperimentConfig, detail: bool = False):
-    """Run the sweep; returns (cells, detail_records).
+    """Run the sweep; returns (cells, detail_records), the records only when ``detail``.
 
     Ensemble mode ("erdos_renyi") runs ``config.trials`` seeded graphs per
     (n, p) cell; trial i of cell c uses seed ``config.seed + 1_000_003*c + i``
-    so runs are reproducible and cells independent.  Trials whose graph has
-    no node matching the selector are counted as skipped, not as failures.
-
-    Each trial draws its graph, computes its Laplacian spectrum and builds
-    the coefficient table of each selected node once, and evaluates every t
-    of ``config.t_grid`` from them; single-graph mode does the same once.
-    Cells and detail records come out grouped by t, in grid order.
+    so runs are reproducible and cells independent.  Any other source is one
+    cell of one graph, with p = "", and ignores ``n_grid``, ``p_grid``,
+    ``trials`` and ``seed``.  Each (n, p, t) cell counts ``trials`` (graphs
+    drawn), ``skipped`` (graphs with no selected node, not failures) and
+    ``converged``; its ``fraction`` is converged / (classified + skipped),
+    over the (graph, node) series classified.  A graph's spectrum and each
+    node's table serve the whole t grid.  Cells and detail records come out
+    grouped by t, in grid order.
     """
     cells = []
     details = []
-    if config.graph_source == "erdos_renyi":
-        cell_index = 0
-        for n in config.n_grid:
-            for p in config.p_grid:
-                skipped = 0
-                records = [[] for _ in config.t_grid]  # per t index: t_grid may repeat a value
-                for i in range(config.trials):
-                    seed = config.seed + 1_000_003 * cell_index + i
-                    g = erdos_renyi(n, p, seed)
-                    nodes = select_nodes(g, config.q_selector)
-                    if not nodes:
-                        skipped += 1
-                        continue
-                    _evaluate(g, nodes, config, records)
-                for k, t in enumerate(config.t_grid):
-                    cells.append(SweepCell(n=n, p=p, t=t, trials=config.trials, skipped=skipped,
-                                           converged=sum(r.converged for r in records[k])))
-                    if detail:
-                        details.extend(records[k])
-                cell_index += 1
-        return tuple(cells), tuple(details)
-
-    g = resolve_graph_source(config.graph_source)  # single-graph degenerate sweep
-    nodes = select_nodes(g, config.q_selector)
-    records = [[] for _ in config.t_grid]
-    if nodes:
-        _evaluate(g, nodes, config, records)
-    for k, t in enumerate(config.t_grid):
-        cells.append(SweepCell(n=g.n, p="", t=t, trials=max(len(nodes), 1),
-                               skipped=0 if nodes else 1,
-                               converged=sum(r.converged for r in records[k])))
-        details.extend(records[k])
+    K = config.K_check
+    for n, p, graphs in _cells(config):
+        trials = skipped = 0
+        records = [[] for _ in config.t_grid]  # per t index: t_grid may repeat a value
+        for g in graphs:
+            trials += 1
+            nodes = select_nodes(g, config.q_selector)
+            if not nodes:
+                skipped += 1
+                continue
+            # _evaluate runs each node through the grid in order, so the buckets cycle with it
+            for bucket, (q, t, series, report) in zip(cycle(records), _evaluate(g, nodes, config)):
+                bucket.append(TrialRecord(q=q, t=t, K=K, xi=_float(series.at(K)),
+                                          alpha=report.alpha,
+                                          matched_mu=float(report.matched_mu),
+                                          converged=report.converged))
+        for t, bucket in zip(config.t_grid, records):
+            cells.append(SweepCell(n=n, p=p, t=t, trials=trials, skipped=skipped,
+                                   classified=len(bucket),
+                                   converged=sum(r.converged for r in bucket)))
+            if detail:
+                details.extend(bucket)
     return tuple(cells), tuple(details)

@@ -184,8 +184,9 @@ def test_criterion_8_property_suite():
         assert (table.c_at(2), table.c_at(3), table.c_at(4)) == explicit_c2_c3_c4(g, q)
         assert coefficient_bounds_ok(g, q, table).strict_bounds_ok
         assert spectral_bounds(g).all_ok
-        series = euler_series(table, EulerParams(t=Fraction(-1), zeta=Fraction(-1), K_max=4))
-        assert euler_k4_estimate(g, q) == series.at(4)
+        c2, c3, c4 = table.c_at(2), table.c_at(3), table.c_at(4)
+        assert euler_k4_estimate(g, q) == (
+            table.d_q + Fraction(11, 16) * c2 - Fraction(5, 16) * c3 + Fraction(1, 16) * c4)
     # Euler transform at t = 0 equals plain Taylor partial sums, term by term
     g, q = graphs[0]
     table = coefficients(g, q, 12)

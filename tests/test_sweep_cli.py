@@ -60,9 +60,29 @@ class TestRunSweep:
     def test_degenerate_single_graph_sweep(self):
         config = ExperimentConfig(graph_source="example:e2", q_selector=13,
                                   t_grid=(Fraction(-1),), K_max=30, K_check=30)
-        cells, details = run_sweep(config)
+        cells, details = run_sweep(config, detail=True)
         assert len(cells) == 1 and len(details) == 1
         assert details[0].q == 13 and details[0].converged
+        assert run_sweep(config) == (cells, ())
+
+    def test_single_graph_is_one_trial(self):
+        # one graph, eight unique-degree nodes classified; n_grid, trials and seed are ignored
+        config = ExperimentConfig(graph_source="example:e3", q_selector="all_unique",
+                                  t_grid=(Fraction(-2),), K_max=100, K_check=100,
+                                  trials=5, n_grid=(7, 9), seed=3)
+        (cell,), _ = run_sweep(config)
+        assert cell.row() == (10, "", "-2", 1, 0, 1, "0.125000")
+        assert cell.classified == 8
+
+    def test_multi_node_fraction_at_most_one(self):
+        # one ER(8, 1/2) graph with two unique-degree nodes, both converged at t = -2
+        config = ExperimentConfig.from_json(
+            '{"q_selector": "all_unique", "t_grid": [-2], "trials": 1, "n_grid": [8], '
+            '"p_grid": ["1/2"], "seed": 72}')
+        (cell,), _ = run_sweep(config)
+        assert (cell.trials, cell.skipped, cell.classified, cell.converged) == (1, 0, 2, 2)
+        assert cell.fraction == 1.0
+        assert cell.row()[-1] == "1.000000"
 
     def test_partial_sum_beyond_float_range_is_diverged(self):
         # at zeta = -10^12 the K = 30 exact partial sums exceed the float range
@@ -115,6 +135,9 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=f"config key '{key}'"):
             ExperimentConfig.from_json(text)
 
+    def test_config_json_float_domain(self):
+        assert ExperimentConfig.from_json('{"domain": "float"}').domain == float_domain(128)
+
     def test_config_json_must_be_an_object(self):
         with pytest.raises(ValueError, match="JSON object"):
             ExperimentConfig.from_json("[1, 2]")
@@ -161,9 +184,11 @@ class TestSweepWorkPerTrial:
         counted("symmetric_eigen", lambda matrix: matrix)
         counted("coefficients", lambda g, q, K, domain: (g.weights, q))
         config = _multi_t_config(domain)
-        (cell, *_), details = run_sweep(config, detail=True)
-        drawn = config.trials - cell.skipped
+        cells, details = run_sweep(config, detail=True)
+        drawn = config.trials - cells[0].skipped
         assert drawn > 0
+        assert sum(c.classified for c in cells) == len(details)
+        assert all(c.fraction <= 1 for c in cells)
         assert len(calls["erdos_renyi"]) == len(set(calls["erdos_renyi"])) == config.trials
         assert len(calls["symmetric_eigen"]) == drawn
         pairs = calls["coefficients"]
@@ -327,6 +352,14 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert data["c"] == ["0/1", "0/1", "2/1"]
 
+    def test_coeffs_json_float_matches_plain_line(self, capsys):
+        argv = ["coeffs", "--example", "e2", "--q", "13", "--K", "5", "--prec", "53"]
+        assert main(argv) == 0
+        plain = [part.split("=")[1] for part in capsys.readouterr().out.strip().split(",")]
+        assert plain[0] == "1.9261904761904762"
+        assert main(argv + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"q": 13, "K": 5, "c": plain}
+
     def test_oracle_integer_spectrum(self, capsys):
         assert main(["oracle", "--example", "e3"]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -424,6 +457,14 @@ class TestCli:
         if example in REPRODUCE_CSV_SHA256:
             digest = hashlib.sha256((tmp_path / f"{example}.csv").read_bytes()).hexdigest()
             assert digest == REPRODUCE_CSV_SHA256[example]
+
+    def test_reproduce_failed_check_exits_1(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "E1_LAPLACIAN_MU", ("4.17008",) + cli.E1_LAPLACIAN_MU[1:])
+        assert main(["reproduce", "e1", "--out-dir", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL e1 Laplacian eigenvalue = 4.17008\n" in out
+        assert out.count("FAIL") == 2  # the check and the summary line
+        assert out.endswith("1 reference check(s) FAILED\n")
 
     def test_reproduce_almost_regular_builds_each_table_once(self, capsys, tmp_path, monkeypatch):
         built = []
@@ -526,6 +567,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == "" and not drawn
+
+    def test_config_K_check_above_K_max_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"K_max": 10, "K_check": 12}')
+        assert main(["sweep", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: K_check cannot exceed K_max\n"
+        assert captured.out == ""
 
     def test_nonunique_node_error_exit(self, capsys):
         assert main(["coeffs", "--example", "e2", "--q", "1", "--K", "4"]) == 2
