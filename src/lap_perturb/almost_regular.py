@@ -48,7 +48,6 @@ __all__ = [
     "chc_bound_half",
     "almost_regular_series",
     "contour_eigenvalue",
-    "chc_table_to_csv",
 ]
 
 
@@ -361,12 +360,3 @@ def contour_eigenvalue(
                 )
         return ContourResult(value=value, radius=r, points=P, branch_ok=True,
                              last_change=change)
-
-
-def chc_table_to_csv(chc: ChcTable) -> str:
-    """CSV rows ``k,m,value`` over the stored triangle."""
-    lines = ["k,m,value"]
-    for k in range(1, chc.M + 1):
-        for m in range(k, chc.M + 1):
-            lines.append(f"{k},{m},{chc.value(k, m)}")
-    return "\r\n".join(lines) + "\r\n"

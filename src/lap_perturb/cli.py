@@ -197,11 +197,12 @@ def _reproduce_e3(digest: _Digest) -> list:
     config = ExperimentConfig(graph_source="example:e3", q_selector="all_unique",
                               t_grid=tuple(map(Fraction, DEFAULT_T_GRID)), K_max=100, K_check=100)
     g = resolve_graph_source(config.graph_source)
-    ok = all(abs(mu - ref) <= 1e-9 for mu, ref in zip(_laplacian_spectrum(g), E3_LAPLACIAN_MU))
+    mus = _laplacian_spectrum(g)
+    ok = all(abs(mu - ref) <= 1e-9 for mu, ref in zip(mus, E3_LAPLACIAN_MU))
     digest.check_bool(f"e3 Laplacian spectrum = {E3_LAPLACIAN_MU}", ok)
     rows = []
     converged_degrees = set()
-    for q, t, series, report in _evaluate(g, select_nodes(g, config.q_selector), config):
+    for q, t, series, report in _evaluate(g, select_nodes(g, config.q_selector), config, mus):
         if report.converged:
             converged_degrees.add(int(g.degrees[q - 1]))
         for K in (10, 30, 60, 100):

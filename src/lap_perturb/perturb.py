@@ -9,13 +9,18 @@ defines ``SeriesEvaluation``, the record of partial sums that the series in
 ``euler`` and ``almost_regular`` return.  The closed neighbour-sum formulas
 for c2..c4 live in ``tests/oracles.py`` as an independent cross-check.
 
-One loop, ``_recursion``, runs the recursion on scaled weights.  Rational
-weights run it on integers, in a float domain too: the float table then
-holds each value rounded once from the exact one, and keeps the exact d_q
-and c for ``euler`` to sum.  Float-typed weights run the same loop on mpmath
-reals with unit scale, from the exact ``Graph.degrees``.  No series reads
-beta, so the table holds only d_q and the c_j; ``beta_rows`` gives the beta
-rows of the same recursion, and ``reconstruct_eigenvector`` sums them.
+Rational weights run the recursion on scaled integers, in a float domain
+too: the float table then holds each value rounded once from the exact one,
+and keeps the exact d_q and c for ``euler`` to sum.  Those integers come
+from ``_residue_recursion``, which runs the recursion modulo primes below
+2^26 in int64, one vectorised step per order, and rebuilds each value by
+the Chinese remainder theorem (Garner 1959; Knuth, TAOCP vol. 2, 4.3.2) from
+enough primes for an a priori bound on its size.  Float-typed weights run
+the loop ``_recursion`` on mpmath reals with unit scale, from the exact
+``Graph.degrees``; on integers that loop is the plain reference the tests
+compare the residue engine with.  No series reads beta, so the table holds
+only d_q and the c_j; ``beta_rows`` gives the beta rows of the same
+recursion, and ``reconstruct_eigenvector`` sums them.
 """
 
 from __future__ import annotations
@@ -23,8 +28,11 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import inf, isqrt, lcm, log2, prod
 from operator import mul
+
+import numpy as np
 
 from .domain import (
     NumberDomain,
@@ -138,15 +146,17 @@ def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -
 
     where the c convolution reuses c_m = sum_{l != q} beta_{m-1,l} a_ql, the
     same sum that defines the coefficients; this keeps the total cost at
-    O(K^2 N + K |E|).  When every weight is rational the recursion runs on
-    scaled integers (see ``_expand``) in any domain; a float
+    O(K^2 N + K |E|) operations on values.  When every weight is rational
+    the recursion runs on scaled integers (see ``_expand``), in int64
+    residues rebuilt by CRT (``_residue_recursion``, whose neighbour sums are
+    dense, O(K N^2) per prime), in any domain; a float
     domain then rounds each d_q and c_j once, to nearest at its precision,
     and keeps the exact d_q and c for the series.  Other weights run the
-    same loop in mpmath at the domain's precision, with unit scale:
+    loop ``_recursion`` in mpmath at the domain's precision, with unit scale:
     m_r = 1 / (d_q - d_r), each exact gap rounded once, so B_j = beta_j and
     C_j = c_j.  K below 2 or a node outside 1..n raises ValueError.
     """
-    domain, d_q, C, _, scale = _expand(g, q, K, domain, least_K=2)
+    domain, d_q, C, _, scale = _expand(g, q, K, domain, least_K=2, rows=False)
     if scale is None:
         return CoefficientTable(q, K, d_q, tuple(C), domain)
     W, D = scale
@@ -168,8 +178,8 @@ def beta_rows(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -> t
     Float-typed weights give the mpmath rows of the recursion.  Arguments
     are checked as in ``coefficients``, except that K may be 0 or 1.
     """
-    domain, _, _, B, scale = _expand(g, q, K, domain, least_K=0)
-    B = B[:K]  # _recursion makes B_1 even for K = 0
+    domain, _, _, B, scale = _expand(g, q, K, domain, least_K=0, rows=True)
+    B = B[:K]  # the mpmath _recursion makes B_1 even for K = 0
     if scale is None:
         return tuple(map(tuple, B))
     powers = [scale[1] ** j for j in range(1, K + 1)]
@@ -178,20 +188,23 @@ def beta_rows(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -> t
         return tuple(tuple(ratio(x, Dj) for x in row) for row, Dj in zip(B, powers))
 
 
-def _expand(g: Graph, q: int, K: int, domain: NumberDomain | None, least_K: int) -> tuple:
-    """Check the arguments, pick the domain and run ``_recursion`` around node q.
+def _expand(g: Graph, q: int, K: int, domain: NumberDomain | None, least_K: int,
+            rows: bool) -> tuple:
+    """Check the arguments, pick the domain and run the recursion around node q.
 
-    Returns (domain, d, C, B, scale).  Rational weights run the loop on
-    integers, in any domain.  With W the lcm of the weight denominators,
-    the weights a = W A and the gaps G_r = W (d_q - d_r) are integers,
-    read from each weight's numerator and denominator.  With
-    D = lcm_r |G_r| and the integer m_r = D / G_r, the scaled quantities
-    B_j = D^j beta_j and C_j = W D^(j-1) c_j follow ``_recursion``, so no
-    step divides (the idea of Bareiss's fraction-free elimination); then
-    d = W d_q and scale = (W, D).  Other weights run it on mpmath reals at
-    the domain's precision (the exact domain's ``coerce`` raises TypeError):
-    d_q and each gap d_q - d_r are the exact ``g.degrees`` rounded once,
-    m_r = 1 / (d_q - d_r), scale is None, and d, C and B are d_q, c and beta.
+    Returns (domain, d, C, B, scale).  Rational weights run it on integers,
+    in any domain.  With W the lcm of the weight denominators, the weights
+    a = W A and the gaps G_r = W (d_q - d_r) are integers, read from each
+    weight's numerator and denominator.  With D = lcm_r |G_r| and the
+    integer m_r = D / G_r, the scaled quantities B_j = D^j beta_j and
+    C_j = W D^(j-1) c_j follow ``_recursion``, so no step divides (the idea
+    of Bareiss's fraction-free elimination).  ``_residue_recursion`` gives
+    them exactly from int64 residues; then d = W d_q and scale = (W, D), and
+    B is None unless ``rows``.  Other weights run ``_recursion`` on mpmath
+    reals at the domain's precision (the exact domain's ``coerce`` raises
+    TypeError): d_q and each gap d_q - d_r are the exact ``g.degrees``
+    rounded once, m_r = 1 / (d_q - d_r), scale is None, and d, C and B are
+    d_q, c and beta.
     """
     if K < least_K:
         raise ValueError(f"K must be at least {least_K}")
@@ -214,8 +227,165 @@ def _expand(g: Graph, q: int, K: int, domain: NumberDomain | None, least_K: int)
     a = [[int(w.numerator) * (W // int(w.denominator)) for w in row] for row in g.weights]
     d = [sum(row) for row in a]
     D = lcm(*(abs(d[qi] - d[r]) for r in range(g.n) if r != qi))
-    m = {r: D // (d[qi] - d[r]) for r in range(g.n) if r != qi}
-    return domain, d[qi], *_recursion(a, 0, qi, m, K), (W, D)
+    m = [0 if r == qi else D // (d[qi] - d[r]) for r in range(g.n)]
+    return domain, d[qi], *_residue_recursion(a, d, qi, m, K, rows), (W, D)
+
+
+def _residue_recursion(a, d, qi: int, m: list, K: int, rows: bool) -> tuple:
+    """``_recursion`` on integers, run modulo primes and rebuilt by CRT; returns (C, B).
+
+    a is the symmetric non-negative integer weight matrix, d its row sums
+    and m the multipliers (m_q = 0).  Each order j is one vectorised step
+    over all P primes and all rows, on residues in [0, p) with p < 2^26:
+
+    - the neighbour sums S = B_{j-1} A are one float64 product shared by
+      every prime while max(d) < 2^27.  Each partial sum is then an integer
+      below p max(d) < 2^53, so the product is exact on any BLAS, whatever
+      its summation order.  Larger scaled weights take per-prime residues of
+      A in int64 instead (``_dot``);
+    - C_j = S_q, and B_j = m (S - sum_{k=1}^{j-2} B_k C_{j-k}) mod p, where the
+      convolution is one batched int64 product over the stored rows B_k.
+
+    Products of two residues are below 2^52, and ``_dot`` adds at most 2^11
+    of them to a value below p before it reduces mod p, so no int64 sum
+    overflows; the convolution is one slice while K <= 2049.  The primes
+    are the fewest from the top of the range whose product M exceeds
+    2^(``_bound_bits`` + 2), so every |C_j| and |B_jr| is below M / 2 and CRT
+    gives it as the symmetric residue (``_symmetric``).  B is the list of
+    rows B_1..B_K when ``rows``, else None.
+    """
+    n = len(a)
+    col = [row[qi] for row in a]
+    crt = _crt(_bound_bits(max(map(abs, m)), max(d), d[qi], max(map(abs, map(mul, m, col))), K))
+    primes = crt[0]
+    p = primes[:, None]
+    mres = _residues(m, primes)
+    H = np.empty((len(primes), max(K, 1), n), dtype=np.int64)  # H[:, j - 1] = B_j mod p
+    H[:, 0] = mres * _residues(col, primes) % p
+    Cr = np.empty((len(primes), max(K - 1, 0)), dtype=np.int64)  # Cr[:, K - j] = C_j mod p
+    if max(d) < 1 << (53 - _PRIME_BITS):
+        A = np.array(a, dtype=np.float64)
+
+        def neighbour_sums(prev):
+            return (prev.astype(np.float64) @ A).astype(np.int64)
+    else:
+        A = _residues([x for row in a for x in row], primes).reshape(-1, n, n)
+
+        def neighbour_sums(prev):
+            return _dot(prev[:, None], A, p)
+    for j in range(2, K + 1):
+        S = neighbour_sums(H[:, j - 2])  # in [0, 2^63), congruent to B_{j-1} A
+        Cr[:, K - j] = S[:, qi] % primes
+        if j > 2:  # Cr[:, K-j+1 : K-1] holds C_{j-1}..C_2, paired with B_1..B_{j-2}
+            S -= _dot(Cr[:, None, K - j + 1:K - 1], H[:, :j - 2], p)
+        H[:, j - 1] = mres * (S % p) % p
+    C = _symmetric(Cr[:, K - 2::-1], crt) if K >= 2 else []
+    if not rows:
+        return C, None
+    B = _symmetric(H[:, :K].reshape(len(primes), -1), crt)
+    return C, [B[i:i + n] for i in range(0, K * n, n)]
+
+
+def _bound_bits(m_max: int, rho: int, d_q: int, b_1: int, K: int) -> float:
+    """log2 of a bound on every |B_jr| and |C_j| for j <= K, -inf if all vanish.
+
+    The majorant b_1 = max_r |m_r a_rq|, c_j = d_q b_{j-1} and
+    b_j = m_max (rho b_{j-1} + sum_{k=1}^{j-2} b_k c_{j-k}), with
+    rho = max(d) >= every row sum, bounds |B_jr| <= b_j and |C_j| <= c_j.
+    It is kept as b_j = b_1 gamma^(j-1) u_j, where gamma = m_max rho +
+    2 sqrt(m_max d_q b_1) is its growth rate, so u_1 = 1,
+    u_j = x u_{j-1} + y sum_{k=1}^{j-2} u_k u_{j-1-k} with x + 2 sqrt(y) = 1,
+    and every u_j stays a plain float.  Float rounding moves the result by
+    far less than the guard bit that ``_crt`` adds.
+    """
+    if b_1 == 0:  # q is isolated
+        return -inf
+    la = log2(m_max) + log2(rho)  # log2 of the linear rate m_max rho
+    lk = log2(m_max) + log2(d_q) + log2(b_1)
+    lo, hi = sorted((la, 1 + lk / 2))
+    lg = hi + log2(1 + 2 ** (lo - hi))  # log2 gamma
+    x, y = 2 ** (la - lg), 2 ** (lk - 2 * lg)
+    u = [1.0]
+    for j in range(2, K + 1):
+        u.append(x * u[-1] + y * sum(map(mul, u[:j - 2], reversed(u[:j - 2]))))
+    return log2(d_q) + log2(b_1) + max(i * lg + log2(uj) for i, uj in enumerate(u))
+
+
+_PRIME_BITS = 26
+_SLICE = 1 << 11  # products below 2^52 per int64 sum between reductions
+
+
+def _residues(values: list, primes) -> np.ndarray:
+    """values mod each prime, as a (P, len(values)) int64 array."""
+    if max(map(abs, values), default=0) < 1 << 63:
+        return np.array(values, dtype=np.int64) % primes[:, None]
+    return np.array([[v % p for v in values] for p in primes.tolist()], dtype=np.int64)
+
+
+def _dot(x, y, p):
+    """A value in [0, 2^63) congruent to (x @ y)[:, 0] mod p, for x (P, 1, L), y (P, L, N).
+
+    Entries are residues, so each product is below 2^52; each int64 sum
+    adds at most ``_SLICE`` of them to a value below p.
+    """
+    out = np.matmul(x[:, :, :_SLICE], y[:, :_SLICE])[:, 0]
+    for s in range(_SLICE, x.shape[2], _SLICE):
+        out = out % p + np.matmul(x[:, :, s:s + _SLICE], y[:, s:s + _SLICE])[:, 0]
+    return out
+
+
+def _symmetric(R, crt: tuple) -> list:
+    """Each column of the residues R (P, V) as the integer of (-M/2, M/2] it stands for.
+
+    With y_i = r_i (M/p_i)^-1 mod p_i, that integer is sum_i y_i M/p_i mod M.
+    """
+    primes, Mi, inverses, M = crt
+    half = M // 2
+    out = []
+    for y in (R * inverses[:, None] % primes[:, None]).T.tolist():
+        x = sum(map(mul, y, Mi)) % M
+        out.append(x - M if x > half else x)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _primes(span: int) -> tuple:
+    """The primes in [2^26 - span, 2^26), descending, and their cumulative log2.
+
+    A sieve of the window by the primes below 2^13, made on first use.
+    """
+    low = (1 << _PRIME_BITS) - span
+    small = np.ones(1 << (_PRIME_BITS // 2), dtype=bool)
+    small[:2] = False
+    for f in range(2, isqrt(len(small)) + 1):
+        if small[f]:
+            small[f * f::f] = False
+    sieve = np.ones(span, dtype=bool)
+    for f in np.flatnonzero(small).tolist():
+        sieve[-low % f::f] = False
+    primes = low + np.flatnonzero(sieve)[::-1]
+    return primes, np.cumsum(np.log2(primes))
+
+
+def _crt(bits: float) -> tuple:
+    """(primes, M/p_i, (M/p_i)^-1 mod p_i, M) for the fewest primes with M > 2^(bits + 2).
+
+    The primes descend from 2^26 and M is their product; one bit of the
+    margin makes the symmetric residue unique, the other is a guard.
+    """
+    span = 1 << 14
+    while _primes(span)[1][-1] <= bits + 2:
+        span *= 2
+    return _crt_constants(span, int(np.searchsorted(_primes(span)[1], bits + 2, side="right")) + 1)
+
+
+@lru_cache(maxsize=32)  # M/p_i takes about 3 P^2 bytes; a sweep at K = 30 uses about 20 P
+def _crt_constants(span: int, P: int) -> tuple:
+    primes = _primes(span)[0][:P]
+    M = prod(primes.tolist())
+    Mi = tuple(M // p for p in primes.tolist())
+    inverses = np.array([pow(x % p, -1, p) for x, p in zip(Mi, primes.tolist())], dtype=np.int64)
+    return primes, Mi, inverses, M
 
 
 def _recursion(a, zero, qi: int, m: dict, K: int) -> tuple:

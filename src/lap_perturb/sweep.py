@@ -242,13 +242,13 @@ def _float(x) -> float:
         return inf if x > 0 else -inf
 
 
-def _evaluate(g: Graph, nodes: tuple, config: ExperimentConfig):
+def _evaluate(g: Graph, nodes: tuple, config: ExperimentConfig, mus: list):
     """Yield (q, t, series, report) for each node of ``nodes`` and each t of the grid.
 
-    One Laplacian spectrum for the graph and one coefficient table per node
-    serve the whole t grid; each node runs through ``config.t_grid`` in order.
+    ``mus`` is the graph's Laplacian spectrum (``_laplacian_spectrum``); it
+    and one coefficient table per node serve the whole t grid.  Each node
+    runs through ``config.t_grid`` in order.
     """
-    mus = _laplacian_spectrum(g)
     for q in nodes:
         table = coefficients(g, q, config.K_max, config.domain)
         for t in config.t_grid:
@@ -294,8 +294,9 @@ def run_sweep(config: ExperimentConfig, detail: bool = False):
             if not nodes:
                 skipped += 1
                 continue
+            evaluated = _evaluate(g, nodes, config, _laplacian_spectrum(g))
             # _evaluate runs each node through the grid in order, so the buckets cycle with it
-            for bucket, (q, t, series, report) in zip(cycle(records), _evaluate(g, nodes, config)):
+            for bucket, (q, t, series, report) in zip(cycle(records), evaluated):
                 bucket.append(TrialRecord(q=q, t=t, K=K, xi=_float(series.at(K)),
                                           alpha=report.alpha,
                                           matched_mu=float(report.matched_mu),

@@ -17,7 +17,6 @@ from lap_perturb.almost_regular import (
     chc_bound,
     chc_bound_half,
     chc_build,
-    chc_table_to_csv,
     cm_closed_form,
     complete_graph_chc,
     contour_eigenvalue,
@@ -124,12 +123,6 @@ class TestChcTable:
             for m in range(2, 10):
                 expected = sum((-1) ** (m - 1 - j) * d_max**j for j in range(1, m))
                 assert chc.value(1, m) == expected
-
-    def test_csv_export(self):
-        chc = chc_build(closed_walk_counts(complete_graph(4), 1, 3), 3)
-        lines = chc_table_to_csv(chc).splitlines()
-        assert lines[0] == "k,m,value"
-        assert f"1,2,{3}" in lines
 
 
 class TestCmClosedForm:

@@ -8,8 +8,10 @@ import mpmath
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import lap_perturb.perturb as perturb
 from lap_perturb.domain import exact_domain, float_domain
 from lap_perturb.eigen import symmetric_eigen
+from lap_perturb.examples_data import example_graph
 from lap_perturb.euler import taylor_partial_sums
 from lap_perturb.graph import (
     build_graph,
@@ -243,6 +245,111 @@ class TestIntegerEngine:
         g = build_graph(4, [(1, 2), (2, 3)])  # node 4 has the unique degree 0
         table = coefficients(g, 4, 6, float_domain(128))
         assert all(isinstance(cj, mpmath.mpf) and cj == 0 for cj in table.c)
+
+
+def _scaled(g, q):
+    """(a, d, m, W, D): the integer weights, row sums and multipliers of ``_expand``."""
+    qi = q - 1
+    W = math.lcm(*(Fraction(w).denominator for row in g.weights for w in row))
+    a = [[int(w * W) for w in row] for row in g.weights]
+    d = [sum(row) for row in a]
+    D = math.lcm(*(d[qi] - d[r] for r in range(g.n) if r != qi))
+    m = [0 if r == qi else D // (d[qi] - d[r]) for r in range(g.n)]
+    return a, d, m, W, D
+
+
+def _integer_reference(g, q, K):
+    """(d_q, c, beta rows, largest bit length) from the Python-int ``_recursion``."""
+    a, d, m, W, D = _scaled(g, q)
+    C, B = perturb._recursion(a, 0, q - 1, {r: x for r, x in enumerate(m) if r != q - 1}, K)
+    c = tuple(Fraction(Cj, W * D ** (j - 1)) for j, Cj in enumerate(C, start=2))
+    rows = tuple(tuple(Fraction(x, D ** j) for x in row) for j, row in enumerate(B[:K], start=1))
+    bits = max(abs(x).bit_length() for x in (*C, *(x for row in B[:K] for x in row)))
+    return Fraction(d[q - 1], W), c, rows, bits
+
+
+def _engine_bound(g, q, K):
+    """log2 of the engine's bound on every scaled value of the table of node q."""
+    a, d, m, _, _ = _scaled(g, q)
+    return perturb._bound_bits(max(map(abs, m)), max(d), d[q - 1],
+                               max(abs(x * row[q - 1]) for x, row in zip(m, a)), K)
+
+
+# 2^70 / 3^5: scaled weights above 2^63, so the neighbour sums take per-prime residues of A
+HUGE_SCALE = Fraction(2**70, 3**5)
+
+
+class TestResidueEngine:
+    """The int64 residue engine against the Python-int loop and the Fraction oracle."""
+
+    @pytest.mark.parametrize("make, q, K", [
+        (lambda: erdos_renyi(100, Fraction(1, 20), 7), 30, 100),
+        (lambda: example_graph("e2"), 13, 100),
+    ], ids=["er100", "e2"])
+    def test_matches_integer_recursion(self, make, q, K):
+        g = make()
+        d_q, c, rows, bits = _integer_reference(g, q, K)
+        table = coefficients(g, q, K)
+        assert (table.d_q, table.c) == (d_q, c)
+        assert beta_rows(g, q, K) == rows
+        assert bits <= _engine_bound(g, q, K)
+
+    @pytest.mark.parametrize("g", [
+        ring_with_core(8, 1),
+        build_graph(5, [(1, 2), (1, 3), (1, 4), (2, 3), (4, 5)]),
+        build_graph(6, [(1, 2, Fraction(1, 2)), (1, 3, 2), (2, 3, 3), (3, 4, Fraction(5, 3)),
+                        (4, 5, 1), (1, 6, 7)]),
+    ], ids=["ring8", "small", "weighted"])
+    def test_scaled_weights_scale_every_coefficient(self, monkeypatch, g):
+        # c_j(sA) = s c_j(A) and d_q(sA) = s d_q(A); sA's integers exceed 2^63
+        scaled = build_graph(g.n, [(u, v, HUGE_SCALE * w) for u, v, w in g.edges()])
+        q = sorted(degree_profile(g).unique_nodes)[0]
+        calls = []
+        dot = perturb._dot
+
+        def counted(x, y, p):
+            calls.append(None)
+            return dot(x, y, p)
+        monkeypatch.setattr(perturb, "_dot", counted)
+        table, big = coefficients(g, q, 30), coefficients(scaled, q, 30)
+        # the plain table's convolutions (orders 3..30), then the scaled table's
+        # convolutions and neighbour sums (orders 2..30)
+        assert len(calls) == 28 + 28 + 29
+        assert big.d_q == HUGE_SCALE * table.d_q
+        assert big.c == tuple(HUGE_SCALE * cj for cj in table.c)
+        d_q, c, rows, bits = _integer_reference(scaled, q, 30)
+        assert (big.d_q, big.c) == (d_q, c) and beta_rows(scaled, q, 30) == rows
+        assert bits <= _engine_bound(scaled, q, 30)
+
+    def test_beta_rows_from_several_primes_match_the_oracle(self, e2):
+        g = build_graph(e2.n, [(u, v, Fraction(1 + (u * v) % 5, 1 + (u + v) % 3))
+                               for u, v, _ in e2.edges()])
+        q = sorted(degree_profile(g).unique_nodes)[0]
+        assert len(perturb._crt(_engine_bound(g, q, 15))[0]) >= 5
+        _, reference_beta = reference_coefficients(g, q, 15)
+        assert beta_rows(g, q, 15) == reference_beta
+
+    @pytest.mark.parametrize("scale", [1, HUGE_SCALE], ids=["float-sums", "per-prime-sums"])
+    def test_sliced_sums_stay_exact(self, monkeypatch, e2, scale):
+        # with slices of 4 terms every int64 sum of the engine is reduced many times
+        g = build_graph(e2.n, [(u, v, scale * w) for u, v, w in e2.edges()])
+        reference = (coefficients(g, 13, 30), beta_rows(g, 13, 30))
+        monkeypatch.setattr(perturb, "_SLICE", 4)
+        assert (coefficients(g, 13, 30), beta_rows(g, 13, 30)) == reference
+
+    def test_symmetric_residues_round_trip(self):
+        crt = perturb._crt(200.0)
+        M = math.prod(crt[0].tolist())
+        assert M > 2**202
+        values = [0, 1, -1, M // 2, -(M // 2), 3**120, -(2**190) + 12345]
+        assert perturb._symmetric(perturb._residues(values, crt[0]), crt) == values
+
+    def test_primes_descend_from_the_top_of_the_range(self):
+        primes = perturb._primes(1 << 14)[0].tolist()
+        assert primes == sorted(primes, reverse=True) and primes[0] < 2**26
+        top = [x for x in range(2**26 - 1, 2**26 - 1000, -1)
+               if all(x % f for f in range(2, 8192))]
+        assert primes[:len(top)] == top
 
 
 class TestLazyBeta:

@@ -15,8 +15,9 @@ import lap_perturb.perturb as perturb
 import lap_perturb.sweep as sweep
 from lap_perturb.cli import main
 from lap_perturb.domain import exact_domain, float_domain
-from lap_perturb.eigen import accuracy_alpha
-from lap_perturb.graph import build_graph, format_edge_list
+from lap_perturb.eigen import accuracy_alpha, symmetric_eigen
+from lap_perturb.examples_data import example_graph
+from lap_perturb.graph import build_graph, format_edge_list, laplacian
 from lap_perturb.sweep import ExperimentConfig, resolve_graph_source, run_sweep, select_nodes
 
 
@@ -496,6 +497,19 @@ class TestCli:
         assert main(["reproduce", "e3", "--out-dir", str(tmp_path)]) == 0
         assert "FAIL" not in capsys.readouterr().out
         assert len(calls) <= 600
+
+    def test_reproduce_e3_solves_its_laplacian_once(self, capsys, tmp_path, monkeypatch):
+        # the spectrum check and every classification read one spectrum
+        solved = []
+
+        def counted(matrix, *args, **kwargs):
+            solved.append(matrix)
+            return symmetric_eigen(matrix, *args, **kwargs)
+        for module in (cli, sweep):
+            monkeypatch.setattr(module, "symmetric_eigen", counted)
+        assert main(["reproduce", "e3", "--out-dir", str(tmp_path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        assert solved == [laplacian(example_graph("e3"))]
 
     @pytest.mark.parametrize("name", list(SWEEP_128_CONFIGS))
     def test_sweep_detail_128_bytes(self, capsys, tmp_path, name):
