@@ -10,10 +10,11 @@ degrees of ``Graph.degrees``: a float or mpf weight counts as its dyadic value.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import inf
+from math import inf, lcm
 
 from .domain import _exact_value, _rational, parse_number
 
@@ -43,7 +44,9 @@ class Graph:
 
     ``weights`` is a tuple of row tuples (symmetric, zero diagonal); entries
     are ints for unweighted graphs and Fractions/floats otherwise.  Instances
-    are immutable and safe to share across threads.
+    are immutable and safe to share across threads.  ``degrees`` and the
+    exact integer form of the weights (``_integer_weights``) are read from
+    ``weights`` once, on first use.
     """
 
     n: int
@@ -59,6 +62,24 @@ class Graph:
         """
         return tuple(s if _rational(s := sum(row)) else sum(map(_exact_value, row))
                      for row in self.weights)
+
+    @cached_property
+    def _integer_weights(self) -> tuple | None:
+        """(W, a): W the lcm of the weight denominators and a = W A as rows of ints.
+
+        None when some weight is not rational (``_rational``), a float or mpf
+        of any value.  One pass collects the distinct (type, weight) pairs,
+        so an int 1 does not hide a float 1.0 that equals it.  A graph of
+        int weights is its own ``a``, with W = 1.
+        """
+        distinct = set().union(*(zip(map(type, row), row) for row in self.weights))
+        if not all(_rational(w) for _, w in distinct):
+            return None
+        if all(t is int for t, _ in distinct):
+            return 1, self.weights
+        W = lcm(*(int(w.denominator) for _, w in distinct))
+        scaled = {w: int(w.numerator) * (W // int(w.denominator)) for _, w in distinct}
+        return W, tuple(tuple(map(scaled.__getitem__, row)) for row in self.weights)
 
     def weight(self, u: int, v: int):
         """Edge weight between 1-based nodes ``u`` and ``v`` (0 if absent)."""
@@ -144,11 +165,8 @@ def build_graph(n: int, edges) -> Graph:
 def degree_profile(g: Graph) -> DegreeProfile:
     """Degrees, unique-degree nodes, and per-node kappa = 1/min gap."""
     d = g.degrees
-    unique = frozenset(
-        i + 1
-        for i in range(g.n)
-        if all(d[i] != d[k] for k in range(g.n) if k != i)
-    )
+    counts = Counter(d)
+    unique = frozenset(i + 1 for i in range(g.n) if counts[d[i]] == 1)
     kappa = {}
     for q in unique:
         gaps = [abs(d[q - 1] - d[k]) for k in range(g.n) if k != q - 1]

@@ -11,12 +11,12 @@ for c2..c4 live in ``tests/oracles.py`` as an independent cross-check.
 
 Rational weights run the recursion on scaled integers, in a float domain
 too: the float table then holds each value rounded once from the exact one,
-and keeps the exact d_q and c for ``euler`` to sum.  Those integers come
-from ``_residue_recursion``, which runs the recursion modulo primes below
-2^26 in int64, one vectorised step per order, and rebuilds each value by
-the Chinese remainder theorem (Garner 1959; Knuth, TAOCP vol. 2, 4.3.2) from
-enough primes for an a priori bound on its size.  Float-typed weights run
-the loop ``_recursion`` on mpmath reals with unit scale, from the exact
+and keeps the exact d_q and c for ``euler`` to sum.  The graph reads the
+integer weights once (``Graph._integer_weights``), and ``_residue_recursion``
+runs the recursion on them modulo primes below 2^26, one vectorised int64
+step per order, then rebuilds each value by the Chinese remainder theorem
+(Garner 1959; Knuth, TAOCP vol. 2, 4.3.2).  Float-typed weights run the
+loop ``_recursion`` on mpmath reals with unit scale, from the exact
 ``Graph.degrees``; on integers that loop is the plain reference the tests
 compare the residue engine with.  No series reads beta, so the table holds
 only d_q and the c_j; ``beta_rows`` gives the beta rows of the same
@@ -36,7 +36,6 @@ import numpy as np
 
 from .domain import (
     NumberDomain,
-    _rational,
     _rounded_ratio,
     exact_domain,
     float_domain,
@@ -127,13 +126,9 @@ class SeriesEvaluation:
         return tuple(sorted(self.partial_sums))
 
 
-def _rational_weights(g: Graph) -> bool:
-    return all(_rational(w) for row in g.weights for w in row)
-
-
 def default_domain(g: Graph) -> NumberDomain:
     """Exact rationals when every weight is rational, else 128-bit floats."""
-    return exact_domain() if _rational_weights(g) else float_domain(128)
+    return float_domain(128) if g._integer_weights is None else exact_domain()
 
 
 def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -> CoefficientTable:
@@ -147,14 +142,11 @@ def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -
     where the c convolution reuses c_m = sum_{l != q} beta_{m-1,l} a_ql, the
     same sum that defines the coefficients; this keeps the total cost at
     O(K^2 N + K |E|) operations on values.  When every weight is rational
-    the recursion runs on scaled integers (see ``_expand``), in int64
-    residues rebuilt by CRT (``_residue_recursion``, whose neighbour sums are
-    dense, O(K N^2) per prime), in any domain; a float
-    domain then rounds each d_q and c_j once, to nearest at its precision,
-    and keeps the exact d_q and c for the series.  Other weights run the
-    loop ``_recursion`` in mpmath at the domain's precision, with unit scale:
-    m_r = 1 / (d_q - d_r), each exact gap rounded once, so B_j = beta_j and
-    C_j = c_j.  K below 2 or a node outside 1..n raises ValueError.
+    the recursion runs on scaled integers, in any domain (``_expand``); a
+    float domain then rounds each d_q and c_j once, to nearest at its
+    precision, and keeps the exact d_q and c for the series.  Other weights
+    run the loop ``_recursion`` in mpmath at the domain's precision.  K
+    below 2 or a node outside 1..n raises ValueError.
     """
     domain, d_q, C, _, scale = _expand(g, q, K, domain, least_K=2, rows=False)
     if scale is None:
@@ -192,39 +184,38 @@ def _expand(g: Graph, q: int, K: int, domain: NumberDomain | None, least_K: int,
             rows: bool) -> tuple:
     """Check the arguments, pick the domain and run the recursion around node q.
 
-    Returns (domain, d, C, B, scale).  Rational weights run it on integers,
-    in any domain.  With W the lcm of the weight denominators, the weights
-    a = W A and the gaps G_r = W (d_q - d_r) are integers, read from each
-    weight's numerator and denominator.  With D = lcm_r |G_r| and the
+    Returns (domain, d, C, B, scale); q's degree must occur once in the
+    exact ``g.degrees``.  Rational weights run it on integers, in any domain:
+    with W and a = W A from ``Graph._integer_weights``, the gaps
+    G_r = W (d_q - d_r) are integers.  With D = lcm_r |G_r| and the
     integer m_r = D / G_r, the scaled quantities B_j = D^j beta_j and
     C_j = W D^(j-1) c_j follow ``_recursion``, so no step divides (the idea
     of Bareiss's fraction-free elimination).  ``_residue_recursion`` gives
-    them exactly from int64 residues; then d = W d_q and scale = (W, D), and
-    B is None unless ``rows``.  Other weights run ``_recursion`` on mpmath
-    reals at the domain's precision (the exact domain's ``coerce`` raises
-    TypeError): d_q and each gap d_q - d_r are the exact ``g.degrees``
-    rounded once, m_r = 1 / (d_q - d_r), scale is None, and d, C and B are
-    d_q, c and beta.
+    them exactly; d = W d_q, scale = (W, D), and B is None unless ``rows``.
+    Other weights run ``_recursion`` on mpmath reals at the domain's
+    precision (the exact domain's ``coerce`` raises TypeError): d_q and each
+    gap are the exact ``g.degrees`` rounded once, m_r = 1 / (d_q - d_r),
+    scale is None, and d, C and B are d_q, c and beta.
     """
     if K < least_K:
         raise ValueError(f"K must be at least {least_K}")
     if not 1 <= q <= g.n:
         raise ValueError(f"node {q} out of range 1..{g.n}")
-    if q not in degree_profile(g).unique_nodes:
+    qi = q - 1
+    if g.degrees.count(g.degrees[qi]) != 1:
         raise NonUniqueDegreeError(f"node {q} does not have a unique degree")
     if domain is None:
         domain = default_domain(g)
 
-    qi = q - 1
-    if not _rational_weights(g):
+    scaled = g._integer_weights
+    if scaled is None:
         with domain.context():
             a = [[domain.coerce(w) for w in row] for row in g.weights]  # TypeError if exact
             d = g.degrees
             m = {r: 1 / to_mpf(d[qi] - d[r]) for r in range(g.n) if r != qi}
             d_q = to_mpf(d[qi])
             return domain, d_q, *_recursion(a, d_q * 0, qi, m, K), None
-    W = lcm(*(int(w.denominator) for row in g.weights for w in row))
-    a = [[int(w.numerator) * (W // int(w.denominator)) for w in row] for row in g.weights]
+    W, a = scaled
     d = [sum(row) for row in a]
     D = lcm(*(abs(d[qi] - d[r]) for r in range(g.n) if r != qi))
     m = [0 if r == qi else D // (d[qi] - d[r]) for r in range(g.n)]
@@ -238,11 +229,13 @@ def _residue_recursion(a, d, qi: int, m: list, K: int, rows: bool) -> tuple:
     and m the multipliers (m_q = 0).  Each order j is one vectorised step
     over all P primes and all rows, on residues in [0, p) with p < 2^26:
 
-    - the neighbour sums S = B_{j-1} A are one float64 product shared by
-      every prime while max(d) < 2^27.  Each partial sum is then an integer
-      below p max(d) < 2^53, so the product is exact on any BLAS, whatever
-      its summation order.  Larger scaled weights take per-prime residues of
-      A in int64 instead (``_dot``);
+    - the neighbour sums S = B_{j-1} A are float64 products, shared by every
+      prime, with the base-2^k digits A_i of A (``_digits``; Ozaki et al.,
+      Numer. Algorithms 59, 2012).  A row sum of A_i is below 2^27, so each
+      partial sum is an integer below 2^53 and any BLAS is exact.  Horner's
+      rule S = (S mod p) 2^k + B_{j-1} A_i, top digit first, keeps S below
+      2^54.  An unweighted or small-weight graph (max(d) < 2^27) has one
+      digit: one product per order and no other step;
     - C_j = S_q, and B_j = m (S - sum_{k=1}^{j-2} B_k C_{j-k}) mod p, where the
       convolution is one batched int64 product over the stored rows B_k.
 
@@ -255,26 +248,20 @@ def _residue_recursion(a, d, qi: int, m: list, K: int, rows: bool) -> tuple:
     rows B_1..B_K when ``rows``, else None.
     """
     n = len(a)
-    col = [row[qi] for row in a]
-    crt = _crt(_bound_bits(max(map(abs, m)), max(d), d[qi], max(map(abs, map(mul, m, col))), K))
+    b_1 = [x * row[qi] for x, row in zip(m, a)]
+    crt = _crt(_bound_bits(max(map(abs, m)), max(d), d[qi], max(map(abs, b_1)), K))
     primes = crt[0]
     p = primes[:, None]
     mres = _residues(m, primes)
     H = np.empty((len(primes), max(K, 1), n), dtype=np.int64)  # H[:, j - 1] = B_j mod p
-    H[:, 0] = mres * _residues(col, primes) % p
+    H[:, 0] = _residues(b_1, primes)
     Cr = np.empty((len(primes), max(K - 1, 0)), dtype=np.int64)  # Cr[:, K - j] = C_j mod p
-    if max(d) < 1 << (53 - _PRIME_BITS):
-        A = np.array(a, dtype=np.float64)
-
-        def neighbour_sums(prev):
-            return (prev.astype(np.float64) @ A).astype(np.int64)
-    else:
-        A = _residues([x for row in a for x in row], primes).reshape(-1, n, n)
-
-        def neighbour_sums(prev):
-            return _dot(prev[:, None], A, p)
+    k, A = _digits(a, max(d))
     for j in range(2, K + 1):
-        S = neighbour_sums(H[:, j - 2])  # in [0, 2^63), congruent to B_{j-1} A
+        prev = H[:, j - 2].astype(np.float64)
+        S = (prev @ A[-1]).astype(np.int64)  # in [0, 2^54), congruent to B_{j-1} A
+        for Ai in A[-2::-1]:
+            S = S % p * (1 << k) + (prev @ Ai).astype(np.int64)
         Cr[:, K - j] = S[:, qi] % primes
         if j > 2:  # Cr[:, K-j+1 : K-1] holds C_{j-1}..C_2, paired with B_1..B_{j-2}
             S -= _dot(Cr[:, None, K - j + 1:K - 1], H[:, :j - 2], p)
@@ -284,6 +271,20 @@ def _residue_recursion(a, d, qi: int, m: list, K: int, rows: bool) -> tuple:
         return C, None
     B = _symmetric(H[:, :K].reshape(len(primes), -1), crt)
     return C, [B[i:i + n] for i in range(0, K * n, n)]
+
+
+def _digits(a, rho: int) -> tuple:
+    """(k, [A_0, A_1, ...]): float64 digits, A = sum_i 2^(k i) A_i, each row sum below 2^27.
+
+    rho bounds the row sums of a; below 2^27 A is its own one digit.  Else k is
+    the widest digit for which 2^k - 1 times a row's non-zeros stays below 2^27.
+    """
+    if rho < 1 << _SUM_BITS:
+        return 0, [np.array(a, dtype=np.float64)]
+    width = max(len(row) - row.count(0) for row in a)
+    k = (((1 << _SUM_BITS) - 1) // width + 1).bit_length() - 1
+    A, mask = np.array(a, dtype=object), (1 << k) - 1
+    return k, [(A >> s & mask).astype(np.float64) for s in range(0, max(map(max, a)).bit_length(), k)]
 
 
 def _bound_bits(m_max: int, rho: int, d_q: int, b_1: int, K: int) -> float:
@@ -312,6 +313,7 @@ def _bound_bits(m_max: int, rho: int, d_q: int, b_1: int, K: int) -> float:
 
 
 _PRIME_BITS = 26
+_SUM_BITS = 53 - _PRIME_BITS  # a digit's row sums stay below 2^27, so B A_i stays below 2^53
 _SLICE = 1 << 11  # products below 2^52 per int64 sum between reductions
 
 
@@ -323,11 +325,7 @@ def _residues(values: list, primes) -> np.ndarray:
 
 
 def _dot(x, y, p):
-    """A value in [0, 2^63) congruent to (x @ y)[:, 0] mod p, for x (P, 1, L), y (P, L, N).
-
-    Entries are residues, so each product is below 2^52; each int64 sum
-    adds at most ``_SLICE`` of them to a value below p.
-    """
+    """The convolution's (x @ y)[:, 0] mod p in [0, 2^63), for residues x (P, 1, L), y (P, L, N)."""
     out = np.matmul(x[:, :, :_SLICE], y[:, :_SLICE])[:, 0]
     for s in range(_SLICE, x.shape[2], _SLICE):
         out = out % p + np.matmul(x[:, :, s:s + _SLICE], y[:, s:s + _SLICE])[:, 0]

@@ -103,6 +103,15 @@ class TestDegreeProfile:
         assert prof.degrees[12] == 10
         assert prof.kappa(13) == Fraction(1, 2)
 
+    def test_integer_weights_are_read_once_at_their_exact_value(self):
+        g = build_graph(3, [(1, 2, Fraction(1, 2)), (2, 3, Fraction(2, 3))])
+        assert g._integer_weights == (6, ((0, 3, 0), (3, 0, 4), (0, 4, 0)))
+        assert g._integer_weights is g._integer_weights
+        unit = build_graph(3, [(1, 2), (2, 3)])
+        assert unit._integer_weights == (1, unit.weights)
+        assert build_graph(3, [(1, 2), (2, 3, 1.0)])._integer_weights is None
+        assert build_graph(3, [(1, 2), (2, 3, mpmath.mpf(2))])._integer_weights is None
+
     def test_regular_graph_has_no_unique_nodes(self):
         prof = degree_profile(complete_graph(5))
         assert prof.unique_nodes == frozenset()

@@ -36,6 +36,7 @@ from lap_perturb.perturb import (
     coefficient_bounds_ok,
     coefficient_table_to_json,
     coefficients,
+    default_domain,
     reconstruct_eigenvector,
 )
 
@@ -275,8 +276,21 @@ def _engine_bound(g, q, K):
                                max(abs(x * row[q - 1]) for x, row in zip(m, a)), K)
 
 
-# 2^70 / 3^5: scaled weights above 2^63, so the neighbour sums take per-prime residues of A
+# 2^70 / 3^5: scaled weights above 2^63, so the neighbour sums take several base-2^k digits of A
 HUGE_SCALE = Fraction(2**70, 3**5)
+
+
+def _count_digits(monkeypatch) -> list:
+    """Record the number of digit matrices of every ``_residue_recursion`` call from now on."""
+    counts = []
+    digits = perturb._digits
+
+    def counted(a, rho):
+        k, A = digits(a, rho)
+        counts.append(len(A))
+        return k, A
+    monkeypatch.setattr(perturb, "_digits", counted)
+    return counts
 
 
 class TestResidueEngine:
@@ -304,22 +318,33 @@ class TestResidueEngine:
         # c_j(sA) = s c_j(A) and d_q(sA) = s d_q(A); sA's integers exceed 2^63
         scaled = build_graph(g.n, [(u, v, HUGE_SCALE * w) for u, v, w in g.edges()])
         q = sorted(degree_profile(g).unique_nodes)[0]
-        calls = []
-        dot = perturb._dot
-
-        def counted(x, y, p):
-            calls.append(None)
-            return dot(x, y, p)
-        monkeypatch.setattr(perturb, "_dot", counted)
+        digits = _count_digits(monkeypatch)
         table, big = coefficients(g, q, 30), coefficients(scaled, q, 30)
-        # the plain table's convolutions (orders 3..30), then the scaled table's
-        # convolutions and neighbour sums (orders 2..30)
-        assert len(calls) == 28 + 28 + 29
+        # the plain table's A is one digit, the scaled table's takes several
+        assert digits[0] == 1 and digits[1] > 1 and len(digits) == 2
         assert big.d_q == HUGE_SCALE * table.d_q
         assert big.c == tuple(HUGE_SCALE * cj for cj in table.c)
         d_q, c, rows, bits = _integer_reference(scaled, q, 30)
         assert (big.d_q, big.c) == (d_q, c) and beta_rows(scaled, q, 30) == rows
         assert bits <= _engine_bound(scaled, q, 30)
+
+    @pytest.mark.parametrize("g, count", [
+        # a path whose heavy first edge gives nodes 1 and 2 the two largest degrees
+        *((build_graph(5, [(1, 2, w), (1, 3, 2), (3, 4, 1), (4, 5, 3)]), count) for w, count in [
+            (2**26, 1), (3 * 2**27 + 1, 2), (Fraction(2**100 + 1, 3), 4), (HUGE_SCALE, 3)]),
+        # the largest degree just below and at 2^27, every weight below it
+        (build_graph(4, [(1, 2, 2**27 - 3), (1, 3, 2), (3, 4, 1)]), 1),
+        (build_graph(4, [(1, 2, 2**27 - 2), (1, 3, 2), (3, 4, 1)]), 2),
+    ], ids=["2^26", "3*2^27+1", "(2^100+1)/3", "2^70/3^5", "degree-2^27-1", "degree-2^27"])
+    def test_weights_of_several_digits_match_integer_recursion(self, monkeypatch, g, count):
+        digits = _count_digits(monkeypatch)
+        for q in sorted(degree_profile(g).unique_nodes):
+            d_q, c, rows, bits = _integer_reference(g, q, 30)
+            table = coefficients(g, q, 30)
+            assert (table.d_q, table.c) == (d_q, c)
+            assert beta_rows(g, q, 30) == rows
+            assert bits <= _engine_bound(g, q, 30)
+        assert set(digits) == {count}
 
     def test_beta_rows_from_several_primes_match_the_oracle(self, e2):
         g = build_graph(e2.n, [(u, v, Fraction(1 + (u * v) % 5, 1 + (u + v) % 3))
@@ -331,6 +356,7 @@ class TestResidueEngine:
 
     @pytest.mark.parametrize("scale", [1, HUGE_SCALE], ids=["float-sums", "per-prime-sums"])
     def test_sliced_sums_stay_exact(self, monkeypatch, e2, scale):
+        # scale 1 gives A one digit, HUGE_SCALE several
         # with slices of 4 terms every int64 sum of the engine is reduced many times
         g = build_graph(e2.n, [(u, v, scale * w) for u, v, w in e2.edges()])
         reference = (coefficients(g, 13, 30), beta_rows(g, 13, 30))
@@ -398,6 +424,22 @@ class TestIntegerScaling:
         with pytest.raises(TypeError,
                            match=r"^exact_rational domain cannot represent 0\.5; use a float domain$"):
             coefficients(g, 1, 4, exact_domain())
+
+    @pytest.mark.parametrize("edges", [[(1, 2), (2, 3, 1.0)], [(1, 2, 1.0), (2, 3)]],
+                             ids=["int-first", "float-first"])
+    def test_a_float_weight_equal_to_an_int_takes_the_float_route(self, edges):
+        g = build_graph(3, edges)  # node 2 has the unique degree 2
+        assert default_domain(g) == float_domain(128)
+        table = coefficients(g, 2, 6)
+        assert table.domain == float_domain(128) and table._exact is None
+        assert all(isinstance(cj, mpmath.mpf) for cj in table.c)
+
+    def test_fraction_and_int_weights_stay_exact(self):
+        g = build_graph(3, [(1, 2, Fraction(2)), (2, 3, 2)])
+        assert default_domain(g) == exact_domain()
+        table = coefficients(g, 2, 6)
+        assert all(type(cj) is Fraction for cj in (table.d_q, *table.c))
+        assert table.c == coefficients(build_graph(3, [(1, 2, 2), (2, 3, 2)]), 2, 6).c
 
     @pytest.mark.parametrize("domain", [exact_domain(), float_domain(128)], ids=["exact", "128"])
     @pytest.mark.parametrize("weighted", [False, True], ids=["unit", "rational"])
