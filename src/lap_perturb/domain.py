@@ -8,8 +8,9 @@ mantissa bits.  When the weights are all rational (``_rational``),
 ``perturb`` computes exactly in a float domain too and rounds each value once
 (``to_mpf``); float-typed weights run its recursion in mpmath.  Degrees
 (``Graph.degrees``) and every series in ``euler`` take each input at its
-exact value (``_exact_value``); ``euler`` rounds each partial sum once, from
-its unreduced integer ratio (``_rounded_ratio``), when it is read.
+exact value (``_exact_value``, or its ``_integer_ratio``); ``euler`` rounds
+each partial sum once, from its unreduced integer ratio (``_rounded_ratio``),
+when it is read.
 """
 
 from __future__ import annotations
@@ -83,12 +84,17 @@ def _exact_value(value) -> Fraction:
 
     Anything else, NaN and the infinities included, raises ValueError.
     """
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, Rational) or isinstance(value, float) and isfinite(value):
-        return Fraction(value)
+    return value if type(value) is Fraction else Fraction(*_integer_ratio(value))
+
+
+def _integer_ratio(value) -> tuple:
+    """(numerator, denominator) of ``_exact_value(value)``: coprime, denominator positive."""
+    if isinstance(value, Rational):
+        return int(value.numerator), int(value.denominator)
+    if isinstance(value, float) and isfinite(value):
+        return value.as_integer_ratio()
     if isinstance(value, mpmath.mpf) and mpmath.isfinite(value):
-        return Fraction(*to_rational(value._mpf_))
+        return to_rational(value._mpf_)
     raise ValueError(f"{value!r} is not a finite number")
 
 

@@ -6,31 +6,36 @@ The Euler t-transform rewrites a Taylor series f0 + sum f_k z^k as
 
 with a tunable parameter t; it often converges where the plain series does
 not.  At t = 0 it is the plain Taylor series, so ``_transform`` is the one
-loop behind every partial-sum series in the package, and besides the public
+core behind every partial-sum series in the package, and besides the public
 ``euler_transform_generic`` it has one caller, ``_table_series``: the Taylor
 and Euler series of a coefficient table, whether the table comes from the
 recursion or from the almost-regular closed form, and the four-term estimate.
 
-The core takes every input at its exact rational value (a
-finite float or mpf real is a dyadic rational) and runs on integers: with
-the f_k over their common denominator, t = a/b and z/(1 + t z) = p/s, each
-partial sum is f0 plus one integer ratio.  Each table is summed on its exact
-coefficients (or the exact values of its stored ones) at the exact zeta and
-t.  A series makes each partial sum only when it is read: the exact domain
-reduces it to a ``Fraction`` then, and a float domain rounds it once, from
-the unreduced ratio, at the table's precision.  ``convergence_classify``
-reads one of them and finds the nearest eigenvalue by bisection.
+The core takes every input at its exact rational value (a finite float or
+mpf real is a dyadic rational) and runs on integers.  Partial sum m of the
+transform is the Euler mean of the Taylor partial sums of orders 0..m, so
+with the f_k as integers F_k over one denominator L, t = a/b and
+z/(1 + t z) = p/s, it is f0 plus one integer ratio whose numerator is
+sum_j C(m, j) (ap)^(m-j) H_j over the Taylor numerators H_j, made once per
+series in O(K) products.  A table from the residue engine keeps its F and L
+(``CoefficientTable._exact``); other tables are put over their lcm once per
+series (``_over_lcm``).  A series makes each partial sum only when it is
+read: the exact domain reduces it to a ``Fraction`` then, and a float
+domain rounds it once, from the unreduced ratio, at the table's precision.
+``convergence_classify`` reads one of them and finds the nearest eigenvalue
+by bisection on integer cross-products.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, inf, isfinite, lcm
+from operator import mul
 
-from .domain import NumberDomain, _exact_value, _rounded_ratio
+from .domain import NumberDomain, _exact_value, _integer_ratio, _rounded_ratio
 from .eigen import accuracy_alpha
 from .perturb import CoefficientTable, SeriesEvaluation, coefficients
 
@@ -72,14 +77,14 @@ class EulerParams:
 class _PartialSums(Mapping):
     """Partial sums of orders 2..K_max of one transform, each made on its first read.
 
-    A read of order m gives f0 + num / den with num = nums[m - 1] and
-    den = den0 * step^(m - 1): the exact domain returns it as a reduced
+    A read of order m gives f0 + N_m / (den0 step^(m - 1)), with N_m the
+    Euler mean of ``_numerator``: the exact domain returns it as a reduced
     ``Fraction``, a float domain rounds the unreduced ratio once, to
     nearest, at its precision (the same value as rounding the ``Fraction``).
     """
 
     def __init__(self, core: tuple, K_max: int, domain: NumberDomain) -> None:
-        self._f0, self._nums, self._den0, self._step = core
+        self._f0, self._H, self._x, self._den0, self._step = core
         self._orders = range(2, K_max + 1)
         self._domain = domain
         self._cache = {}
@@ -89,7 +94,7 @@ class _PartialSums(Mapping):
             return self._cache[K]
         if K not in self._orders:
             raise KeyError(K)
-        f0, num, den = self._f0, self._nums[K - 1], self._den0 * self._step ** (K - 1)
+        f0, num, den = self._f0, _numerator(self._H, self._x, K), self._den0 * self._step ** (K - 1)
         if self._domain.is_exact:
             value = f0 + Fraction(num, den)
         else:
@@ -115,19 +120,23 @@ class _PartialSums(Mapping):
 def _table_series(table: CoefficientTable, zeta, t, K_max: int, kind: str) -> SeriesEvaluation:
     """Transform partial sums of orders 2..K_max in the table's domain (c_1 = 0).
 
-    The sums run on the exact values of the table's d_q and c (its ``_exact``
-    pair when it keeps one) at the exact zeta and t.  ``partial_sums`` makes
-    each order on its first read: a reduced ``Fraction`` in the exact domain,
+    The sums run on the exact values of the table's d_q and c at the exact
+    zeta and t: its ``_exact`` integers when it keeps them, else its stored
+    values put over their lcm (``_over_lcm``).  ``partial_sums`` makes each
+    order on its first read: a reduced ``Fraction`` in the exact domain,
     rounded once in a float domain.
     """
     if K_max > table.K:
         raise ValueError(f"K_max = {K_max} exceeds table order {table.K}")
     domain = table.domain
-    d_q, c = table._exact if table._exact is not None else (table.d_q, table.c)
+    if table._exact is not None:
+        d_q, F, L = table._exact
+    else:
+        d_q, (F, L) = table.d_q, _over_lcm(table.c)
     with domain.context():
         z = domain.coerce(zeta)
         tt = domain.coerce(t)
-    sums = _PartialSums(_transform(d_q, (0, *c), t, zeta, K_max), K_max, domain)
+    sums = _PartialSums(_transform(d_q, (0, *F[:K_max - 1]), L, t, zeta), K_max, domain)
     return SeriesEvaluation(q=table.q, zeta=z, kind=kind, partial_sums=sums,
                             t=tt if kind == "euler" else None)
 
@@ -164,60 +173,75 @@ def euler_transform_generic(f0, coeffs, t, z, M: int) -> list:
     entry m being the transform truncated after the m-th outer term (entry
     0 = f0).  Each input, an int, Fraction, float or mpf, is taken at its
     exact value; NaN or inf raises ValueError.  See ``_transform`` for the
-    integer loop; each entry is reduced once.
-    """
-    f0, nums, den, step = _transform(f0, coeffs, t, z, M)
-    partials = [f0]
-    for num in nums:
-        partials.append(f0 + Fraction(num, den))
-        den *= step
-    return partials
-
-
-def _transform(f0, coeffs, t, z, M: int) -> tuple:
-    """The Euler t-transform of f0 + sum_{k<=M} f_k z^k on integers: (f0, nums, den0, step).
-
-    Partial sum m (1 <= m <= M) is f0 + nums[m - 1] / (den0 * step^(m - 1)),
-    unreduced; f0 is the exact value of the input.  With f_k = F_k / L over
-    the lcm L of their denominators, t = a/b and w = z/(1 + t z) = p/s, the
-    m-th inner sum is S_m / (L b^(m-1)) for the integer
-
-        S_m = sum_k C(m-1, k-1) a^(m-k) G_k,   G_k = F_k b^(k-1),
-
-    so den0 = L s, step = b s and nums[m - 1] = N_m with
-    N_m = N_(m-1) b s + S_m p^m.  S_m is the head of the row G after m - 1
-    Pascal steps r_i <- a r_i + r_(i+1); at a = 0 (the Taylor series) it is
-    G_m.
+    integers; each entry is reduced once.
     """
     fs = list(coeffs)
     if len(fs) < M:
         raise ValueError(f"need {M} coefficients, got {len(fs)}")
+    f0, H, x, den, step = _transform(f0, *_over_lcm(fs[:M]), t, z)
+    partials = [f0]
+    for m in range(1, M + 1):
+        partials.append(f0 + Fraction(_numerator(H, x, m), den))
+        den *= step
+    return partials
+
+
+def _over_lcm(values) -> tuple:
+    """(F, L): the exact values as integers F_k over L, the lcm of their reduced denominators."""
+    fs = [_exact_value(v) for v in values]
+    L = lcm(*(f.denominator for f in fs))
+    return tuple(f.numerator * (L // f.denominator) for f in fs), L
+
+
+def _transform(f0, F, L: int, t, z) -> tuple:
+    """The Euler t-transform of f0 + sum_k (F_k / L) z^k on integers: (f0, H, x, den0, step).
+
+    Partial sum m is f0 + N_m / (den0 step^(m - 1)), unreduced, with N_m from
+    ``_numerator``; f0 is the exact value of the input.  With t = a/b and
+    w = z/(1 + t z) = p/s, the transform of order m is the Euler mean
+
+        sum_{j=0}^m C(m, j) (t w)^(m-j) (1 - t w)^j sigma_j(z)
+
+    of the Taylor partial sums sigma_j (Hardy, Divergent Series, 1949,
+    ch. 8).  Since 1 - t w = (b s - a p) / (b s) and z = b p / (b s - a p),
+    it is f0 + N_m / (L b^(m-1) s^m) for the integers
+
+        H_j = H_(j-1) (b s - a p) + G_j p^j,   G_j = F_j b^(j-1),  H_0 = 0,
+        N_m = sum_{j=1}^m C(m, j) (a p)^(m-j) H_j,
+
+    so den0 = L s, step = b s and x = a p.  H takes O(len(F)) products; at
+    a = 0 (the Taylor series) N_m = H_m.
+    """
     f0, t, z = map(_exact_value, (f0, t, z))
-    fs = [_exact_value(f) for f in fs[:M]]
     denom = 1 + t * z
     if denom == 0:
         raise ValueError("singular transform: 1 + t*z = 0")
     w = z / denom
     a, b = t.numerator, t.denominator
     p, s = w.numerator, w.denominator
-    L = lcm(*(f.denominator for f in fs))
-    G, bpow = [], 1
-    for f in fs:
-        G.append(f.numerator * (L // f.denominator) * bpow)
-        bpow *= b
-    if a == 0:
-        sums = G
-    else:
-        sums, row = [], G
-        for _ in fs:
-            sums.append(row[0])
-            row = [a * x + y for x, y in zip(row, row[1:])]
-    nums, num, ppow, bs = [], 0, 1, b * s
-    for S in sums:
-        ppow *= p
-        num = num * bs + S * ppow
-        nums.append(num)
-    return f0, nums, L * s, bs
+    bs, x = b * s, a * p
+    H, h, gp = [], 0, p  # gp = b^(j-1) p^j
+    for Fj in F:
+        h = h * (bs - x) + Fj * gp
+        H.append(h)
+        gp *= b * p
+    return f0, H, x, L * s, bs
+
+
+def _numerator(H: list, x: int, m: int) -> int:
+    """N_m = sum_{j=1}^m C(m, j) x^(m-j) H_j of ``_transform``; H_m when x = 0."""
+    return H[m - 1] if x == 0 else sum(map(mul, _euler_row(x, m), H))
+
+
+@lru_cache(maxsize=1024)
+def _euler_row(x: int, m: int) -> tuple:
+    """(C(m, j) x^(m-j) for j = 1..m): the Euler-mean weights of order m, shared by every table."""
+    row, c, xp = [], 1, 1
+    for j in range(m, 0, -1):  # c = C(m, j), xp = x^(m-j)
+        row.append(c * xp)
+        c = c * j // (m - j + 1)
+        xp *= x
+    return tuple(reversed(row))
 
 
 @dataclass(frozen=True)
@@ -253,9 +277,11 @@ def convergence_classify(
     """Classify a series as converged iff alpha at K_check <= alpha_threshold.
 
     Reads the one partial sum xi at K_check, bisects the descending spectrum
-    on exact values for the last eigenvalue above xi and the first at or
-    below it, and matches the nearer of the two (the first, larger one on an
-    exact tie, and the first index of a repeated value).  Raises ValueError
+    for the last eigenvalue above xi and the first at or below it, and
+    matches the nearer of the two (the first, larger one on an exact tie, and
+    the first index of a repeated value).  Every comparison is exact: each
+    eigenvalue it visits and xi are integer pairs (``_integer_ratio``),
+    compared by cross-multiplication, and no ``Fraction`` is made.  Raises ValueError
     for an empty, unsorted or non-finite spectrum, a non-finite threshold, or
     a series without a partial sum at K_check.
     """
@@ -272,15 +298,27 @@ def convergence_classify(
         raise ValueError(f"series has no partial sum at K = {K_check}")
 
     xi = series.partial_sums[K_check]
-    x = _exact_value(xi)
-    key = lambda mu: -_exact_value(mu)  # ascending along the descending spectrum
-    below = bisect_left(mus, -x, key=key)  # mus[:below] > x >= mus[below:]
-    candidates = []
-    if below > 0:  # the first index of the least eigenvalue above x
-        candidates.append(bisect_left(mus, key(mus[below - 1]), hi=below, key=key))
-    if below < len(mus):
-        candidates.append(below)
-    best = min(candidates, key=lambda i: abs(x - _exact_value(mus[i])))  # a tie: the first
+    xn, xd = _integer_ratio(xi)
+    below, hi = 0, len(mus)  # bisect for mus[:below] > xi >= mus[below:]
+    while below < hi:
+        mid = (below + hi) // 2
+        mn, md = _integer_ratio(mus[mid])
+        if mn * xd > xn * md:
+            below = mid + 1
+        else:
+            hi = mid
+    best = below
+    if below > 0:  # the first index of the least eigenvalue above xi, if it is nearer
+        an, ad = _integer_ratio(mus[below - 1])
+        above = below - 1
+        while above > 0 and _integer_ratio(mus[above - 1]) == (an, ad):
+            above -= 1
+        if below == len(mus):
+            best = above
+        else:  # mus[above] - xi <= xi - mus[below], times ad bd xd > 0; a tie goes above
+            bn, bd = _integer_ratio(mus[below])
+            if (an * xd - xn * ad) * bd <= (xn * bd - bn * xd) * ad:
+                best = above
     alpha = accuracy_alpha(xi, mus[best])
     return ConvergenceReport(
         q=series.q,

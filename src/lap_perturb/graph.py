@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import inf, lcm
+from operator import not_
 
 from .domain import _exact_value, _rational, parse_number
 
@@ -59,9 +60,11 @@ class Graph:
 
         A row of ints or Fractions keeps its ``sum``; other rows add the exact
         (``_exact_value``) weights, so a NaN or infinite weight raises ValueError.
+        The non-zero weights are added to the sum of the zeros, which keeps the
+        type ``sum(row)`` has without a ``Fraction`` addition per int zero.
         """
-        return tuple(s if _rational(s := sum(row)) else sum(map(_exact_value, row))
-                     for row in self.weights)
+        return tuple(s if _rational(s := sum(filter(None, row), sum(filter(not_, row))))
+                     else sum(map(_exact_value, row)) for row in self.weights)
 
     @cached_property
     def _integer_weights(self) -> tuple | None:

@@ -11,7 +11,8 @@ for c2..c4 live in ``tests/oracles.py`` as an independent cross-check.
 
 Rational weights run the recursion on scaled integers, in a float domain
 too: the float table then holds each value rounded once from the exact one,
-and keeps the exact d_q and c for ``euler`` to sum.  The graph reads the
+and every such table keeps its exact values as integers over one
+denominator for ``euler`` to sum.  The graph reads the
 integer weights once (``Graph._integer_weights``), and ``_residue_recursion``
 runs the recursion on them modulo primes below 2^26, one vectorised int64
 step per order, then rebuilds each value by the Chinese remainder theorem
@@ -29,7 +30,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import inf, isqrt, lcm, log2, prod
+from math import gcd, inf, isqrt, lcm, log2, prod
 from operator import mul
 
 import numpy as np
@@ -69,8 +70,11 @@ class CoefficientTable:
     ``c[j - 2]`` holds c_j; c_0 = d_q and c_1 = 0 are implicit.  Values are
     Fractions in exact mode, mpmath reals otherwise.  A float table built
     from rational weights holds each value correctly rounded from the exact
-    one, and ``_exact`` holds that exact (d_q, c); it is None for every
-    other table and takes no part in comparisons.  The eigenvector
+    one.  A table from rational weights, in any domain, keeps its exact
+    values in ``_exact`` = (d_q, F, L): d_q a ``Fraction`` and the integers
+    F[j - 2] / L = c_j over L, the lcm of their reduced denominators, which
+    the series in ``euler`` sum.  It is None for float-typed weights and
+    takes no part in comparisons.  The eigenvector
     coefficients beta_jr of the same recursion come from ``beta_rows``.
     """
 
@@ -144,20 +148,24 @@ def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -
     O(K^2 N + K |E|) operations on values.  When every weight is rational
     the recursion runs on scaled integers, in any domain (``_expand``); a
     float domain then rounds each d_q and c_j once, to nearest at its
-    precision, and keeps the exact d_q and c for the series.  Other weights
-    run the loop ``_recursion`` in mpmath at the domain's precision.  K
-    below 2 or a node outside 1..n raises ValueError.
+    precision, straight from the ratio c_j = C_j / (W D^(j-1)) of
+    ``_expand``.  Either domain keeps the exact values for the series in
+    ``_exact``: the C_j over W D^(K-1), with their common gcd divided out.
+    Other weights run the loop ``_recursion`` in mpmath at the domain's
+    precision.  K below 2 or a node outside 1..n raises ValueError.
     """
     domain, d_q, C, _, scale = _expand(g, q, K, domain, least_K=2, rows=False)
     if scale is None:
         return CoefficientTable(q, K, d_q, tuple(C), domain)
     W, D = scale
-    d_q = Fraction(d_q, W)
-    c = tuple(Fraction(Cj, W * D ** j) for j, Cj in enumerate(C, start=1))
-    if domain.is_exact:
-        return CoefficientTable(q, K, d_q, c, domain)
+    dens = [W * D ** j for j in range(1, K)]  # c_j = C_j / dens[j - 2]
+    Fs = [Cj * D ** (K - j) for j, Cj in enumerate(C, start=2)]  # over dens[-1] = W D^(K-1)
+    common = gcd(dens[-1], *Fs)
+    exact = (Fraction(d_q, W), tuple(x // common for x in Fs), dens[-1] // common)
+    ratio = Fraction if domain.is_exact else _rounded_ratio
     with domain.context():
-        return CoefficientTable(q, K, to_mpf(d_q), tuple(map(to_mpf, c)), domain, _exact=(d_q, c))
+        return CoefficientTable(q, K, ratio(d_q, W), tuple(map(ratio, C, dens)), domain,
+                                _exact=exact)
 
 
 def beta_rows(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -> tuple:

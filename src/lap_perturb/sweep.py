@@ -169,7 +169,7 @@ _CONFIG_KEYS = {  # key: (what it must be, parser)
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepCell:
     """One (n, p, t) cell of a sweep; ``p`` is "" for a single-graph source.
 
@@ -196,7 +196,7 @@ class SweepCell:
                 self.converged, f"{self.fraction:.6f}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrialRecord:
     q: int
     t: object

@@ -19,6 +19,12 @@ common denominator; it reduces a ``Fraction`` at every inner-sum term, and
 on ``Fraction`` inputs the integer loop must return the same values.  A
 float-domain series equals ``round_to_nearest`` of it, taken on the exact
 values of the table's d_q and c.
+``pascal_transform`` is the integer loop of ``euler._transform`` before it
+took the Euler means of the Taylor numerators: it builds the inner sums by
+Pascal rows, O(M^2) integer steps.  Every order a series reads must equal
+its entry.  ``bisect_classify`` is ``euler.convergence_classify`` as it
+bisected the spectrum on ``Fraction`` keys; the integer bisection must give
+the same report and raise the same errors.
 ``euler_series_t_minus_one`` evaluates the t = -1, zeta = -1 case by its own
 formula, as an independent reference for the general transform.
 
@@ -53,8 +59,9 @@ Taylor and Euler sums can be checked against those of the engine's table.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from math import comb, inf, sqrt
+from math import comb, inf, isfinite, lcm, sqrt
 
 import mpmath
 
@@ -65,9 +72,9 @@ from lap_perturb.almost_regular import (
     chc_build,
     cm_closed_form,
 )
-from lap_perturb.domain import NumberDomain, exact_domain, to_mpf
-from lap_perturb.eigen import symmetric_eigen
-from lap_perturb.euler import EulerParams
+from lap_perturb.domain import NumberDomain, _exact_value, exact_domain, to_mpf
+from lap_perturb.eigen import accuracy_alpha, symmetric_eigen
+from lap_perturb.euler import ConvergenceReport, EulerParams
 from lap_perturb.graph import Graph, closed_walk_counts, degree_profile
 from lap_perturb.perturb import (
     CoefficientTable,
@@ -179,6 +186,84 @@ def reference_transform(f0, coeffs, t, z, M: int) -> list:
         acc = acc + inner * wpow
         partials.append(acc)
     return partials
+
+
+def pascal_transform(f0, coeffs, t, z, M: int) -> list:
+    """Partial sums 0..M of the Euler t-transform of f0 + sum_k f_k z^k, by Pascal rows on integers.
+
+    The integer loop that ``euler._transform`` ran before it took the Euler
+    means of the Taylor numerators.  Each input is taken at its exact value;
+    with f_k = F_k / L over the lcm L of their denominators, t = a/b and
+    z/(1 + t z) = p/s, the m-th inner sum is S_m / (L b^(m-1)) for
+
+        S_m = sum_k C(m-1, k-1) a^(m-k) G_k,   G_k = F_k b^(k-1),
+
+    the head of the row G after m - 1 Pascal steps r_i <- a r_i + r_(i+1),
+    and partial sum m is f0 + N_m / (L s (b s)^(m-1)) with
+    N_m = N_(m-1) b s + S_m p^m.  O(M^2) integer steps.
+    """
+    fs = list(coeffs)
+    if len(fs) < M:
+        raise ValueError(f"need {M} coefficients, got {len(fs)}")
+    f0, t, z = map(_exact_value, (f0, t, z))
+    fs = [_exact_value(f) for f in fs[:M]]
+    denom = 1 + t * z
+    if denom == 0:
+        raise ValueError("singular transform: 1 + t*z = 0")
+    w = z / denom
+    a, b = t.numerator, t.denominator
+    p, s = w.numerator, w.denominator
+    L = lcm(*(f.denominator for f in fs))
+    G, bpow = [], 1
+    for f in fs:
+        G.append(f.numerator * (L // f.denominator) * bpow)
+        bpow *= b
+    partials, num, ppow, den, row = [f0], 0, 1, L * s, G
+    for _ in fs:
+        ppow *= p
+        num = num * b * s + row[0] * ppow
+        partials.append(f0 + Fraction(num, den))
+        den *= b * s
+        row = [a * x + y for x, y in zip(row, row[1:])]
+    return partials
+
+
+def bisect_classify(series: SeriesEvaluation, oracle_eigenvalues, alpha_threshold: float = -4.0,
+                    K_check: int = 30) -> ConvergenceReport:
+    """``euler.convergence_classify`` as it bisected on ``Fraction`` keys.
+
+    Each eigenvalue it visits becomes its exact ``Fraction``; the nearer of
+    the last eigenvalue above xi (at the first index of its value) and the
+    first at or below it is matched, the larger on an exact tie.
+    """
+    mus = list(oracle_eigenvalues)
+    if not mus:
+        raise ValueError("oracle spectrum is empty")
+    if not all(mu == mu and abs(mu) != inf for mu in mus):  # mu == mu fails for NaN
+        raise ValueError("oracle eigenvalues must be finite")
+    if any(mus[i] < mus[i + 1] for i in range(len(mus) - 1)):
+        raise ValueError("oracle eigenvalues must be sorted descending")
+    if not isfinite(alpha_threshold):
+        raise ValueError(f"alpha threshold must be finite, not {alpha_threshold}")
+    if K_check not in series.partial_sums:
+        raise ValueError(f"series has no partial sum at K = {K_check}")
+
+    xi = series.partial_sums[K_check]
+    x = _exact_value(xi)
+    key = lambda mu: -_exact_value(mu)  # ascending along the descending spectrum
+    below = bisect_left(mus, -x, key=key)  # mus[:below] > x >= mus[below:]
+    candidates = []
+    if below > 0:  # the first index of the least eigenvalue above x
+        candidates.append(bisect_left(mus, key(mus[below - 1]), hi=below, key=key))
+    if below < len(mus):
+        candidates.append(below)
+    best = min(candidates, key=lambda i: abs(x - _exact_value(mus[i])))  # a tie: the first
+    alpha = accuracy_alpha(xi, mus[best])
+    return ConvergenceReport(
+        q=series.q, kind=series.kind, t=series.t, zeta=series.zeta, matched_mu=mus[best],
+        matched_index=best + 1, alpha=alpha, alpha_threshold=alpha_threshold, K_check=K_check,
+        converged=alpha <= alpha_threshold,
+    )
 
 
 def _inner_weight_sums(coeff_at, t, K_max: int):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from mpmath.libmp import from_man_exp
 from hypothesis import assume, given, settings, strategies as st
 
 import lap_perturb.euler as euler
@@ -32,8 +33,10 @@ from helpers import (
     table_values,
 )
 from oracles import (
+    bisect_classify,
     euler_series_t_minus_one,
     pascal_row,
+    pascal_transform,
     reference_euler_series,
     reference_transform,
 )
@@ -250,6 +253,80 @@ class TestPartialSumsOnRead:
             convergence_classify(series, [4.0, 1.0], K_check=K)
 
 
+_MEAN_TS = (Fraction(0), Fraction(-1), Fraction(-1, 2), Fraction(2), Fraction(-7, 3))
+_MEAN_ZETAS = (Fraction(-1), Fraction(-1, 3), Fraction(1, 2), Fraction(-2))
+_TYPED_VALUES = {
+    "int": st.integers(-10**6, 10**6),
+    "Fraction": st.builds(Fraction, st.integers(-2**40, 2**40), st.integers(1, 2**20)),
+    "float": st.floats(-1e6, 1e6, allow_nan=False),
+    "mpf": st.builds(lambda n, e: mpmath.mp.make_mpf(from_man_exp(n, e)),  # n 2^e exactly
+                     st.integers(-2**100, 2**100), st.integers(-140, 0)),
+}
+
+
+@st.composite
+def _typed_tables(draw):
+    """A table of d_q and c_2..c_K (K <= 100) of one type, with the domain that type allows."""
+    kind = draw(st.sampled_from(sorted(_TYPED_VALUES)))
+    K = draw(st.integers(2, 100))
+    values = draw(st.lists(st.one_of(st.just(0), _TYPED_VALUES[kind]), min_size=K, max_size=K))
+    if kind in ("float", "mpf"):
+        values = [float(v) if kind == "float" else mpmath.mpf(v) for v in values]  # and the 0s
+    bits = draw(st.sampled_from((0, 53, 128) if kind in ("int", "Fraction") else (53, 128)))
+    domain = float_domain(bits) if bits else exact_domain()
+    return CoefficientTable(q=1, K=K, d_q=values[0], c=tuple(values[1:]), domain=domain)
+
+
+class TestEulerMeans:
+    """Every order a series reads equals the Pascal-row transform it replaced."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(table=_typed_tables(), t=st.sampled_from(_MEAN_TS), zeta=st.sampled_from(_MEAN_ZETAS),
+           data=st.data())
+    def test_every_order_in_any_order_equals_the_pascal_rows(self, table, t, zeta, data):
+        assume(1 + t * zeta != 0)
+        K, domain = table.K, table.domain
+        pascal = pascal_transform(table.d_q, (0, *table.c), t, zeta, K)
+        if K <= 20:
+            exact = [_exact_value(f) for f in (table.d_q, 0, *table.c)]
+            assert pascal == reference_transform(exact[0], exact[1:], t, zeta, K)
+        with domain.context():
+            expected = {m: pascal[m] if domain.is_exact else to_mpf(pascal[m])
+                        for m in range(2, K + 1)}
+        series = euler_series(table, EulerParams(t=t, zeta=zeta, K_max=K))
+        orders = data.draw(st.permutations(range(2, K + 1)))
+        for _ in range(2):  # the second pass reads the cache
+            with mpmath.workprec(24):  # a read rounds at the table's precision
+                got = {m: series.at(m) for m in orders}
+            assert got == expected
+            assert all(type(v) is (Fraction if domain.is_exact else mpmath.mpf)
+                       for v in got.values())
+
+    @pytest.mark.parametrize("q", [3, 7, 13])
+    def test_e2_every_order_at_k100(self, e2, q):
+        table = coefficients(e2, q, 100)
+        for t in (Fraction(-1), Fraction(-3)):
+            series = euler_series(table, EulerParams(t=t, zeta=Fraction(-1), K_max=100))
+            pascal = pascal_transform(table.d_q, (0, *table.c), t, Fraction(-1), 100)
+            assert [series.at(m) for m in range(2, 101)] == pascal[2:]
+
+    @pytest.mark.parametrize("domain", [exact_domain(), float_domain(53), float_domain(128)],
+                             ids=["exact", "53", "128"])
+    def test_engine_integers_over_the_lcm(self, domain):
+        # _exact = (d_q, F, L): F_k / L = c_k over the lcm of the reduced denominators
+        graphs = [*random_unique_degree_graphs(6),
+                  (build_graph(5, [(1, 2, Fraction(3, 7)), (1, 3, Fraction(5, 2)), (2, 4, 2),
+                                   (3, 4, Fraction(1, 6))]), 1),
+                  (build_graph(5, [(1, 2), (3, 4)]), 5)]  # node 5 is isolated: every c_j is 0
+        for g, q in graphs:
+            exact = coefficients(g, q, 30, exact_domain())
+            d_q, F, L = coefficients(g, q, 30, domain)._exact
+            assert d_q == exact.d_q and type(d_q) is Fraction
+            assert len(F) == len(exact.c)
+            assert [Fraction(x, L) for x in F] == list(exact.c)
+            assert L == math.lcm(*(cj.denominator for cj in exact.c))
+
+
 class TestEulerK4Estimate:
     def test_e1_values(self, e1):
         assert euler_k4_estimate(e1, 1) == Fraction(135, 32)
@@ -411,6 +488,63 @@ class TestConvergenceClassify:
         best = min(range(len(mus)), key=lambda i: abs(exact - _exact_value(mus[i])))
         assert report.matched_index == best + 1
         assert report.matched_mu is mus[best]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(values=st.lists(st.integers(-8, 8), min_size=1, max_size=12),
+           kind=st.sampled_from(["float", "mpf", "Fraction"]),
+           x=st.one_of(st.integers(-40, 40), st.sampled_from([-10**20, 10**20])),
+           xi_kind=st.sampled_from(["float", "mpf", "Fraction"]))
+    def test_report_equals_the_fraction_bisection(self, values, kind, x, xi_kind):
+        # eigenvalues on the thirds and xi on the sixths: repeated values, exact
+        # ties, xi equal to an eigenvalue and xi beyond either end of the spectrum
+        make = {"float": lambda v, d: v / d, "mpf": lambda v, d: mpmath.mpf(v) / d,
+                "Fraction": Fraction}
+        mus = [make[kind](v, 3) for v in sorted(values, reverse=True)]
+        series = SeriesEvaluation(q=1, zeta=Fraction(-1), kind="euler",
+                                  partial_sums={30: make[xi_kind](x, 6)}, t=Fraction(-1))
+        report = convergence_classify(series, mus)
+        assert report == bisect_classify(series, mus)
+        assert report.matched_mu is bisect_classify(series, mus).matched_mu
+
+    @pytest.mark.parametrize("mus, xi, index", [
+        ([5.0, 4.0, 4.0, 4.0, 2.0, 2.0], Fraction(3), 2),  # a tie between repeated values
+        ([Fraction(7, 3), Fraction(1, 3), Fraction(1, 3)], Fraction(4, 3), 1),  # an exact tie
+        ([mpmath.mpf(3), mpmath.mpf(1), mpmath.mpf(1), mpmath.mpf(0)], mpmath.mpf(1), 2),
+        ([2.0, 1.0, 1.0], Fraction(1), 2),  # xi equal to a repeated eigenvalue
+        ([2.5, 1.5, 0.5], Fraction(10**30), 1),  # above the spectrum
+        ([2.5, 1.5, 0.5], -1e300, 3),  # below it
+        ([4.0, 4.0, 4.0], Fraction(4), 1),
+        ([4.0, 4.0, 4.0], Fraction(5), 1),
+        ([4.0, 4.0, 4.0], Fraction(3), 1),
+        ([Fraction(1, 3), 0.25], mpmath.mpf(0.3), 1),  # a mixed spectrum, compared exactly
+    ])
+    def test_matches_the_fraction_bisection(self, mus, xi, index):
+        series = SeriesEvaluation(q=1, zeta=Fraction(-1), kind="euler", partial_sums={30: xi},
+                                  t=Fraction(-1))
+        report = convergence_classify(series, mus)
+        assert report.matched_index == index
+        assert report == bisect_classify(series, mus)
+
+    @pytest.mark.parametrize("mus, threshold, K_check", [
+        ([], -4.0, 4),
+        ([4.0, math.nan], -4.0, 4),
+        ([mpmath.inf, 1.0], -4.0, 4),
+        ([4.0, -math.inf], -4.0, 4),
+        ([1.0, 2.0], -4.0, 4),
+        ([Fraction(1), Fraction(1), Fraction(2)], -4.0, 4),
+        ([4.0, 1.0], math.nan, 4),
+        ([4.0, 1.0], math.inf, 4),
+        ([4.0, 1.0], -math.inf, 4),
+        ([4.0, 1.0], -4.0, 30),
+        ([4.0, 1.0], -4.0, 1),
+    ])
+    def test_errors_equal_the_fraction_bisection(self, e1, mus, threshold, K_check):
+        series = taylor_partial_sums(coefficients(e1, 1, 4), -1)
+        with pytest.raises(ValueError) as expected:
+            bisect_classify(series, mus, threshold, K_check)
+        with pytest.raises(ValueError) as got:
+            convergence_classify(series, mus, threshold, K_check)
+        assert str(got.value) == str(expected.value)
 
     def test_repeated_eigenvalue_matches_its_first_index(self):
         series = SeriesEvaluation(q=1, zeta=Fraction(-1), kind="euler",

@@ -10,6 +10,7 @@ import pytest
 from lap_perturb.domain import _exact_value
 from lap_perturb.eigen import symmetric_eigen
 from lap_perturb.graph import (
+    Graph,
     antiregular,
     build_graph,
     closed_walk_counts,
@@ -64,6 +65,24 @@ class TestBuildGraph:
         g = build_graph(3, [(1, 2, Fraction(1, 3)), (2, 3, Fraction(1, 6))])
         assert g.degrees == (Fraction(1, 3), Fraction(1, 2), Fraction(1, 6))
         assert all(type(d) is Fraction for d in g.degrees)
+
+    @pytest.mark.parametrize("rows", [
+        ((0, Fraction(3, 7), Fraction(3, 7)), (Fraction(3, 7), 0, 0), (Fraction(3, 7), 0, 0)),
+        ((0, 2, 5), (2, 0, 0), (5, 0, 0)),
+        ((0, 0.1, 0.2), (0.1, 0, 0), (0.2, 0, 0)),
+        ((0, Fraction(1, 3), 0.25, 2), (Fraction(1, 3), 0, 0, 1), (0.25, 0, 0, 0), (2, 1, 0, 0)),
+        ((0, mpmath.mpf(0.5), 3), (mpmath.mpf(0.5), 0, 0), (3, 0, 0)),
+        ((0, 1, 0), (1, 0, 0), (0, 0, 0)),  # node 3 is isolated
+        ((0, Fraction(0), 2), (Fraction(0), 0, 0), (2, 0, 0)),  # an explicit Fraction(0)
+        ((0, 0.0, 2), (0.0, 0, 0), (2, 0, 0)),  # an explicit 0.0
+    ], ids=["Fraction", "int", "float", "mixed", "mpf", "isolated", "Fraction-zero", "float-zero"])
+    def test_degrees_are_the_row_sums_with_their_types(self, rows):
+        # sum(row) as it is, taken at the exact weights when it is not rational
+        g = Graph(n=len(rows), weights=rows, is_weighted=True)
+        expected = [s if isinstance(s := sum(row), (int, Fraction)) else sum(map(_exact_value, row))
+                    for row in rows]
+        assert list(g.degrees) == expected
+        assert list(map(type, g.degrees)) == list(map(type, expected))
 
     def test_symmetry_and_zero_diagonal(self):
         g = build_graph(4, [(1, 2), (2, 3, 2), (1, 4)])

@@ -66,6 +66,16 @@ class TestRunSweep:
         assert details[0].q == 13 and details[0].converged
         assert run_sweep(config) == (cells, ())
 
+    def test_records_keep_no_instance_dict(self):
+        # a run may keep thousands of records; slots hold each in a fixed few words
+        config = ExperimentConfig(graph_source="example:e2", q_selector=13,
+                                  t_grid=(Fraction(-1),), K_max=30, K_check=30)
+        (cell,), (record,) = run_sweep(config, detail=True)
+        for obj in (cell, record):
+            assert not hasattr(obj, "__dict__")
+            with pytest.raises((AttributeError, TypeError)):  # TypeError: frozen slots on 3.10-3.11
+                obj.n = 1
+
     def test_single_graph_is_one_trial(self):
         # one graph, eight unique-degree nodes classified; n_grid, trials and seed are ignored
         config = ExperimentConfig(graph_source="example:e3", q_selector="all_unique",
