@@ -77,8 +77,8 @@ class EulerParams:
 class _PartialSums(Mapping):
     """Partial sums of orders 2..K_max of one transform, each made on its first read.
 
-    A read of order m gives f0 + N_m / (den0 step^(m - 1)), with N_m the
-    Euler mean of ``_numerator``: the exact domain returns it as a reduced
+    A read of order m gives f0 + N_m / (den0 step^(m - 1)), with the Euler-mean
+    numerator N_m of ``_numerator``: the exact domain returns it as a reduced
     ``Fraction``, a float domain rounds the unreduced ratio once, to
     nearest, at its precision (the same value as rounding the ``Fraction``).
     """
