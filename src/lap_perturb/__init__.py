@@ -34,7 +34,6 @@ from .euler import (
     convergence_classify,
     euler_k4_estimate,
     euler_series,
-    euler_transform_generic,
     taylor_partial_sums,
 )
 from .examples_data import example_graph

@@ -4,13 +4,13 @@ Every coefficient/series routine in this package is generic over a scalar
 type.  ``NumberDomain`` pins that type down: ``exact_rational`` keeps each
 value a :class:`fractions.Fraction` (legal only when all inputs are
 rational), while ``float`` returns mpmath reals at a configurable number of
-mantissa bits.  When the weights are all rational (``_rational``),
-``perturb`` computes exactly in a float domain too and rounds each value once
-(``to_mpf``); float-typed weights run its recursion in mpmath.  Degrees
-(``Graph.degrees``) and every series in ``euler`` take each input at its
-exact value (``_exact_value``, or its ``_integer_ratio``); ``euler`` rounds
-each partial sum once, from its unreduced integer ratio (``_rounded_ratio``),
-when it is read.
+mantissa bits.  Every layer takes each input at its exact value
+(``_exact_value``, or its ``_integer_ratio``): a float or mpf is a dyadic
+rational.  So ``perturb`` computes every table exactly, from the weights of
+``Graph._integer_weights``, and a float domain rounds each value once
+(``_rounded_ratio``); only the choice of the default domain asks whether
+every weight is rational (``_rational``).  ``euler`` rounds each partial
+sum once, from its unreduced integer ratio, when it is read.
 """
 
 from __future__ import annotations

@@ -6,10 +6,10 @@ The Euler t-transform rewrites a Taylor series f0 + sum f_k z^k as
 
 with a tunable parameter t; it often converges where the plain series does
 not.  At t = 0 it is the plain Taylor series, so ``_transform`` is the one
-core behind every partial-sum series in the package, and besides the public
-``euler_transform_generic`` it has one caller, ``_table_series``: the Taylor
-and Euler series of a coefficient table, whether the table comes from the
-recursion or from the almost-regular closed form, and the four-term estimate.
+core behind every partial-sum series in the package, and it has one caller,
+``_table_series``: the Taylor and Euler series of a coefficient table,
+whether the table comes from the recursion or from the almost-regular closed
+form, and the four-term estimate.
 
 The core takes every input at its exact rational value (a finite float or
 mpf real is a dyadic rational) and runs on integers.  Partial sum m of the
@@ -18,9 +18,9 @@ with the f_k as integers F_k over one denominator L, t = a/b and
 z/(1 + t z) = p/s, it is f0 plus one integer ratio whose numerator is
 sum_j C(m, j) (ap)^(m-j) H_j over the Taylor numerators H_j, made once per
 series in O(K) products.  A table from the residue engine keeps its F and L
-(``CoefficientTable._exact``); other tables are put over their lcm once per
-series (``_over_lcm``).  A series makes each partial sum only when it is
-read: the exact domain reduces it to a ``Fraction`` then, and a float
+(``CoefficientTable._exact``); a table built by hand is put over its lcm
+once per series (``_over_lcm``).  A series makes each partial sum only when
+it is read: the exact domain reduces it to a ``Fraction`` then, and a float
 domain rounds it once, from the unreduced ratio, at the table's precision.
 ``convergence_classify`` reads one of them and finds the nearest eigenvalue
 by bisection on integer cross-products.
@@ -46,7 +46,6 @@ __all__ = [
     "euler_series",
     "taylor_partial_sums",
     "euler_k4_estimate",
-    "euler_transform_generic",
     "convergence_classify",
 ]
 
@@ -164,26 +163,6 @@ def euler_k4_estimate(g, q: int, domain: NumberDomain | None = None):
     """
     table = coefficients(g, q, 4, domain)
     return euler_series(table, EulerParams(t=-1, zeta=-1, K_max=4)).at(4)
-
-
-def euler_transform_generic(f0, coeffs, t, z, M: int) -> list:
-    """Partial sums of the Euler t-transform of f0 + sum_k f_k z^k.
-
-    ``coeffs`` supplies f_1..f_M; the result list has M + 1 ``Fraction``s,
-    entry m being the transform truncated after the m-th outer term (entry
-    0 = f0).  Each input, an int, Fraction, float or mpf, is taken at its
-    exact value; NaN or inf raises ValueError.  See ``_transform`` for the
-    integers; each entry is reduced once.
-    """
-    fs = list(coeffs)
-    if len(fs) < M:
-        raise ValueError(f"need {M} coefficients, got {len(fs)}")
-    f0, H, x, den, step = _transform(f0, *_over_lcm(fs[:M]), t, z)
-    partials = [f0]
-    for m in range(1, M + 1):
-        partials.append(f0 + Fraction(_numerator(H, x, m), den))
-        den *= step
-    return partials
 
 
 def _over_lcm(values) -> tuple:

@@ -17,7 +17,7 @@ from functools import cached_property
 from math import inf, lcm
 from operator import not_
 
-from .domain import _exact_value, _rational, parse_number
+from .domain import _exact_value, _integer_ratio, _rational, parse_number
 
 __all__ = [
     "Graph",
@@ -67,22 +67,30 @@ class Graph:
                      else sum(map(_exact_value, row)) for row in self.weights)
 
     @cached_property
-    def _integer_weights(self) -> tuple | None:
+    def _integer_weights(self) -> tuple:
         """(W, a): W the lcm of the weight denominators and a = W A as rows of ints.
 
-        None when some weight is not rational (``_rational``), a float or mpf
-        of any value.  One pass collects the distinct (type, weight) pairs,
-        so an int 1 does not hide a float 1.0 that equals it.  A graph of
-        int weights is its own ``a``, with W = 1.
+        Each weight counts at its exact value (``_integer_ratio``), so a float
+        or mpf weight at its dyadic one.  One pass collects the distinct
+        (type, weight) pairs, so an int 1 does not hide a float 1.0 that
+        equals it, and records in ``_rational_weights`` whether every weight
+        is rational (``_rational``).  A graph of int weights is its own
+        ``a``, with W = 1.
         """
         distinct = set().union(*(zip(map(type, row), row) for row in self.weights))
-        if not all(_rational(w) for _, w in distinct):
-            return None
+        self.__dict__["_all_rational"] = all(_rational(w) for _, w in distinct)
         if all(t is int for t, _ in distinct):
             return 1, self.weights
-        W = lcm(*(int(w.denominator) for _, w in distinct))
-        scaled = {w: int(w.numerator) * (W // int(w.denominator)) for _, w in distinct}
+        ratios = {w: _integer_ratio(w) for _, w in distinct}
+        W = lcm(*(den for _, den in ratios.values()))
+        scaled = {w: num * (W // den) for w, (num, den) in ratios.items()}
         return W, tuple(tuple(map(scaled.__getitem__, row)) for row in self.weights)
+
+    @property
+    def _rational_weights(self) -> bool:
+        """Whether every weight is rational: no float or mpf of any value."""
+        self._integer_weights  # its one pass records the answer
+        return self.__dict__["_all_rational"]
 
     def weight(self, u: int, v: int):
         """Edge weight between 1-based nodes ``u`` and ``v`` (0 if absent)."""

@@ -9,19 +9,17 @@ defines ``SeriesEvaluation``, the record of partial sums that the series in
 ``euler`` and ``almost_regular`` return.  The closed neighbour-sum formulas
 for c2..c4 live in ``tests/oracles.py`` as an independent cross-check.
 
-Rational weights run the recursion on scaled integers, in a float domain
-too: the float table then holds each value rounded once from the exact one,
-and every such table keeps its exact values as integers over one
-denominator for ``euler`` to sum.  The graph reads the
-integer weights once (``Graph._integer_weights``), and ``_residue_recursion``
-runs the recursion on them modulo primes below 2^26, one vectorised int64
-step per order, then rebuilds each value by the Chinese remainder theorem
-(Garner 1959; Knuth, TAOCP vol. 2, 4.3.2).  Float-typed weights run the
-loop ``_recursion`` on mpmath reals with unit scale, from the exact
-``Graph.degrees``; on integers that loop is the plain reference the tests
-compare the residue engine with.  No series reads beta, so the table holds
-only d_q and the c_j; ``beta_rows`` gives the beta rows of the same
-recursion, and ``reconstruct_eigenvector`` sums them.
+Every table runs the recursion on scaled integers, in every domain and for
+every weight type: a float or mpf weight counts as its exact dyadic value.
+A float table then holds each value rounded once from the exact one, and
+every table keeps its exact values as integers over one denominator for
+``euler`` to sum.  The graph reads the integer weights once
+(``Graph._integer_weights``), and ``_residue_recursion`` runs the recursion
+on them modulo primes below 2^26, one vectorised int64 step per order, then
+rebuilds each value by the Chinese remainder theorem (Garner 1959; Knuth,
+TAOCP vol. 2, 4.3.2).  No series reads beta, so the table holds only d_q
+and the c_j; ``beta_rows`` gives the beta rows of the same recursion, and
+``reconstruct_eigenvector`` sums them.
 """
 
 from __future__ import annotations
@@ -37,11 +35,11 @@ import numpy as np
 
 from .domain import (
     NumberDomain,
+    _rational,
     _rounded_ratio,
     exact_domain,
     float_domain,
     format_rational,
-    to_mpf,
 )
 from .graph import Graph, closed_walk_counts, degree_profile
 
@@ -68,14 +66,14 @@ class CoefficientTable:
     """Perturbation coefficients c_2..c_K for one node: what the series read.
 
     ``c[j - 2]`` holds c_j; c_0 = d_q and c_1 = 0 are implicit.  Values are
-    Fractions in exact mode, mpmath reals otherwise.  A float table built
-    from rational weights holds each value correctly rounded from the exact
-    one.  A table from rational weights, in any domain, keeps its exact
-    values in ``_exact`` = (d_q, F, L): d_q a ``Fraction`` and the integers
-    F[j - 2] / L = c_j over L, the lcm of their reduced denominators, which
-    the series in ``euler`` sum.  It is None for float-typed weights and
-    takes no part in comparisons.  The eigenvector
-    coefficients beta_jr of the same recursion come from ``beta_rows``.
+    Fractions in exact mode, mpmath reals otherwise: each value correctly
+    rounded from the exact one.  A table from ``coefficients``, in any
+    domain, keeps its exact values in ``_exact`` = (d_q, F, L): d_q a
+    ``Fraction`` and the integers F[j - 2] / L = c_j over L, the lcm of
+    their reduced denominators, which the series in ``euler`` sum.  It is
+    None for a table built by hand and takes no part in comparisons.  The
+    eigenvector coefficients beta_jr of the same recursion come from
+    ``beta_rows``.
     """
 
     q: int
@@ -132,7 +130,7 @@ class SeriesEvaluation:
 
 def default_domain(g: Graph) -> NumberDomain:
     """Exact rationals when every weight is rational, else 128-bit floats."""
-    return float_domain(128) if g._integer_weights is None else exact_domain()
+    return exact_domain() if g._rational_weights else float_domain(128)
 
 
 def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -> CoefficientTable:
@@ -145,19 +143,15 @@ def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -
 
     where the c convolution reuses c_m = sum_{l != q} beta_{m-1,l} a_ql, the
     same sum that defines the coefficients; this keeps the total cost at
-    O(K^2 N + K |E|) operations on values.  When every weight is rational
-    the recursion runs on scaled integers, in any domain (``_expand``); a
-    float domain then rounds each d_q and c_j once, to nearest at its
-    precision, straight from the ratio c_j = C_j / (W D^(j-1)) of
-    ``_expand``.  Either domain keeps the exact values for the series in
-    ``_exact``: the C_j over W D^(K-1), with their common gcd divided out.
-    Other weights run the loop ``_recursion`` in mpmath at the domain's
-    precision.  K below 2 or a node outside 1..n raises ValueError.
+    O(K^2 N + K |E|) operations on values.  The recursion runs on scaled
+    integers, in any domain (``_expand``); a float domain then rounds each
+    d_q and c_j once, to nearest at its precision, straight from the ratio
+    c_j = C_j / (W D^(j-1)) of ``_expand``.  Either domain keeps the exact
+    values for the series in ``_exact``: the C_j over W D^(K-1), with their
+    common gcd divided out.  K below 2 or a node outside 1..n raises
+    ValueError.
     """
-    domain, d_q, C, _, scale = _expand(g, q, K, domain, least_K=2, rows=False)
-    if scale is None:
-        return CoefficientTable(q, K, d_q, tuple(C), domain)
-    W, D = scale
+    domain, d_q, C, _, (W, D) = _expand(g, q, K, domain, least_K=2, rows=False)
     dens = [W * D ** j for j in range(1, K)]  # c_j = C_j / dens[j - 2]
     Fs = [Cj * D ** (K - j) for j, Cj in enumerate(C, start=2)]  # over dens[-1] = W D^(K-1)
     common = gcd(dens[-1], *Fs)
@@ -172,17 +166,13 @@ def beta_rows(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -> t
     """The rows (beta_j1, ..., beta_jN) for j = 1..K of the recursion in ``coefficients``.
 
     beta_jq = 0 by the eigenvector scaling choice, and K = 0 gives no row.
-    On rational weights the rows are Fractions in the exact domain and, in
-    a float domain, each value rounded once from the exact one at the
-    domain's precision, whatever the working precision of the caller.
-    Float-typed weights give the mpmath rows of the recursion.  Arguments
-    are checked as in ``coefficients``, except that K may be 0 or 1.
+    The rows are Fractions in the exact domain and, in a float domain, each
+    value rounded once from the exact one at the domain's precision,
+    whatever the working precision of the caller.  Arguments are checked as
+    in ``coefficients``, except that K may be 0 or 1.
     """
-    domain, _, _, B, scale = _expand(g, q, K, domain, least_K=0, rows=True)
-    B = B[:K]  # the mpmath _recursion makes B_1 even for K = 0
-    if scale is None:
-        return tuple(map(tuple, B))
-    powers = [scale[1] ** j for j in range(1, K + 1)]
+    domain, _, _, B, (_, D) = _expand(g, q, K, domain, least_K=0, rows=True)
+    powers = [D ** j for j in range(1, K + 1)]
     ratio = Fraction if domain.is_exact else _rounded_ratio
     with domain.context():
         return tuple(tuple(ratio(x, Dj) for x in row) for row, Dj in zip(B, powers))
@@ -192,18 +182,21 @@ def _expand(g: Graph, q: int, K: int, domain: NumberDomain | None, least_K: int,
             rows: bool) -> tuple:
     """Check the arguments, pick the domain and run the recursion around node q.
 
-    Returns (domain, d, C, B, scale); q's degree must occur once in the
-    exact ``g.degrees``.  Rational weights run it on integers, in any domain:
-    with W and a = W A from ``Graph._integer_weights``, the gaps
+    Returns (domain, d, C, B, (W, D)); q's degree must occur once in the
+    exact ``g.degrees``, and in the exact domain a float or mpf weight
+    raises the TypeError of ``coerce``.  The recursion runs on integers: with
+    W and a = W A from ``Graph._integer_weights``, the gaps
     G_r = W (d_q - d_r) are integers.  With D = lcm_r |G_r| and the
     integer m_r = D / G_r, the scaled quantities B_j = D^j beta_j and
-    C_j = W D^(j-1) c_j follow ``_recursion``, so no step divides (the idea
-    of Bareiss's fraction-free elimination).  ``_residue_recursion`` gives
-    them exactly; d = W d_q, scale = (W, D), and B is None unless ``rows``.
-    Other weights run ``_recursion`` on mpmath reals at the domain's
-    precision (the exact domain's ``coerce`` raises TypeError): d_q and each
-    gap are the exact ``g.degrees`` rounded once, m_r = 1 / (d_q - d_r),
-    scale is None, and d, C and B are d_q, c and beta.
+    C_j = W D^(j-1) c_j satisfy
+
+        B_1r = m_r a_rq,
+        B_jr = m_r (sum_{l != q} B_{j-1,l} a_rl - sum_{k=1}^{j-2} B_kr C_{j-k}),
+        C_j  = sum_{r != q} B_{j-1,r} a_qr,
+
+    so no step divides (the idea of Bareiss's fraction-free elimination).
+    ``_residue_recursion`` gives them exactly; d = W d_q, and B is None
+    unless ``rows``.
     """
     if K < least_K:
         raise ValueError(f"K must be at least {least_K}")
@@ -214,16 +207,10 @@ def _expand(g: Graph, q: int, K: int, domain: NumberDomain | None, least_K: int,
         raise NonUniqueDegreeError(f"node {q} does not have a unique degree")
     if domain is None:
         domain = default_domain(g)
+    elif domain.is_exact and not g._rational_weights:
+        domain.coerce(next(w for row in g.weights for w in row if not _rational(w)))
 
-    scaled = g._integer_weights
-    if scaled is None:
-        with domain.context():
-            a = [[domain.coerce(w) for w in row] for row in g.weights]  # TypeError if exact
-            d = g.degrees
-            m = {r: 1 / to_mpf(d[qi] - d[r]) for r in range(g.n) if r != qi}
-            d_q = to_mpf(d[qi])
-            return domain, d_q, *_recursion(a, d_q * 0, qi, m, K), None
-    W, a = scaled
+    W, a = g._integer_weights
     d = [sum(row) for row in a]
     D = lcm(*(abs(d[qi] - d[r]) for r in range(g.n) if r != qi))
     m = [0 if r == qi else D // (d[qi] - d[r]) for r in range(g.n)]
@@ -231,7 +218,7 @@ def _expand(g: Graph, q: int, K: int, domain: NumberDomain | None, least_K: int,
 
 
 def _residue_recursion(a, d, qi: int, m: list, K: int, rows: bool) -> tuple:
-    """``_recursion`` on integers, run modulo primes and rebuilt by CRT; returns (C, B).
+    """The recursion of ``_expand``, run modulo primes and rebuilt by CRT; returns (C, B).
 
     a is the symmetric non-negative integer weight matrix, d its row sums
     and m the multipliers (m_q = 0).  Each order j is one vectorised step
@@ -392,43 +379,6 @@ def _crt_constants(span: int, P: int) -> tuple:
     Mi = tuple(M // p for p in primes.tolist())
     inverses = np.array([pow(x % p, -1, p) for x, p in zip(Mi, primes.tolist())], dtype=np.int64)
     return primes, Mi, inverses, M
-
-
-def _recursion(a, zero, qi: int, m: dict, K: int) -> tuple:
-    """The one beta recursion loop, on scaled weights a; returns (C, B).
-
-    With a multiplier m_r for each r != q,
-
-        B_1r = m_r a_rq,
-        B_jr = m_r (sum_{l != q} B_{j-1,l} a_rl - sum_{k=1}^{j-2} B_kr C_{j-k}),
-        C_j  = sum_{r != q} B_{j-1,r} a_qr,
-
-    C lists C_2..C_K and B the rows B_1..B_K, with B_jq = ``zero``.  Every
-    sum starts from ``zero`` and walks neighbour lists; the convolution adds
-    the negated products in the order k = 1..j-2, so on mpf scalars each
-    value is that of subtracting them one by one.
-    """
-    n = len(a)
-    # per row r, the pairs (l, a_rl) with a_rl != 0 and l != q, in node order
-    nbrs = [[(l, w) for l, w in enumerate(row) if w != 0 and l != qi] for row in a]
-    prev = [zero] * n
-    for r in m:
-        prev[r] = m[r] * a[r][qi]
-    cols = {r: [prev[r]] for r in m}  # cols[r] = [B_1r, ..., B_jr]
-    B = [prev]
-    C = []  # C_2, C_3, ...
-    for j in range(2, K + 1):
-        # prev is row B_{j-1}; C holds C_2..C_{j-1}, so conv pairs with B_1r..B_{j-2,r}
-        conv = [-x for x in reversed(C)]
-        C.append(sum((prev[l] * w for l, w in nbrs[qi]), zero))
-        row = [zero] * n
-        for r in m:
-            s = sum((prev[l] * w for l, w in nbrs[r]), zero)
-            row[r] = m[r] * sum(map(mul, cols[r], conv), s)  # map stops at len(conv)
-            cols[r].append(row[r])
-        B.append(row)
-        prev = row
-    return C, B
 
 
 @dataclass(frozen=True)

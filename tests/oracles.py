@@ -2,21 +2,24 @@
 
 ``reference_coefficients`` is the plain beta recursion that
 ``perturb.coefficients`` ran before it became one fraction-free loop that
-walks neighbour lists.  In the exact domain it divides ``Fraction``s by
-every degree gap at every step, so it is slow, but it is the textbook form
-of the recursion: the engine must reproduce its values exactly, on integers
-for rational weights and bit for bit at the same precision on mpmath reals
-for float-typed weights.
+walks neighbour lists.  It divides ``Fraction``s by every degree gap at
+every step, so it is slow, but it is the textbook form of the recursion:
+the engine must reproduce its values exactly.  ``integer_recursion`` is that
+fraction-free loop on Python ints, which the library ran before its residue
+engine (and, on mpmath reals, for float-typed weights until they too moved
+onto the engine at their dyadic values); the engine's scaled integers must
+equal its own.
 
 ``reference_euler_series`` is the Euler transform loop that ``euler_series``
-ran before every partial-sum series went through
-``euler.euler_transform_generic``: an inner sum over k = m..2 per order,
-with no k = 1 term and no early exit at t = 0.  ``euler_series`` and
-``taylor_partial_sums`` must match it bit for bit in the exact domain.
-``reference_transform`` is the generic transform loop that
-``euler.euler_transform_generic`` ran before it moved onto integers over one
-common denominator; it reduces a ``Fraction`` at every inner-sum term, and
-on ``Fraction`` inputs the integer loop must return the same values.  A
+ran before every partial-sum series went through one generic transform:
+an inner sum over k = m..2 per order, with no k = 1 term and no early exit
+at t = 0.  ``euler_series`` and ``taylor_partial_sums`` must match it bit
+for bit in the exact domain.  ``euler_transform_generic`` lists every
+partial sum of the library's integer core ``euler._transform`` at once, as
+reduced ``Fraction``s.  ``reference_transform`` is the generic transform
+loop that ran before the core moved onto integers over one common
+denominator; it reduces a ``Fraction`` at every inner-sum term, and on
+``Fraction`` inputs the integer loop must return the same values.  A
 float-domain series equals ``round_to_nearest`` of it, taken on the exact
 values of the table's d_q and c.
 ``pascal_transform`` is the integer loop of ``euler._transform`` before it
@@ -62,6 +65,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import comb, inf, isfinite, lcm, sqrt
+from operator import mul
 
 import mpmath
 
@@ -74,7 +78,7 @@ from lap_perturb.almost_regular import (
 )
 from lap_perturb.domain import NumberDomain, _exact_value, exact_domain, to_mpf
 from lap_perturb.eigen import accuracy_alpha, symmetric_eigen
-from lap_perturb.euler import ConvergenceReport, EulerParams
+from lap_perturb.euler import ConvergenceReport, EulerParams, _numerator, _over_lcm, _transform
 from lap_perturb.graph import Graph, closed_walk_counts, degree_profile
 from lap_perturb.perturb import (
     CoefficientTable,
@@ -89,8 +93,7 @@ def pascal_row(m: int) -> list:
     return [comb(m, k) for k in range(m + 1)]
 
 
-def reference_coefficients(g: Graph, q: int, K: int,
-                           domain: NumberDomain | None = None) -> tuple:
+def reference_coefficients(g: Graph, q: int, K: int) -> tuple:
     """(coefficient table, beta rows) via the beta recursion around the unique degree d_q.
 
     beta_1r = a_rq / (d_q - d_r) and, for j > 1,
@@ -98,9 +101,8 @@ def reference_coefficients(g: Graph, q: int, K: int,
         beta_jr = (sum_{l != q} beta_{j-1,l} a_rl
                    - sum_{k=1}^{j-2} beta_kr c_{j-k}) / (d_q - d_r),
 
-    where the c convolution reuses c_m = sum_{l != q} beta_{m-1,l} a_ql.
-    d_q and each gap d_q - d_r are the exact ``g.degrees`` taken into the
-    domain once.  Rows and coefficients are produced interleaved: beta_1,
+    where the c convolution reuses c_m = sum_{l != q} beta_{m-1,l} a_ql, in
+    ``Fraction``s.  Rows and coefficients are produced interleaved: beta_1,
     c_2, beta_2, c_3, ..., beta_K.  The rows are those ``perturb.beta_rows``
     gives.
     """
@@ -109,8 +111,7 @@ def reference_coefficients(g: Graph, q: int, K: int,
     profile = degree_profile(g)
     if q not in profile.unique_nodes:
         raise NonUniqueDegreeError(f"node {q} does not have a unique degree")
-    if domain is None:
-        domain = exact_domain()
+    domain = exact_domain()
 
     with domain.context():
         a = [[domain.coerce(w) for w in row] for row in g.weights]
@@ -152,6 +153,60 @@ def reference_coefficients(g: Graph, q: int, K: int,
             domain=domain,
         )
         return table, tuple(tuple(row) for row in beta_rows)
+
+
+def integer_recursion(a, qi: int, m: dict, K: int) -> tuple:
+    """The fraction-free beta recursion on the integer weights a, in Python ints; returns (C, B).
+
+    With a multiplier m_r for each r != q,
+
+        B_1r = m_r a_rq,
+        B_jr = m_r (sum_{l != q} B_{j-1,l} a_rl - sum_{k=1}^{j-2} B_kr C_{j-k}),
+        C_j  = sum_{r != q} B_{j-1,r} a_qr,
+
+    C lists C_2..C_K and B the rows B_1..max(K, 1), with B_jq = 0.  Every sum
+    walks neighbour lists.
+    """
+    n = len(a)
+    # per row r, the pairs (l, a_rl) with a_rl != 0 and l != q, in node order
+    nbrs = [[(l, w) for l, w in enumerate(row) if w != 0 and l != qi] for row in a]
+    prev = [0] * n
+    for r in m:
+        prev[r] = m[r] * a[r][qi]
+    cols = {r: [prev[r]] for r in m}  # cols[r] = [B_1r, ..., B_jr]
+    B = [prev]
+    C = []  # C_2, C_3, ...
+    for j in range(2, K + 1):
+        # prev is row B_{j-1}; C holds C_2..C_{j-1}, so conv pairs with B_1r..B_{j-2,r}
+        conv = [-x for x in reversed(C)]
+        C.append(sum(prev[l] * w for l, w in nbrs[qi]))
+        row = [0] * n
+        for r in m:
+            s = sum(prev[l] * w for l, w in nbrs[r])
+            row[r] = m[r] * sum(map(mul, cols[r], conv), s)  # map stops at len(conv)
+            cols[r].append(row[r])
+        B.append(row)
+        prev = row
+    return C, B
+
+
+def euler_transform_generic(f0, coeffs, t, z, M: int) -> list:
+    """Partial sums of the Euler t-transform of f0 + sum_k f_k z^k, by ``euler._transform``.
+
+    ``coeffs`` supplies f_1..f_M; the result list has M + 1 ``Fraction``s,
+    entry m being the transform truncated after the m-th outer term (entry
+    0 = f0).  Each input, an int, Fraction, float or mpf, is taken at its
+    exact value; NaN or inf raises ValueError.  Each entry is reduced once.
+    """
+    fs = list(coeffs)
+    if len(fs) < M:
+        raise ValueError(f"need {M} coefficients, got {len(fs)}")
+    f0, H, x, den, step = _transform(f0, *_over_lcm(fs[:M]), t, z)
+    partials = [f0]
+    for m in range(1, M + 1):
+        partials.append(f0 + Fraction(_numerator(H, x, m), den))
+        den *= step
+    return partials
 
 
 def reference_transform(f0, coeffs, t, z, M: int) -> list:

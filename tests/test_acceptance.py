@@ -29,7 +29,6 @@ from lap_perturb.euler import (
     EulerParams,
     euler_k4_estimate,
     euler_series,
-    euler_transform_generic,
     taylor_partial_sums,
 )
 from lap_perturb.examples_data import E2_Q7_DIFF, E2_Q13_DIFF, PRINTED_XI, example_graph
@@ -42,7 +41,7 @@ from lap_perturb.graph import (
 )
 from lap_perturb.perturb import coefficient_bounds_ok, coefficients
 from lap_perturb.sweep import ExperimentConfig, run_sweep
-from oracles import cm_recursion, explicit_c2_c3_c4
+from oracles import cm_recursion, euler_transform_generic, explicit_c2_c3_c4
 
 T_MINUS_1 = EulerParams(t=Fraction(-1), zeta=Fraction(-1), K_max=100)
 

@@ -128,8 +128,17 @@ class TestDegreeProfile:
         assert g._integer_weights is g._integer_weights
         unit = build_graph(3, [(1, 2), (2, 3)])
         assert unit._integer_weights == (1, unit.weights)
-        assert build_graph(3, [(1, 2), (2, 3, 1.0)])._integer_weights is None
-        assert build_graph(3, [(1, 2), (2, 3, mpmath.mpf(2))])._integer_weights is None
+        assert g._rational_weights and unit._rational_weights
+        # a float or mpf weight counts at its dyadic value, whatever its value
+        for w, scaled in ((1.0, (1, 1)), (mpmath.mpf(2), (1, 2)), (0.1, (2**55, 3602879701896397))):
+            typed = build_graph(3, [(1, 2), (2, 3, w)])
+            assert typed._integer_weights == (scaled[0], ((0, scaled[0], 0),
+                                                          (scaled[0], 0, scaled[1]),
+                                                          (0, scaled[1], 0)))
+            assert not typed._rational_weights
+        mixed = build_graph(3, [(1, 2, Fraction(1, 3)), (2, 3, 0.5)])
+        assert mixed._integer_weights == (6, ((0, 2, 0), (2, 0, 3), (0, 3, 0)))
+        assert not mixed._rational_weights
 
     def test_regular_graph_has_no_unique_nodes(self):
         prof = degree_profile(complete_graph(5))
