@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import lap_perturb.perturb as perturb
-from lap_perturb.domain import exact_domain, float_domain
+from lap_perturb.domain import _exact_value, exact_domain, float_domain
 from lap_perturb.eigen import symmetric_eigen
 from lap_perturb.examples_data import example_graph
 from lap_perturb.euler import taylor_partial_sums
@@ -372,6 +373,138 @@ class TestResidueEngine:
         top = [x for x in range(2**26 - 1, 2**26 - 1000, -1)
                if all(x % f for f in range(2, 8192))]
         assert primes[:len(top)] == top
+
+
+def _record_runs(monkeypatch) -> list:
+    """Record the prime counts of the nodes of every ``_residue_recursion`` run from now on."""
+    runs = []
+    recursion = perturb._residue_recursion
+
+    def counted(digits, run, K, rows):
+        runs.append([len(crt[0]) for _, _, _, crt, _ in run])
+        return recursion(digits, run, K, rows)
+    monkeypatch.setattr(perturb, "_residue_recursion", counted)
+    return runs
+
+
+def _isolated_and_others():
+    """Six nodes of unique degrees 5, 3, 2, 1/2, 3/2 and, isolated, 0."""
+    return build_graph(6, [(1, 2), (1, 3), (1, 4, Fraction(1, 2)), (1, 5), (2, 3),
+                           (2, 5, Fraction(1, 2))])
+
+
+class TestStackedEngine:
+    """One ``_expand`` over all unique nodes of a graph stacks their residues
+    in runs; each node's d, C, B, W and D equal those of a run of that node
+    alone and of the Python-int loop."""
+
+    @staticmethod
+    def _check(g, K, rows=True, oracle_nodes=None):
+        nodes = tuple(sorted(degree_profile(g).unique_nodes))
+        _, stacked = perturb._expand(g, nodes, K, None, least_K=0, rows=rows)
+        for q, run in zip(nodes, stacked):
+            assert run == perturb._expand(g, (q,), K, None, least_K=0, rows=rows)[1][0]
+            if oracle_nodes is not None and q not in oracle_nodes:
+                continue
+            a, d, m, W, D = _scaled(g, q)
+            C, B = integer_recursion(a, q - 1, {r: x for r, x in enumerate(m) if r != q - 1}, K)
+            assert run == (d[q - 1], C, B[:K] if rows else None, (W, D))
+        return nodes, stacked
+
+    @pytest.mark.parametrize("K", [2, 3, 30, 100])
+    @pytest.mark.parametrize("name", ["e1", "e2", "e3"])
+    def test_examples(self, name, K):
+        nodes, _ = self._check(example_graph(name), K)
+        assert len(nodes) > 1
+
+    def test_er20_graphs(self, monkeypatch):
+        runs = _record_runs(monkeypatch)
+        for seed in range(20):
+            g = erdos_renyi(20, Fraction(1, 2), 600 + seed)
+            if degree_profile(g).unique_nodes:  # 19 of the 20 graphs, most with several
+                before = len(runs)
+                nodes, _ = self._check(g, 30)
+                assert len(runs[before]) == len(nodes)  # all in the first run
+
+    @pytest.mark.parametrize("K", [2, 3, 30])
+    def test_nodes_of_several_digits_and_prime_counts(self, monkeypatch, K):
+        g = build_graph(5, [(1, 2, HUGE_SCALE), (1, 3, 2), (3, 4, 1), (4, 5, 3)])
+        digits, runs = _count_digits(monkeypatch), _record_runs(monkeypatch)
+        nodes, _ = self._check(g, K)
+        shared = runs[:len(runs) - len(nodes)]  # then _check runs each node alone
+        assert digits[0] > 1 and len({P for run in shared for P in run}) > 1
+        assert len(shared) == (1 if K < 30 else len(nodes))  # at K = 30 a node takes 56% of the cap
+
+    @pytest.mark.parametrize("K", [2, 3, 30, 100])
+    def test_isolated_node_among_others(self, monkeypatch, K):
+        g = _isolated_and_others()
+        assert _engine_bound(g, 6, K) == -math.inf
+        runs = _record_runs(monkeypatch)
+        nodes, stacked = self._check(g, K)
+        assert nodes == (1, 2, 3, 4, 5, 6)
+        shared = runs[:len(runs) - 6]  # then _check runs each node alone
+        assert sum(map(len, shared)) == 6 and len(shared[-1]) > 1
+        assert shared[-1][-1] == 1  # node 6 takes one prime
+        assert stacked[-1][1] == [0] * (K - 1)
+
+    @pytest.mark.parametrize("K, rows", [(3, True), (30, False)])
+    def test_float_typed_weights(self, K, rows):
+        rng = random.Random(5)
+        g = build_graph(8, [(u, v, rng.uniform(0.1, 2))
+                            for u, v, _ in erdos_renyi(8, Fraction(1, 2), 4).edges()])
+        assert not g._rational_weights
+        self._check(g, K, rows)
+
+    def test_byte_cap_splits_distinct_weights_into_runs(self, monkeypatch):
+        # weight (61 u + v) / 64 on edge (u, v): every node is unique and takes about 100 primes
+        g = build_graph(60, [(u, v, Fraction(61 * u + v, 64))
+                             for u, v, _ in erdos_renyi(60, Fraction(1, 2), 3).edges()])
+        digits, runs = _count_digits(monkeypatch), _record_runs(monkeypatch)
+        nodes, _ = self._check(g, 4, rows=False, oracle_nodes={1, 30, 60})
+        assert len(nodes) == 60 and len(digits) == 1 + 60  # one for all the nodes, then one each
+        shared = runs[:len(runs) - 60]  # then _check runs each node alone
+        assert len(shared) > 1 and max(map(len, shared)) > 1 and sum(map(len, shared)) == 60
+        for run in shared:  # each run is one node or stays within the cap
+            assert len(run) == 1 or sum(run) * 4 * g.n * 8 <= perturb._RUN_BYTES
+        exact = perturb._exact_values(g, nodes, 4, exact_domain())
+        assert exact[29] == (30, coefficients(g, 30, 4)._exact)
+
+
+# SHA-256 of the value types and exact values of the tables (d_q, c and
+# ``_exact``) and beta rows of ``_table_cases``, made one node per call
+TABLES_SHA256 = "057895ac3869a00cf73eda84f3e97e0b7e69232a206a9272a59e59d25df16494"
+
+
+def _table_cases():
+    e3_file = build_graph(10, [(u, v, Fraction(2**28 + (u * v) % 7, 3))
+                               for u, v, _ in example_graph("e3").edges()])
+    floats = build_graph(6, [(1, 2, 0.1), (1, 3, 0.75), (2, 4, 1.5), (3, 5, 2.0), (4, 6, 0.3)])
+    for g, K, domains in [
+        (example_graph("e2"), 30, (exact_domain(), float_domain(53), float_domain(128))),
+        (example_graph("e3"), 30, (float_domain(128),)),
+        (e3_file, 30, (exact_domain(), float_domain(53))),
+        (_isolated_and_others(), 12, (exact_domain(), float_domain(128))),
+        (floats, 12, (float_domain(53), float_domain(128))),
+    ]:
+        for q in sorted(degree_profile(g).unique_nodes):
+            for domain in domains:
+                yield g, q, K, domain
+
+
+def _typed(values) -> list:
+    """Each value's type name and exact value (an mpf's repr shows only the ambient digits)."""
+    return [(type(v).__name__, _exact_value(v)) for v in values]
+
+
+class TestTablesUnchanged:
+    def test_tables_and_rows_keep_their_values_and_types(self):
+        digest = hashlib.sha256()
+        for g, q, K, domain in _table_cases():
+            table = coefficients(g, q, K, domain)
+            rows = beta_rows(g, q, min(K, 6), domain)
+            digest.update(repr((q, K, domain, _typed([table.d_q, *table.c]), table._exact,
+                                [_typed(row) for row in rows])).encode())
+        assert digest.hexdigest() == TABLES_SHA256
 
 
 class TestLazyBeta:

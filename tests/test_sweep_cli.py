@@ -181,7 +181,7 @@ def _multi_t_config(domain, source="erdos_renyi", selector="all_unique"):
 class TestSweepWorkPerTrial:
     @pytest.mark.parametrize("domain", DOMAINS)
     def test_one_draw_spectrum_and_table_per_trial(self, monkeypatch, domain):
-        calls = {"erdos_renyi": [], "symmetric_eigen": [], "coefficients": []}
+        calls = {"erdos_renyi": [], "symmetric_eigen": [], "_exact_values": []}
 
         def counted(name, key):
             fn = getattr(sweep, name)
@@ -193,7 +193,7 @@ class TestSweepWorkPerTrial:
 
         counted("erdos_renyi", lambda n, p, seed: seed)
         counted("symmetric_eigen", lambda matrix: matrix)
-        counted("coefficients", lambda g, q, K, domain: (g.weights, q))
+        counted("_exact_values", lambda g, nodes, K, domain: (g.weights, nodes))
         config = _multi_t_config(domain)
         cells, details = run_sweep(config, detail=True)
         drawn = config.trials - cells[0].skipped
@@ -202,7 +202,9 @@ class TestSweepWorkPerTrial:
         assert all(c.fraction <= 1 for c in cells)
         assert len(calls["erdos_renyi"]) == len(set(calls["erdos_renyi"])) == config.trials
         assert len(calls["symmetric_eigen"]) == drawn
-        pairs = calls["coefficients"]
+        runs = calls["_exact_values"]
+        assert len(runs) == len({weights for weights, _ in runs}) == drawn
+        pairs = [(weights, q) for weights, nodes in runs for q in nodes]
         assert len(pairs) == len(set(pairs))
         assert len(pairs) * len(MULTI_T) == len(details)
 
@@ -220,6 +222,17 @@ class TestSweepWorkPerTrial:
         assert details and built == []
         assert perturb.reconstruct_eigenvector(e2, 13, -1, 6, domain)  # a call is counted
         assert len(built) == 1
+
+    def test_float_sweep_rounds_only_the_sums_it_reads(self, monkeypatch):
+        # the series sum the exact integers of one run, so no c_j is rounded
+        rounded = {"perturb": 0, "euler": 0}
+        for name, module in (("perturb", perturb), ("euler", euler)):
+            def counted(*args, name=name, rounded_ratio=module._rounded_ratio):
+                rounded[name] += 1
+                return rounded_ratio(*args)
+            monkeypatch.setattr(module, "_rounded_ratio", counted)
+        _, details = run_sweep(_multi_t_config(float_domain(128)), detail=True)
+        assert details and rounded == {"perturb": 0, "euler": len(details)}
 
     @pytest.mark.parametrize("domain", DOMAINS)
     @pytest.mark.parametrize("source, selector", [
@@ -292,6 +305,20 @@ SWEEP_128_CONFIGS = {
                     "n_grid": [12, 20], "p_grid": ["1/5", "1/2"], "seed": 7},
                    "11f7411345a6b8330b1d13f8868bebac6af453ea960b73b57a4aec814383cd34"),
 }
+
+# SHA-256 of `sweep --detail` CSVs on a file graph: e3's edges with weights
+# (2^28 + (u v mod 7)) / 3, so rational weights whose scaled row sums take two
+# digits, every unique node and three t at 53 bits and exact; the threshold
+# 3.9 is about -4 + log10(2^28 / 3), the scale of the weights
+FILE_SWEEP_DOMAINS = {"53": {"precision_bits": 53}, "exact": "exact_rational"}
+FILE_SWEEP_SHA256 = "c43a9243fb826e800d60b4eb544ba97f6cbeff1317e9117d0ad57568e947c1c8"
+
+
+def _file_sweep_edges() -> str:
+    g = example_graph("e3")
+    return "".join([f"n {g.n}\n"] + [f"{u} {v} {Fraction(2**28 + (u * v) % 7, 3)}\n"
+                                       for u, v, _ in g.edges()])
+
 
 # a negative rational after --t or --zeta, in the form argparse would take for a flag
 NEGATIVE_RATIONAL_ARGVS = {
@@ -529,6 +556,18 @@ class TestCli:
         out = tmp_path / "detail.csv"
         assert main(["sweep", "--config", str(path), "--detail", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("domain", list(FILE_SWEEP_DOMAINS))
+    def test_sweep_detail_file_graph_bytes(self, capsys, tmp_path, domain):
+        graph = tmp_path / "g.edges"
+        graph.write_text(_file_sweep_edges())
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"graph_source": f"file:{graph}", "q_selector": "all_unique",
+                                    "t_grid": [-2, -4, "-11/2"], "alpha_threshold": 3.9,
+                                    "domain": FILE_SWEEP_DOMAINS[domain]}))
+        out = tmp_path / "detail.csv"
+        assert main(["sweep", "--config", str(path), "--detail", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == FILE_SWEEP_SHA256
 
     @pytest.mark.parametrize("argv", list(NEGATIVE_RATIONAL_ARGVS.values()),
                              ids=list(NEGATIVE_RATIONAL_ARGVS))
