@@ -127,18 +127,16 @@ def _table_series(table: CoefficientTable, zeta, t, K_max: int, kind: str) -> Se
     """
     if K_max > table.K:
         raise ValueError(f"K_max = {K_max} exceeds table order {table.K}")
-    exact = table._exact if table._exact is not None else (table.d_q, *_over_lcm(table.c))
-    return _series(table.q, exact, zeta, t, K_max, kind, table.domain)
-
-
-def _series(q: int, exact: tuple, zeta, t, K_max: int, kind: str,
-            domain: NumberDomain) -> SeriesEvaluation:
-    """The series of ``_table_series`` from exact values (d_q, F, L), c_j = F[j - 2] / L."""
-    d_q, F, L = exact
+    domain = table.domain
+    if table._exact is not None:
+        d_q, F, L = table._exact
+    else:
+        d_q, (F, L) = table.d_q, _over_lcm(table.c)
     with domain.context():
-        z, tt = domain.coerce(zeta), domain.coerce(t)
+        z = domain.coerce(zeta)
+        tt = domain.coerce(t)
     sums = _PartialSums(_transform(d_q, (0, *F[:K_max - 1]), L, t, zeta), K_max, domain)
-    return SeriesEvaluation(q=q, zeta=z, kind=kind, partial_sums=sums,
+    return SeriesEvaluation(q=table.q, zeta=z, kind=kind, partial_sums=sums,
                             t=tt if kind == "euler" else None)
 
 

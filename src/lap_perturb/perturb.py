@@ -16,13 +16,11 @@ every table keeps its exact values as integers over one denominator for
 ``euler`` to sum.  The graph reads the integer weights once
 (``Graph._integer_weights``), and ``_residue_recursion`` runs the recursion
 on them modulo primes below 2^26, one vectorised int64 step per order for
-all the nodes of a run, then rebuilds each value by the Chinese remainder
-theorem (Garner 1959; Knuth, TAOCP vol. 2, 4.3.2).  A run stacks the
-residues of as many nodes as stay within 512 KiB (``_RUN_BYTES``), so a sweep
-over the nodes of a graph makes one run and reads its exact values
-(``_exact_values``) with no c_j rounded.  No series reads beta, so the
-table holds only d_q and the c_j; ``beta_rows`` gives the beta rows of the
-same recursion, and ``reconstruct_eigenvector`` sums them.
+all the nodes a sweep names (``_stack``, in runs of 512 KiB), then rebuilds
+each value by the Chinese remainder theorem (Garner 1959; Knuth, TAOCP vol.
+2, 4.3.2).  No series reads beta, so the table holds only d_q and the c_j;
+``beta_rows`` gives the beta rows of the same recursion, and
+``reconstruct_eigenvector`` sums them.
 """
 
 from __future__ import annotations
@@ -31,6 +29,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, inf, isqrt, lcm, log2, prod
 from operator import mul
 
@@ -154,25 +153,32 @@ def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -
     common gcd divided out.  K below 2 or a node outside 1..n raises
     ValueError.
     """
-    domain, ((d_q, C, _, (W, D)),) = _expand(g, (q,), K, domain, least_K=2, rows=False)
-    dens = [W * D ** j for j in range(1, K)]  # c_j = C_j / dens[j - 2]
+    if _stacked and _stacked[0] is g and _stacked[1:4] == [K, domain, q]:  # from _stack
+        picked, values, rest = _stacked[4:]
+        _stacked[:] = [g, K, domain, rest[0], picked, values, rest[1:]] if rest else []
+        domain, (d_q, C, _, (W, D)) = picked, next(values)
+    else:
+        _stacked.clear()
+        domain, ((d_q, C, _, (W, D)),) = _expand(g, (q,), K, domain, least_K=2, rows=False)
+    powers = list(accumulate([1] + [D] * (K - 1), mul))  # D^0..D^(K-1)
+    dens = [W * x for x in powers[1:]]  # c_j = C_j / dens[j - 2]
+    Fs = [Cj * x for Cj, x in zip(C, reversed(powers[:-1]))]  # over dens[-1] = W D^(K-1)
+    common = gcd(dens[-1], *Fs)
+    exact = (Fraction(d_q, W), tuple(x // common for x in Fs), dens[-1] // common)
     ratio = Fraction if domain.is_exact else _rounded_ratio
     with domain.context():
         return CoefficientTable(q, K, ratio(d_q, W), tuple(map(ratio, C, dens)), domain,
-                                _exact=_exact(d_q, C, W, D, K))
+                                _exact=exact)
 
 
-def _exact(d: int, C: list, W: int, D: int, K: int) -> tuple:
-    """A table's ``_exact`` (d_q, F, L): the C_j over W D^(K-1), their common gcd divided out."""
-    Fs = [Cj * D ** (K - j) for j, Cj in enumerate(C, start=2)]
-    common = gcd(W * D ** (K - 1), *Fs)
-    return Fraction(d, W), tuple(x // common for x in Fs), W * D ** (K - 1) // common
+# Set by ``_stack``: [g, K, domain, next q, picked domain, values, later nodes], or [].  A
+# coefficients call for anything else drops it and runs alone, so no value depends on it.
+_stacked: list = []
 
 
-def _exact_values(g: Graph, nodes: tuple, K: int, domain: NumberDomain) -> list:
-    """[(q, _exact)] for each node of ``nodes``, from one ``_expand``: no table, nothing rounded."""
-    _, runs = _expand(g, nodes, K, domain, least_K=2, rows=False)
-    return [(q, _exact(d, C, W, D, K)) for q, (d, C, _, (W, D)) in zip(nodes, runs)]
+def _stack(g: Graph, nodes: tuple, K: int, domain: NumberDomain | None) -> None:
+    """Have the next coefficients(g, q, K, domain) calls, q in ``nodes`` (not empty), share runs."""
+    _stacked[:] = [g, K, domain, nodes[0], *_expand(g, nodes, K, domain, 2, False), nodes[1:]]
 
 
 def beta_rows(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -> tuple:
@@ -195,8 +201,8 @@ def _expand(g: Graph, nodes: tuple, K: int, domain: NumberDomain | None, least_K
             rows: bool) -> tuple:
     """Check the arguments, pick the domain and run the recursion around each node.
 
-    Returns (domain, [(d, C, B, (W, D)) for each node q of ``nodes``]); q's
-    degree must occur once in the exact ``g.degrees``, and in the exact
+    Returns (domain, a lazy iterator of (d, C, B, (W, D)) per node q of ``nodes``);
+    q's degree must occur once in the exact ``g.degrees``, and in the exact
     domain a float or mpf weight raises the TypeError of ``coerce``.  The
     recursion runs on integers: with W and a = W A from
     ``Graph._integer_weights``, the gaps G_r = W (d_q - d_r) are integers.
@@ -208,11 +214,8 @@ def _expand(g: Graph, nodes: tuple, K: int, domain: NumberDomain | None, least_K
         C_j  = sum_{r != q} B_{j-1,r} a_qr,
 
     so no step divides (the idea of Bareiss's fraction-free elimination).
-    Each node takes the fewest primes from the top of the range whose
-    product M exceeds 2^(``_bound_bits`` + 2), so CRT gives every |C_j| and
-    |B_jr| < M / 2 as the symmetric residue (``_symmetric``).  One
-    ``_residue_recursion`` runs as many nodes as keep their residues within
-    _RUN_BYTES, or one.  d = W d_q, and B is None unless ``rows``.
+    ``_residue_recursion`` gives them exactly; d = W d_q, and B is None
+    unless ``rows``.
     """
     if K < least_K:
         raise ValueError(f"K must be at least {least_K}")
@@ -228,30 +231,30 @@ def _expand(g: Graph, nodes: tuple, K: int, domain: NumberDomain | None, least_K
 
     W, a = g._integer_weights
     d = [sum(row) for row in a]
-    runs, size = [[]], 0  # runs of (qi, m, b_1, crt, D), one per node
+    digits = _digits(a, max(d))
+    return domain, ((d[qi], C, B, (W, D)) for run in _runs(a, d, nodes, K) for (qi, *_, D), (C, B)
+                    in zip(run, _residue_recursion(digits, run, K, rows)))
+
+
+def _runs(a, d: list, nodes: tuple, K: int):
+    """Yield runs of (qi, m, b_1, crt, D): the next ``nodes`` within _RUN_BYTES of residues, or one."""
+    run, size = [], 0
     for qi in (q - 1 for q in nodes):
         D = lcm(*(abs(d[qi] - x) for r, x in enumerate(d) if r != qi))
         m = [0 if r == qi else D // (d[qi] - x) for r, x in enumerate(d)]
         b_1 = [x * row[qi] for x, row in zip(m, a)]
         crt = _crt(_bound_bits(max(map(abs, m)), max(d), d[qi], max(map(abs, b_1)), K))
-        share = len(crt[0]) * max(K, 1) * g.n * 8  # bytes of the node's residues H
-        if runs[-1] and size + share > _RUN_BYTES:
-            runs, size = runs + [[]], 0
-        runs[-1].append((qi, m, b_1, crt, D))
+        share = len(crt[0]) * max(K, 1) * len(a) * 8  # bytes of the node's residues H
+        if run and size + share > _RUN_BYTES:
+            yield run
+            run, size = [], 0
+        run.append((qi, m, b_1, crt, D))
         size += share
-    digits = _digits(a, max(d))
-    return domain, [(d[qi], C, B, (W, D)) for run in runs if run for (qi, *_, D), (C, B)
-                    in zip(run, _residue_recursion(digits, run, K, rows))]
+    yield run
 
 
-# A run stacks nodes while their int64 residues stay within 512 KiB.  Stacking saves
-# per-call overhead on small arrays and nothing at K = 100, and on a graph of float-typed
-# or distinct weights every node is unique and takes about a thousand primes.
-_RUN_BYTES = 1 << 19
-
-
-def _residue_recursion(digits: tuple, run: list, K: int, rows: bool) -> list:
-    """The recursion of ``_expand`` for the nodes (qi, m, b_1, crt, D) of ``run``; [(C, B)] each.
+def _residue_recursion(digits: tuple, run: list, K: int, rows: bool):
+    """The recursion of ``_expand`` for the nodes (qi, m, b_1, crt, D) of ``run``; yields (C, B) each.
 
     The nodes' residues are stacked on the prime axis, so each order j is one
     vectorised step over all their primes and all rows, on residues in
@@ -264,20 +267,20 @@ def _residue_recursion(digits: tuple, run: list, K: int, rows: bool) -> list:
       Horner's rule S = (S mod p) 2^k + B_{j-1} A_i, top digit first, keeps S
       below 2^54.  An unweighted or small-weight graph (max(d) < 2^27) has
       one digit: one product per order and no other step;
-    - C_j = S_q, from each row's own node, and
-      B_j = m (S - sum_{k=1}^{j-2} B_k C_{j-k}) mod p, where the convolution
-      is one batched int64 product over the stored rows B_k.
+    - C_j = S_q, for each row's own q, and B_j = m (S - sum_{k=1}^{j-2} B_k C_{j-k})
+      mod p, where the convolution is one batched int64 product over the rows B_k.
 
     Products of two residues are below 2^52, and ``_dot`` adds at most 2^11
     of them to a value below p before it reduces mod p, so no int64 sum
-    overflows; the convolution is one slice while K <= 2049.  A row holds
-    one node's residues modulo one prime and no step mixes rows, so stacking
-    changes no bound.  Each node's rows are rebuilt by CRT with its own
-    constants.  B is the list of rows B_1..B_K when ``rows``, else None.
+    overflows; the convolution is one slice while K <= 2049.  No step mixes
+    rows, so stacking changes no bound.  Each node takes the fewest primes
+    from the top of the range whose product M exceeds 2^(``_bound_bits`` + 2),
+    so every |C_j| and |B_jr| is below M / 2 and its own CRT gives it as the
+    symmetric residue (``_symmetric``).  B is the list of rows B_1..B_K when
+    ``rows``, else None.
     """
     k, A = digits
     n = A[0].shape[0]
-    sizes = [len(crt[0]) for _, _, _, crt, _ in run]
     primes = np.concatenate([crt[0] for _, _, _, crt, _ in run])
     p = primes[:, None]
     mres = np.concatenate([_residues(m, crt[0]) for _, m, _, crt, _ in run])
@@ -285,7 +288,7 @@ def _residue_recursion(digits: tuple, run: list, K: int, rows: bool) -> list:
     H[:, 0] = np.concatenate([_residues(b_1, crt[0]) for _, _, b_1, crt, _ in run])
     Cr = np.empty((len(primes), max(K - 1, 0)), dtype=np.int64)  # Cr[:, K - j] = C_j mod p
     qs = (slice(None), run[0][0]) if len(run) == 1 else (  # S[qs]: each row's S_q
-        np.arange(len(primes)), np.repeat([node[0] for node in run], sizes))
+        np.arange(len(primes)), np.repeat([node[0] for node in run], [len(node[3][0]) for node in run]))
     for j in range(2, K + 1):
         prev = H[:, j - 2].astype(np.float64)
         S = (prev @ A[-1]).astype(np.int64)  # in [0, 2^54), congruent to B_{j-1} A
@@ -295,13 +298,12 @@ def _residue_recursion(digits: tuple, run: list, K: int, rows: bool) -> list:
         if j > 2:  # Cr[:, K-j+1 : K-1] holds C_{j-1}..C_2, paired with B_1..B_{j-2}
             S -= _dot(Cr[:, None, K - j + 1:K - 1], H[:, :j - 2], p)
         H[:, j - 1] = mres * (S % p) % p
-    out, hi = [], 0
-    for (_, _, _, crt, _), P in zip(run, sizes):
-        lo, hi = hi, hi + P
+    hi = 0
+    for *_, crt, _ in run:
+        lo, hi = hi, hi + len(crt[0])
         C = _symmetric(Cr[lo:hi, K - 2::-1], crt) if K >= 2 else []
-        B = _symmetric(H[lo:hi, :K].reshape(P, -1), crt) if rows else None
-        out.append((C, None if B is None else [B[i:i + n] for i in range(0, K * n, n)]))
-    return out
+        B = _symmetric(H[lo:hi, :K].reshape(hi - lo, -1), crt) if rows else None
+        yield C, None if B is None else [B[i:i + n] for i in range(0, K * n, n)]
 
 
 def _digits(a, rho: int) -> tuple:
@@ -346,6 +348,7 @@ def _bound_bits(m_max: int, rho: int, d_q: int, b_1: int, K: int) -> float:
 _PRIME_BITS = 26
 _SUM_BITS = 53 - _PRIME_BITS  # a digit's row sums stay below 2^27, so B A_i stays below 2^53
 _SLICE = 1 << 11  # products below 2^52 per int64 sum between reductions
+_RUN_BYTES = 1 << 19  # stacked residues of a run; a node may take a thousand primes
 
 
 def _residues(values: list, primes) -> np.ndarray:

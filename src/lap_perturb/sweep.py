@@ -4,8 +4,8 @@ A sweep draws graphs from a generator ensemble (a single graph is a cell
 of one graph), expands around selected unique-degree nodes, classifies each
 Euler series at (alpha_threshold, K_check), and reports the converged
 fraction per (n, p, t) cell.  A graph is drawn, its spectrum computed and
-its selected nodes' exact coefficients made in one residue run once, for the
-whole t grid; no c_j is rounded.  Everything is deterministic given the seed.
+each node's table built once (all from one ``perturb._stack``), for the whole
+t grid.  Everything is deterministic given the config seed.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from math import inf, isfinite
 
 from .domain import NumberDomain, exact_domain, parse_number
 from .eigen import symmetric_eigen
-from .euler import _series, convergence_classify
+from .euler import EulerParams, convergence_classify, euler_series
 from .graph import (
     Graph,
     antiregular,
@@ -28,7 +28,7 @@ from .graph import (
     parse_edge_list,
     ring_with_core,
 )
-from .perturb import _exact_values
+from .perturb import _stack, coefficients
 
 __all__ = [
     "ExperimentConfig",
@@ -245,13 +245,15 @@ def _float(x) -> float:
 def _evaluate(g: Graph, nodes: tuple, config: ExperimentConfig, mus: list):
     """Yield (q, t, series, report) for each node of ``nodes`` and each t of the grid.
 
-    ``mus`` is the graph's Laplacian spectrum (``_laplacian_spectrum``); it and
-    the exact values of ``perturb._exact_values``, summed with no c_j rounded,
-    serve the whole t grid.  Each node runs through ``config.t_grid`` in order.
+    ``mus`` is the graph's Laplacian spectrum (``_laplacian_spectrum``); it
+    and one coefficient table per node serve the whole t grid.  Each node
+    runs through ``config.t_grid`` in order.
     """
-    for q, exact in _exact_values(g, nodes, config.K_max, config.domain):
+    _stack(g, nodes, config.K_max, config.domain)
+    for q in nodes:
+        table = coefficients(g, q, config.K_max, config.domain)
         for t in config.t_grid:
-            series = _series(q, exact, config.zeta, t, config.K_max, "euler", config.domain)
+            series = euler_series(table, EulerParams(t=t, zeta=config.zeta, K_max=config.K_max))
             yield q, t, series, convergence_classify(series, mus, config.alpha_threshold,
                                                      config.K_check)
 
@@ -277,8 +279,8 @@ def run_sweep(config: ExperimentConfig, detail: bool = False):
     ``trials`` and ``seed``.  Each (n, p, t) cell counts ``trials`` (graphs
     drawn), ``skipped`` (graphs with no selected node, not failures) and
     ``converged``; its ``fraction`` is converged / (classified + skipped),
-    over the (graph, node) series classified.  A graph's spectrum and its one
-    residue run serve the whole t grid.  Cells and detail records come out
+    over the (graph, node) series classified.  A graph's spectrum and each
+    node's table serve the whole t grid.  Cells and detail records come out
     grouped by t, in grid order.
     """
     cells = []

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 import random
 from fractions import Fraction
 
@@ -401,9 +402,9 @@ class TestStackedEngine:
     @staticmethod
     def _check(g, K, rows=True, oracle_nodes=None):
         nodes = tuple(sorted(degree_profile(g).unique_nodes))
-        _, stacked = perturb._expand(g, nodes, K, None, least_K=0, rows=rows)
+        stacked = list(perturb._expand(g, nodes, K, None, least_K=0, rows=rows)[1])
         for q, run in zip(nodes, stacked):
-            assert run == perturb._expand(g, (q,), K, None, least_K=0, rows=rows)[1][0]
+            assert run == next(perturb._expand(g, (q,), K, None, least_K=0, rows=rows)[1])
             if oracle_nodes is not None and q not in oracle_nodes:
                 continue
             a, d, m, W, D = _scaled(g, q)
@@ -466,8 +467,79 @@ class TestStackedEngine:
         assert len(shared) > 1 and max(map(len, shared)) > 1 and sum(map(len, shared)) == 60
         for run in shared:  # each run is one node or stays within the cap
             assert len(run) == 1 or sum(run) * 4 * g.n * 8 <= perturb._RUN_BYTES
-        exact = perturb._exact_values(g, nodes, 4, exact_domain())
-        assert exact[29] == (30, coefficients(g, 30, 4)._exact)
+
+    def test_runs_are_made_as_they_are_reached(self, monkeypatch):
+        # the constants of each run go once its values are taken: with the CRT constants
+        # uncached, taking all 60 values holds a few runs' residues, where making every run
+        # first held 8.4 MB
+        g = build_graph(60, [(u, v, Fraction(61 * u + v, 64))
+                             for u, v, _ in erdos_renyi(60, Fraction(1, 2), 3).edges()])
+        nodes = tuple(range(1, 61))
+        monkeypatch.setattr(perturb, "_crt_constants", perturb._crt_constants.__wrapped__)
+        runs = _record_runs(monkeypatch)
+        next(perturb._expand(g, (1,), 8, None, least_K=2, rows=False)[1])  # caches of the graph
+        tracemalloc.start()
+        try:
+            values = perturb._expand(g, nodes, 8, None, least_K=2, rows=False)[1]
+            next(values)
+            assert len(runs) == 2  # the first run only
+            assert sum(1 for _ in values) == 59
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(runs) > 10 and peak < 6 * perturb._RUN_BYTES
+
+
+class TestStack:
+    """After ``_stack``, the coefficients calls for its nodes read one stacked
+    ``_expand``; their tables equal those of lone calls, in value and type."""
+
+    @staticmethod
+    def _tables(g, nodes, K, domain):
+        return [(t, t._exact, _typed([t.d_q, *t.c])) for t in
+                (coefficients(g, q, K, domain) for q in nodes)]
+
+    @pytest.mark.parametrize("g, K, domain", [
+        (example_graph("e3"), 30, float_domain(128)),
+        (example_graph("e2"), 12, exact_domain()),
+        (erdos_renyi(20, Fraction(1, 2), 600), 30, float_domain(53)),
+        (_isolated_and_others(), 3, None),
+        (build_graph(6, [(1, 2, 0.1), (1, 3, 0.75), (2, 4, 1.5), (3, 5, 2.0), (4, 6, 0.3)]),
+         12, float_domain(128)),
+    ])
+    def test_stacked_tables_equal_lone_tables(self, monkeypatch, g, K, domain):
+        nodes = tuple(sorted(degree_profile(g).unique_nodes))
+        runs = _record_runs(monkeypatch)
+        perturb._stack(g, nodes, K, domain)
+        stacked = self._tables(g, nodes, K, domain)
+        assert len(runs) == 1 and len(runs[0]) == len(nodes) > 1 and perturb._stacked == []
+        assert stacked == self._tables(g, nodes, K, domain)
+        assert len(runs) == 1 + len(nodes)
+
+    def test_any_other_call_drops_the_stack(self, monkeypatch):
+        g, domain = example_graph("e3"), float_domain(53)
+        nodes = tuple(sorted(degree_profile(g).unique_nodes))
+        lone = self._tables(g, nodes, 30, domain)
+        runs = _record_runs(monkeypatch)
+        for q, K, d in [(nodes[1], 30, domain), (nodes[0], 12, domain),
+                        (nodes[0], 30, exact_domain()), (nodes[0], 30, None)]:
+            perturb._stack(g, nodes, 30, domain)
+            coefficients(g, q, K, d)
+            assert perturb._stacked == []
+        perturb._stack(g, nodes, 30, domain)
+        coefficients(example_graph("e2"), 13, 30, domain)
+        assert perturb._stacked == [] and list(map(len, runs)) == [1] * 5
+        perturb._stack(g, nodes, 30, domain)
+        assert self._tables(g, nodes[:1], 30, domain) == lone[:1]
+        assert self._tables(g, nodes[2:], 30, domain) == lone[2:]  # on their own
+        assert list(map(len, runs)) == [1] * 5 + [len(nodes)] + [1] * (len(nodes) - 2)
+
+    def test_arguments_are_checked_by_the_stack(self):
+        g = example_graph("e3")
+        with pytest.raises(perturb.NonUniqueDegreeError):
+            perturb._stack(g, (1, 2, 3), 30, None)
+        with pytest.raises(ValueError, match="K must be at least 2"):
+            perturb._stack(g, (1,), 1, None)
 
 
 # SHA-256 of the value types and exact values of the tables (d_q, c and

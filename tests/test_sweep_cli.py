@@ -181,7 +181,7 @@ def _multi_t_config(domain, source="erdos_renyi", selector="all_unique"):
 class TestSweepWorkPerTrial:
     @pytest.mark.parametrize("domain", DOMAINS)
     def test_one_draw_spectrum_and_table_per_trial(self, monkeypatch, domain):
-        calls = {"erdos_renyi": [], "symmetric_eigen": [], "_exact_values": []}
+        calls = {"erdos_renyi": [], "symmetric_eigen": [], "coefficients": [], "_stack": []}
 
         def counted(name, key):
             fn = getattr(sweep, name)
@@ -193,7 +193,14 @@ class TestSweepWorkPerTrial:
 
         counted("erdos_renyi", lambda n, p, seed: seed)
         counted("symmetric_eigen", lambda matrix: matrix)
-        counted("_exact_values", lambda g, nodes, K, domain: (g.weights, nodes))
+        counted("coefficients", lambda g, q, K, domain: (g.weights, q))
+        counted("_stack", lambda g, nodes, K, domain: (g.weights, nodes))
+        expanded, expand = [], perturb._expand
+
+        def counted_expand(g, nodes, *args, **kwargs):
+            expanded.append((g.weights, nodes))
+            return expand(g, nodes, *args, **kwargs)
+        monkeypatch.setattr(perturb, "_expand", counted_expand)
         config = _multi_t_config(domain)
         cells, details = run_sweep(config, detail=True)
         drawn = config.trials - cells[0].skipped
@@ -202,11 +209,14 @@ class TestSweepWorkPerTrial:
         assert all(c.fraction <= 1 for c in cells)
         assert len(calls["erdos_renyi"]) == len(set(calls["erdos_renyi"])) == config.trials
         assert len(calls["symmetric_eigen"]) == drawn
-        runs = calls["_exact_values"]
-        assert len(runs) == len({weights for weights, _ in runs}) == drawn
-        pairs = [(weights, q) for weights, nodes in runs for q in nodes]
+        pairs = calls["coefficients"]
         assert len(pairs) == len(set(pairs))
         assert len(pairs) * len(MULTI_T) == len(details)
+        # one residue engine call per drawn graph, which every table of the graph reads
+        stacks = calls["_stack"]
+        assert len(stacks) == len({weights for weights, _ in stacks}) == drawn
+        assert [(weights, q) for weights, nodes in stacks for q in nodes] == pairs
+        assert expanded == stacks
 
     @pytest.mark.parametrize("domain", DOMAINS)
     def test_sweep_builds_no_beta(self, monkeypatch, e2, domain):
@@ -222,17 +232,6 @@ class TestSweepWorkPerTrial:
         assert details and built == []
         assert perturb.reconstruct_eigenvector(e2, 13, -1, 6, domain)  # a call is counted
         assert len(built) == 1
-
-    def test_float_sweep_rounds_only_the_sums_it_reads(self, monkeypatch):
-        # the series sum the exact integers of one run, so no c_j is rounded
-        rounded = {"perturb": 0, "euler": 0}
-        for name, module in (("perturb", perturb), ("euler", euler)):
-            def counted(*args, name=name, rounded_ratio=module._rounded_ratio):
-                rounded[name] += 1
-                return rounded_ratio(*args)
-            monkeypatch.setattr(module, "_rounded_ratio", counted)
-        _, details = run_sweep(_multi_t_config(float_domain(128)), detail=True)
-        assert details and rounded == {"perturb": 0, "euler": len(details)}
 
     @pytest.mark.parametrize("domain", DOMAINS)
     @pytest.mark.parametrize("source, selector", [
