@@ -15,12 +15,11 @@ A float table then holds each value rounded once from the exact one, and
 every table keeps its exact values as integers over one denominator for
 ``euler`` to sum.  The graph reads the integer weights once
 (``Graph._integer_weights``), and ``_residue_recursion`` runs the recursion
-on them modulo primes below 2^26, one vectorised int64 step per order for
-all the nodes a sweep names (``_stack``, in runs of 512 KiB), then rebuilds
-each value by the Chinese remainder theorem (Garner 1959; Knuth, TAOCP vol.
-2, 4.3.2).  No series reads beta, so the table holds only d_q and the c_j;
-``beta_rows`` gives the beta rows of the same recursion, and
-``reconstruct_eigenvector`` sums them.
+on them modulo primes below 2^26, one vectorised int64 step per order for a
+sweep's nodes (``_stack``), then rebuilds each value by the Chinese remainder
+theorem (Garner 1959; Knuth, TAOCP vol. 2, 4.3.2).  No series reads beta, so
+the table holds only d_q and the c_j; ``beta_rows`` gives the beta rows of
+the same recursion, and ``reconstruct_eigenvector`` sums them.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, inf, isqrt, lcm, log2, prod
-from operator import mul
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -281,11 +280,12 @@ def _residue_recursion(digits: tuple, run: list, K: int, rows: bool):
     """
     k, A = digits
     n = A[0].shape[0]
-    primes = np.concatenate([crt[0] for _, _, _, crt, _ in run])
+    cat = np.concatenate if len(run) > 1 else itemgetter(0)  # a lone node's arrays, uncopied
+    primes = cat([crt[0] for _, _, _, crt, _ in run])
     p = primes[:, None]
-    mres = np.concatenate([_residues(m, crt[0]) for _, m, _, crt, _ in run])
+    mres = cat([_residues(m, crt[0]) for _, m, _, crt, _ in run])
     H = np.empty((len(primes), max(K, 1), n), dtype=np.int64)  # H[:, j - 1] = B_j mod p
-    H[:, 0] = np.concatenate([_residues(b_1, crt[0]) for _, _, b_1, crt, _ in run])
+    H[:, 0] = cat([_residues(b_1, crt[0]) for _, _, b_1, crt, _ in run])
     Cr = np.empty((len(primes), max(K - 1, 0)), dtype=np.int64)  # Cr[:, K - j] = C_j mod p
     qs = (slice(None), run[0][0]) if len(run) == 1 else (  # S[qs]: each row's S_q
         np.arange(len(primes)), np.repeat([node[0] for node in run], [len(node[3][0]) for node in run]))
