@@ -63,13 +63,14 @@ class Spectrum:
     residual: float
 
 
-def _square_rows(matrix) -> list:
-    rows = matrix.tolist() if isinstance(matrix, np.ndarray) else [list(row) for row in matrix]
-    if not rows:
+def _check_square(matrix) -> int:
+    """The order n of a square matrix, given as a sequence of n rows of length n."""
+    n = len(matrix)
+    if not n:
         raise ValueError("empty matrix")
-    if any(len(row) != len(rows) for row in rows):
+    if any(len(row) != n for row in matrix):
         raise ValueError("matrix must be square")
-    return rows
+    return n
 
 
 def _float_array(rows) -> np.ndarray:
@@ -140,10 +141,11 @@ def symmetric_eigen(matrix, precision_bits: int = 53) -> Spectrum:
     non-finite residual, or if the refinement is not certified within a
     fixed number of steps.
     """
-    rows = _square_rows(matrix)
+    n = _check_square(matrix)
     if precision_bits > 53:
+        rows = matrix.tolist() if isinstance(matrix, np.ndarray) else matrix
         return _refined_spectrum(*_integer_matrix(rows), precision_bits)
-    array = _float_array(rows)
+    array = _float_array(matrix)
     values, vectors = np.linalg.eigh(array)
     if not np.isfinite(values).all():
         raise RuntimeError("eigensolver returned a non-finite eigenvalue")
@@ -152,10 +154,11 @@ def symmetric_eigen(matrix, precision_bits: int = 53) -> Spectrum:
     residual = float(np.sqrt(np.max(np.einsum("ij,ij->j", R, R))))
     if not math.isfinite(residual):  # np.max propagates a NaN
         raise RuntimeError("eigensolver returned a non-finite eigenvector residual")
-    eigenvalues, columns = values.tolist(), vectors.T.tolist()
-    order = sorted(range(len(rows)), key=lambda k: eigenvalues[k], reverse=True)
+    eigenvalues = values.tolist()
+    # a stable descending sort: tied eigenvalues and signed zeros keep eigh's order
+    order = sorted(range(n), key=eigenvalues.__getitem__, reverse=True)
     return Spectrum(eigenvalues=tuple(eigenvalues[k] for k in order),
-                    eigenvectors=tuple(tuple(columns[k]) for k in order),
+                    eigenvectors=tuple(map(tuple, vectors.T[order].tolist())),
                     residual=residual)
 
 

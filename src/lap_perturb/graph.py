@@ -17,6 +17,8 @@ from functools import cached_property
 from math import inf, lcm
 from operator import not_
 
+import numpy as np
+
 from .domain import _exact_value, _integer_ratio, _rational, parse_number
 
 __all__ = [
@@ -47,7 +49,9 @@ class Graph:
     are ints for unweighted graphs and Fractions/floats otherwise.  Instances
     are immutable and safe to share across threads.  ``degrees`` and the
     exact integer form of the weights (``_integer_weights``) are read from
-    ``weights`` once, on first use.
+    ``weights`` once, on first use.  A graph from ``erdos_renyi`` arrives with
+    both, and with ``_rational_weights``, already set from the 0/1 array it
+    was drawn in (``_unit_graph``): the same values and types.
     """
 
     n: int
@@ -173,6 +177,22 @@ def build_graph(n: int, edges) -> Graph:
     return Graph(n=n, weights=tuple(tuple(r) for r in rows), is_weighted=weighted)
 
 
+def _unit_graph(adj: np.ndarray) -> Graph:
+    """The graph of a symmetric 0/1 integer array with zero diagonal, taken unchecked.
+
+    A generator's array is valid by construction, so ``build_graph``'s
+    per-edge checks are skipped.  The weight rows are read by one ``tolist``
+    per row, so no list of all rows is held beside them, and the caches
+    ``degrees`` and ``_integer_weights`` are filled from the same array with
+    the values and types their own passes would give.
+    """
+    weights = tuple(map(tuple, map(np.ndarray.tolist, adj)))
+    g = Graph(n=len(adj), weights=weights, is_weighted=False)
+    g.__dict__.update(degrees=tuple(adj.sum(1).tolist()), _integer_weights=(1, weights),
+                      _all_rational=True)
+    return g
+
+
 def degree_profile(g: Graph) -> DegreeProfile:
     """Degrees, unique-degree nodes, and per-node kappa = 1/min gap."""
     d = g.degrees
@@ -234,14 +254,20 @@ def perturbed_matrix(g: Graph, zeta) -> tuple:
 _SM64_MASK = (1 << 64) - 1
 
 
-def _splitmix64(state: int) -> tuple:
-    """One step of the splitmix64 generator; returns (new_state, output)."""
-    state = (state + 0x9E3779B97F4A7C15) & _SM64_MASK
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _SM64_MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _SM64_MASK
-    z ^= z >> 31
-    return state, z
+def _splitmix64(seed: int, count: int) -> np.ndarray:
+    """Outputs 1..count of the splitmix64 generator seeded with ``seed``, as uint64.
+
+    numpy's uint64 arithmetic wraps mod 2^64, as the generator does.
+    """
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed & _SM64_MASK)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def erdos_renyi(n: int, p, seed: int) -> Graph:
@@ -250,19 +276,23 @@ def erdos_renyi(n: int, p, seed: int) -> Graph:
     Uses the splitmix64 generator so results are identical across platforms
     and library versions: pair (u, v) with u < v (lexicographic order) gets
     the next 64-bit draw z, and the edge exists iff z < floor(p * 2^64).
+    splitmix64 is counter-based (Steele, Lea and Flood, OOPSLA 2014): draw
+    k = 1, 2, ... is mix(seed + k * 0x9E3779B97F4A7C15 mod 2^64), so
+    ``_splitmix64`` makes all n(n-1)/2 draws at once in numpy.
     """
     p = Fraction(p)
     if not (0 <= p <= 1):
         raise ValueError("p must lie in [0, 1]")
+    if n < 0:
+        raise ValueError("node count must be non-negative")
     threshold = int(p * (1 << 64))
-    state = seed & _SM64_MASK
-    edges = []
-    for u in range(1, n + 1):
-        for v in range(u + 1, n + 1):
-            state, z = _splitmix64(state)
-            if z < threshold:
-                edges.append((u, v))
-    return build_graph(n, edges)
+    adj = np.zeros((n, n), dtype=np.uint8)
+    # the strict upper triangle, read in row-major order, is the (u, v) order;
+    # 2^64 (p = 1) is beyond uint64, and every draw is below it
+    adj[np.tri(n, k=-1, dtype=bool).T] = (
+        _splitmix64(seed, n * (n - 1) // 2) < np.uint64(threshold)
+        if threshold <= _SM64_MASK else 1)
+    return _unit_graph(adj | adj.T)
 
 
 def antiregular(n: int) -> Graph:

@@ -31,6 +31,11 @@ the same report and raise the same errors.
 ``euler_series_t_minus_one`` evaluates the t = -1, zeta = -1 case by its own
 formula, as an independent reference for the general transform.
 
+``reference_erdos_renyi`` is the generator that ``graph.erdos_renyi`` ran
+before it drew all pairs at once in numpy: one scalar splitmix64 step per
+pair, and the edge list through ``build_graph``.  The vectorised draws must
+give the same graph, with the same cached degrees and integer weights.
+
 ``round_to_nearest`` rounds a rational to a given number of significand bits
 with integer arithmetic alone, the reference for values that a float domain
 rounds once from an exact one.
@@ -79,7 +84,7 @@ from lap_perturb.almost_regular import (
 from lap_perturb.domain import NumberDomain, _exact_value, exact_domain, to_mpf
 from lap_perturb.eigen import accuracy_alpha, symmetric_eigen
 from lap_perturb.euler import ConvergenceReport, EulerParams, _numerator, _over_lcm, _transform
-from lap_perturb.graph import Graph, closed_walk_counts, degree_profile
+from lap_perturb.graph import Graph, build_graph, closed_walk_counts, degree_profile
 from lap_perturb.perturb import (
     CoefficientTable,
     NonUniqueDegreeError,
@@ -482,6 +487,35 @@ def closed_form_table(arg: AlmostRegularGraph, K: int) -> CoefficientTable:
         c=tuple(cm_closed_form(arg, chc, m) for m in range(2, K + 1)),
         domain=exact_domain(),
     )
+
+
+_SM64_MASK = (1 << 64) - 1
+
+
+def _splitmix64(state: int) -> tuple:
+    """One step of the splitmix64 generator; returns (new_state, output)."""
+    state = (state + 0x9E3779B97F4A7C15) & _SM64_MASK
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _SM64_MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _SM64_MASK
+    z ^= z >> 31
+    return state, z
+
+
+def reference_erdos_renyi(n: int, p, seed: int) -> Graph:
+    """G(n, p) by one scalar splitmix64 step per pair (u, v), u < v in lexicographic order."""
+    p = Fraction(p)
+    if not (0 <= p <= 1):
+        raise ValueError("p must lie in [0, 1]")
+    threshold = int(p * (1 << 64))
+    state = seed & _SM64_MASK
+    edges = []
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            state, z = _splitmix64(state)
+            if z < threshold:
+                edges.append((u, v))
+    return build_graph(n, edges)
 
 
 def round_to_nearest(x: Fraction, bits: int) -> Fraction:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -54,6 +55,16 @@ REFINED_CASES = {
     # float and mpf entries are dyadic rationals, read at their exact values
     "float-12": lambda: random_symmetric(12, 7).tolist(),
     "mpf-6": lambda: [[mpmath.mpf(v) / 3 for v in row] for row in random_symmetric(6, 8).tolist()],
+}
+
+
+# SHA-256 of repr((eigenvalues, eigenvectors, residual)) of each 53-bit Laplacian
+# spectrum in turn: the examples, and 50 ER(20, p) graphs, p = 1/5..4/5 by seed
+SPECTRUM_53_SHA256 = {
+    "examples": ("fd4de0e194ed09603e86ed41b6b9887a307ab41100b94d5ac845aa75e6122773",
+                 lambda: [resolve_graph_source(f"example:{e}") for e in ("e1", "e2", "e3")]),
+    "er-20": ("6b8b095cc5835b9c1535d89f5390ec2caa6cc3fc9b39f40ae2497c400d018750",
+              lambda: [erdos_renyi(20, Fraction(1 + seed % 4, 5), seed) for seed in range(50)]),
 }
 
 
@@ -203,6 +214,38 @@ class TestSymmetricEigen:
     def test_53_bit_entry_check_messages(self, entry, message):
         with pytest.raises(RuntimeError, match=message):
             symmetric_eigen([[entry, 0], [0, 1]])
+
+    @pytest.mark.parametrize("name", list(SPECTRUM_53_SHA256))
+    def test_53_bit_spectra_pinned(self, name):
+        sha256, graphs = SPECTRUM_53_SHA256[name]
+        digest = hashlib.sha256()
+        for g in graphs():
+            spec = symmetric_eigen(laplacian(g))
+            digest.update(repr((spec.eigenvalues, spec.eigenvectors, spec.residual)).encode())
+        assert digest.hexdigest() == sha256
+
+    def test_ties_and_signed_zeros_keep_eigh_order(self, monkeypatch):
+        # eigh's order is 0.0, 1.0, -0.0, 1.0 on the columns e_1..e_4; the descending
+        # sort is stable, so the two 1.0 and the two zeros each keep it
+        values = np.array([0.0, 1.0, -0.0, 1.0])
+        monkeypatch.setattr(np.linalg, "eigh", lambda array: (values, np.eye(4)))
+        spec = symmetric_eigen(np.diag(values))
+        assert [(v, math.copysign(1, v)) for v in spec.eigenvalues] == [(1, 1), (1, 1), (0, 1),
+                                                                          (0, -1)]
+        assert spec.eigenvectors == tuple(tuple(row) for row in np.eye(4)[[1, 3, 0, 2]].tolist())
+
+    @pytest.mark.parametrize("bits", [53, 128])
+    @pytest.mark.parametrize("matrix", [[], (), np.zeros((0, 0))], ids=["list", "tuple", "array"])
+    def test_rejects_empty(self, matrix, bits):
+        with pytest.raises(ValueError, match="^empty matrix$"):
+            symmetric_eigen(matrix, bits)
+
+    @pytest.mark.parametrize("bits", [53, 128])
+    @pytest.mark.parametrize("matrix", [[[1, 2], [3]], ((1,), (2,)), np.zeros((2, 3))],
+                             ids=["ragged", "column", "array"])
+    def test_rejects_non_square(self, matrix, bits):
+        with pytest.raises(ValueError, match="^matrix must be square$"):
+            symmetric_eigen(matrix, bits)
 
     def test_rejects_non_symmetric(self):
         with pytest.raises(ValueError, match="symmetric"):

@@ -24,6 +24,26 @@ from lap_perturb.graph import (
     parse_edge_list,
     ring_with_core,
 )
+from oracles import reference_erdos_renyi
+
+# the grid on which the vectorised draws must equal the scalar generator:
+# both ends of [0, 1] and one ulp of 2^-64 inside them, a float p and a string
+ER_SIZES = (0, 1, 2, 3, 20, 57, 200)
+ER_PROBABILITIES = (0, 1, Fraction(1, 5), Fraction(1, 2), Fraction(4, 5), 0.2, "1/3",
+                    Fraction(1, 2**64), 1 - Fraction(1, 2**64))
+ER_SEEDS = (0, 7, -1, 2**64 - 5, 2**64 + 3, 2**70)
+
+
+def assert_same_generated_graph(g, ref) -> None:
+    """Equal value and hash, and equal cached degrees and integer weights, types included."""
+    assert g == ref and hash(g) == hash(ref)
+    assert {type(w) for row in g.weights for w in row} == {type(w) for row in ref.weights for w in row}
+    assert g.is_weighted is ref.is_weighted
+    assert g.degrees == ref.degrees
+    assert list(map(type, g.degrees)) == list(map(type, ref.degrees))
+    assert g._integer_weights == ref._integer_weights
+    assert type(g._integer_weights[0]) is type(ref._integer_weights[0])
+    assert g._rational_weights is ref._rational_weights
 
 
 def brute_force_closed_walks(g, q: int, M: int) -> list:
@@ -218,6 +238,27 @@ class TestGenerators:
         c = erdos_renyi(15, Fraction(3, 10), 43)
         assert a.weights == b.weights
         assert a.weights != c.weights
+
+    @pytest.mark.parametrize("p", ER_PROBABILITIES, ids=repr)
+    @pytest.mark.parametrize("n", ER_SIZES)
+    def test_erdos_renyi_matches_scalar_generator(self, n, p):
+        for seed in ER_SEEDS:
+            assert_same_generated_graph(erdos_renyi(n, p, seed), reference_erdos_renyi(n, p, seed))
+
+    @pytest.mark.parametrize("n, p, seed", [(1000, Fraction(1, 20), 7), (2000, "1/3", 2**64 - 5)])
+    def test_erdos_renyi_matches_scalar_generator_at_scale(self, n, p, seed):
+        assert_same_generated_graph(erdos_renyi(n, p, seed), reference_erdos_renyi(n, p, seed))
+
+    @pytest.mark.parametrize("p", [0, Fraction(1, 2), 1])
+    def test_erdos_renyi_negative_node_count(self, p):
+        with pytest.raises(ValueError, match="^node count must be non-negative$"):
+            erdos_renyi(-3, p, 0)
+
+    @pytest.mark.parametrize("n", [-3, 0, 5])
+    @pytest.mark.parametrize("p", [Fraction(-1, 10), Fraction(11, 10), -1e-300, "3/2"], ids=repr)
+    def test_erdos_renyi_p_outside_unit_interval(self, n, p):
+        with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\]$"):
+            erdos_renyi(n, p, 0)
 
     def test_generated_graphs_are_simple_and_symmetric(self):
         graphs = [erdos_renyi(10, 0.4, s) for s in range(4)]

@@ -7,6 +7,7 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 import lap_perturb.cli as cli
@@ -248,6 +249,17 @@ class TestSweepWorkPerTrial:
         assert details == tuple(r for _, single_details in singles for r in single_details)
         assert len(details) > len(MULTI_T)
 
+    def test_tampered_eigenvector_fails_the_residual_check(self, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def tampered(array):
+            values, vectors = eigh(array)
+            vectors[:, 0] = math.nan
+            return values, vectors
+        monkeypatch.setattr(np.linalg, "eigh", tampered)
+        with pytest.raises(RuntimeError, match="residual"):
+            run_sweep(_multi_t_config(exact_domain()))
+
 
 class TestResolveGraphSource:
     def test_generator_specs(self):
@@ -303,6 +315,15 @@ SWEEP_128_CONFIGS = {
                     "K_max": 30, "K_check": 30, "domain": {"precision_bits": 128}, "trials": 3,
                     "n_grid": [12, 20], "p_grid": ["1/5", "1/2"], "seed": 7},
                    "11f7411345a6b8330b1d13f8868bebac6af453ea960b73b57a4aec814383cd34"),
+}
+
+# SHA-256 of the stdout of sweeps at n = 1000: three classified trials, and a
+# cell whose three trials have no unique-degree node and are skipped
+SWEEP_1000_STDOUT_SHA256 = {
+    "detail-p-1/20": (["sweep", "--n", "1000", "--p", "1/20", "--trials", "3", "--detail"],
+                      "c29fbb558518aedf6db18f167d4b87ccdd1301b494375f95e5e6d571c2ff4ff9"),
+    "skipped-p-1/200": (["sweep", "--n", "1000", "--p", "1/200", "--trials", "3"],
+                        "3b9f552995e4d46943f059c2549aac5f267b4b01ef3fdb28de7baebab2ebf208"),
 }
 
 # SHA-256 of `sweep --detail` CSVs on a file graph: e3's edges with weights
@@ -555,6 +576,12 @@ class TestCli:
         out = tmp_path / "detail.csv"
         assert main(["sweep", "--config", str(path), "--detail", "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("name", list(SWEEP_1000_STDOUT_SHA256))
+    def test_sweep_1000_stdout_bytes(self, capsys, name):
+        argv, sha256 = SWEEP_1000_STDOUT_SHA256[name]
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
     @pytest.mark.parametrize("domain", list(FILE_SWEEP_DOMAINS))
     def test_sweep_detail_file_graph_bytes(self, capsys, tmp_path, domain):
