@@ -26,11 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 import mpmath
 
-from .domain import _rounded_ratio, to_mpf
+from .domain import _over_lcm, to_mpf
 from .euler import binomial, taylor_partial_sums
 from .graph import Graph, WalkCounts, closed_walk_counts
 from .perturb import SeriesEvaluation, coefficients
@@ -255,16 +254,15 @@ def _largest_eigenvalue(Q: list, r, x) -> mpmath.mpf:
     Frobenius (node 1's component is not regular).  Bisection on the grid 1/scale, on which
     lie all rounding boundaries above r > 2^-bitlen(den r), ends at lo or inside (lo, lo + 1).
     """
-    scale = lcm(r.denominator, x.denominator) << (mpmath.mp.prec + r.denominator.bit_length())
-    den = lcm(*(c.denominator for c in Q))
-    terms = [int(c * den) * scale**k for k, c in enumerate(Q)]
+    scale = _over_lcm((r, x))[1] << (mpmath.mp.prec + r.denominator.bit_length())
+    terms = [c * scale**k for k, c in enumerate(_over_lcm(Q)[0])]
     lo, hi, exact = int(r * scale), int((r + x) * scale), False
     while hi - lo > 1:
         mid, value = (lo + hi) // 2, 0
-        for t in terms:  # value = den scale^deg R(mid / scale), by Horner
+        for t in terms:  # value = L scale^deg R(mid / scale), L Q's common denominator, by Horner
             value = value * mid + t
         lo, hi, exact = (lo, mid, exact) if value > 0 else (mid, hi, value == 0)
-    return _rounded_ratio(lo, scale) if exact else _rounded_ratio(2 * lo + 1, 2 * scale)
+    return to_mpf(Fraction(lo, scale) if exact else Fraction(2 * lo + 1, 2 * scale))
 
 
 def contour_eigenvalue(

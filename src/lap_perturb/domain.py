@@ -6,11 +6,14 @@ value a :class:`fractions.Fraction` (legal only when all inputs are
 rational), while ``float`` returns mpmath reals at a configurable number of
 mantissa bits.  Every layer takes each input at its exact value
 (``_exact_value``, or its ``_integer_ratio``): a float or mpf is a dyadic
-rational.  So ``perturb`` computes every table exactly, from the weights of
-``Graph._integer_weights``, and a float domain rounds each value once
-(``_rounded_ratio``); only the choice of the default domain asks whether
-every weight is rational (``_rational``).  ``euler`` rounds each partial
-sum once, from its unreduced integer ratio, when it is read.
+rational, and a list of them is put over one common denominator by
+``_over_lcm``.  So ``perturb`` computes every table exactly, from the weights
+of ``Graph._integer_weights``, and ``euler`` every partial sum; only the
+choice of the default domain asks whether every weight is rational
+(``_rational``).  An exact value enters a domain in one place,
+``NumberDomain.ratio``: a ``Fraction``, or rounded once, to nearest, at the
+domain's own precision, whatever mpmath's process-wide working precision is,
+so tables and series made in concurrent threads do not depend on each other.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite
+from math import isfinite, lcm
 from numbers import Rational
 
 import mpmath
@@ -30,7 +33,7 @@ FLOAT = "float"
 
 @dataclass(frozen=True)
 class NumberDomain:
-    """Arithmetic mode used for coefficient tables and series sums."""
+    """Arithmetic mode of tables and series, whose values never depend on mpmath's precision."""
 
     mode: str = EXACT_RATIONAL
     precision_bits: int = 128
@@ -46,14 +49,27 @@ class NumberDomain:
         return self.mode == EXACT_RATIONAL
 
     def context(self):
-        """Context manager pinning the mpmath working precision (no-op if exact)."""
+        """Context manager pinning the working precision for arithmetic on values (no-op if exact)."""
         if self.is_exact:
             return nullcontext()
         return mpmath.workprec(self.precision_bits)
 
+    def ratio(self, numerator: int, denominator: int):
+        """numerator / denominator (denominator > 0) as a value of this domain.
+
+        A ``Fraction`` in exact mode, else the mpf rounded once, to nearest,
+        at ``precision_bits``, whatever the working precision.
+        """
+        if self.is_exact:
+            return Fraction(numerator, denominator)
+        return mpmath.mp.make_mpf(from_rational(numerator, denominator, self.precision_bits,
+                                                round_nearest))
+
     def coerce(self, value):
         """Convert ``value`` to this domain's scalar type.
 
+        A float domain rounds the exact value once, as ``ratio`` does, and
+        raises the ValueError of ``_integer_ratio`` for a non-finite one.
         Raises TypeError in exact mode for values that are not rational
         numbers; irrational inputs must use a float domain.
         """
@@ -63,7 +79,7 @@ class NumberDomain:
             raise TypeError(
                 f"exact_rational domain cannot represent {value!r}; use a float domain"
             )
-        return to_mpf(value)
+        return self.ratio(*_integer_ratio(value))
 
 
 def exact_domain() -> NumberDomain:
@@ -98,6 +114,16 @@ def _integer_ratio(value) -> tuple:
     raise ValueError(f"{value!r} is not a finite number")
 
 
+def _over_lcm(values) -> tuple:
+    """(F, L): the exact values as integers F_k over L, the lcm of their reduced denominators.
+
+    A non-finite value raises the ValueError of ``_integer_ratio``.
+    """
+    ratios = [(v, 1) if type(v) is int else _integer_ratio(v) for v in values]
+    L = lcm(*(den for _, den in ratios))
+    return tuple(num * (L // den) for num, den in ratios), L
+
+
 def to_mpf(value) -> mpmath.mpf:
     """Convert int/Fraction/float/mpf to an mpf at the current working precision.
 
@@ -105,13 +131,9 @@ def to_mpf(value) -> mpmath.mpf:
     denominator.
     """
     if isinstance(value, Rational) and not isinstance(value, int):
-        return _rounded_ratio(int(value.numerator), int(value.denominator))
+        return mpmath.mp.make_mpf(from_rational(int(value.numerator), int(value.denominator),
+                                                mpmath.mp.prec, round_nearest))
     return mpmath.mpf(value)
-
-
-def _rounded_ratio(numerator: int, denominator: int) -> mpmath.mpf:
-    """numerator / denominator (denominator > 0) rounded once, to nearest, at the working precision."""
-    return mpmath.mp.make_mpf(from_rational(numerator, denominator, mpmath.mp.prec, round_nearest))
 
 
 def parse_number(text: str) -> Fraction:

@@ -31,7 +31,7 @@ import mpmath
 import numpy as np
 from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_rational
 
-from .domain import _exact_value, to_mpf
+from .domain import _over_lcm, to_mpf
 
 __all__ = [
     "Spectrum",
@@ -99,20 +99,12 @@ def _integer_matrix(rows) -> tuple:
     The symmetry check is the 53-bit one, |a_ij - a_ji| <= 1e-12 max(1, max |a|),
     made exactly; B then mirrors the lower triangle.
     """
-    pairs = []
-    for row in rows:
-        out = []
-        for x in row:
-            if type(x) is not int:
-                try:
-                    x = _exact_value(x)
-                except ValueError:
-                    raise RuntimeError("matrix has a non-finite entry") from None
-            out.append((x.numerator, x.denominator))
-        pairs.append(out)
-    W = math.lcm(*(d for row in pairs for _, d in row))
-    B = [[p * (W // d) for p, d in row] for row in pairs]
-    n = len(B)
+    n = len(rows)
+    try:
+        flat, W = _over_lcm(x for row in rows for x in row)
+    except ValueError:
+        raise RuntimeError("matrix has a non-finite entry") from None
+    B = [list(flat[i:i + n]) for i in range(0, n * n, n)]
     scale = max(W, max(abs(b) for row in B for b in row))
     for i in range(n):
         for j in range(i + 1, n):

@@ -19,9 +19,10 @@ z/(1 + t z) = p/s, it is f0 plus one integer ratio whose numerator is
 sum_j C(m, j) (ap)^(m-j) H_j over the Taylor numerators H_j, made once per
 series in O(K) products.  A table from the residue engine keeps its F and L
 (``CoefficientTable._exact``); a table built by hand is put over its lcm
-once per series (``_over_lcm``).  A series makes each partial sum only when
-it is read: the exact domain reduces it to a ``Fraction`` then, and a float
-domain rounds it once, from the unreduced ratio, at the table's precision.
+once per series (``domain._over_lcm``).  A series makes each partial sum only
+when it is read, from its unreduced ratio, by ``NumberDomain.ratio``: the
+exact domain reduces it to a ``Fraction``, and a float domain rounds it once
+at the table's precision, whatever mpmath's working precision is.
 ``convergence_classify`` reads one of them and finds the nearest eigenvalue
 by bisection on integer cross-products.
 """
@@ -30,12 +31,11 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import comb, inf, isfinite, lcm
+from math import comb, inf, isfinite
 from operator import mul
 
-from .domain import NumberDomain, _exact_value, _integer_ratio, _rounded_ratio
+from .domain import NumberDomain, _exact_value, _integer_ratio, _over_lcm
 from .eigen import accuracy_alpha
 from .perturb import CoefficientTable, SeriesEvaluation, coefficients
 
@@ -77,9 +77,9 @@ class _PartialSums(Mapping):
     """Partial sums of orders 2..K_max of one transform, each made on its first read.
 
     A read of order m gives f0 + N_m / (den0 step^(m - 1)), with the Euler-mean
-    numerator N_m of ``_numerator``: the exact domain returns it as a reduced
-    ``Fraction``, a float domain rounds the unreduced ratio once, to
-    nearest, at its precision (the same value as rounding the ``Fraction``).
+    numerator N_m of ``_numerator``, as one unreduced integer ratio taken into
+    the domain by ``NumberDomain.ratio``: a reduced ``Fraction``, or rounded
+    once, to nearest, at the domain's precision.
     """
 
     def __init__(self, core: tuple, K_max: int, domain: NumberDomain) -> None:
@@ -94,12 +94,7 @@ class _PartialSums(Mapping):
         if K not in self._orders:
             raise KeyError(K)
         f0, num, den = self._f0, _numerator(self._H, self._x, K), self._den0 * self._step ** (K - 1)
-        if self._domain.is_exact:
-            value = f0 + Fraction(num, den)
-        else:
-            with self._domain.context():
-                value = _rounded_ratio(f0.numerator * den + num * f0.denominator,
-                                       f0.denominator * den)
+        value = self._domain.ratio(f0.numerator * den + num * f0.denominator, f0.denominator * den)
         self._cache[K] = value
         return value
 
@@ -123,7 +118,8 @@ def _table_series(table: CoefficientTable, zeta, t, K_max: int, kind: str) -> Se
     zeta and t: its ``_exact`` integers when it keeps them, else its stored
     values put over their lcm (``_over_lcm``).  ``partial_sums`` makes each
     order on its first read: a reduced ``Fraction`` in the exact domain,
-    rounded once in a float domain.
+    rounded once in a float domain.  The record's zeta and t are the domain's
+    values of the inputs (``coerce``).
     """
     if K_max > table.K:
         raise ValueError(f"K_max = {K_max} exceeds table order {table.K}")
@@ -132,9 +128,7 @@ def _table_series(table: CoefficientTable, zeta, t, K_max: int, kind: str) -> Se
         d_q, F, L = table._exact
     else:
         d_q, (F, L) = table.d_q, _over_lcm(table.c)
-    with domain.context():
-        z = domain.coerce(zeta)
-        tt = domain.coerce(t)
+    z, tt = domain.coerce(zeta), domain.coerce(t)
     sums = _PartialSums(_transform(d_q, (0, *F[:K_max - 1]), L, t, zeta), K_max, domain)
     return SeriesEvaluation(q=table.q, zeta=z, kind=kind, partial_sums=sums,
                             t=tt if kind == "euler" else None)
@@ -163,13 +157,6 @@ def euler_k4_estimate(g, q: int, domain: NumberDomain | None = None):
     """
     table = coefficients(g, q, 4, domain)
     return euler_series(table, EulerParams(t=-1, zeta=-1, K_max=4)).at(4)
-
-
-def _over_lcm(values) -> tuple:
-    """(F, L): the exact values as integers F_k over L, the lcm of their reduced denominators."""
-    fs = [_exact_value(v) for v in values]
-    L = lcm(*(f.denominator for f in fs))
-    return tuple(f.numerator * (L // f.denominator) for f in fs), L
 
 
 def _transform(f0, F, L: int, t, z) -> tuple:

@@ -14,12 +14,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import inf, lcm
+from math import inf
 from operator import not_
 
 import numpy as np
 
-from .domain import _exact_value, _integer_ratio, _rational, parse_number
+from .domain import _exact_value, _over_lcm, _rational, parse_number
 
 __all__ = [
     "Graph",
@@ -74,8 +74,8 @@ class Graph:
     def _integer_weights(self) -> tuple:
         """(W, a): W the lcm of the weight denominators and a = W A as rows of ints.
 
-        Each weight counts at its exact value (``_integer_ratio``), so a float
-        or mpf weight at its dyadic one.  One pass collects the distinct
+        Each weight counts at its exact value (``_over_lcm``), so a float or
+        mpf weight at its dyadic one.  One pass collects the distinct
         (type, weight) pairs, so an int 1 does not hide a float 1.0 that
         equals it, and records in ``_rational_weights`` whether every weight
         is rational (``_rational``).  A graph of int weights is its own
@@ -85,9 +85,9 @@ class Graph:
         self.__dict__["_all_rational"] = all(_rational(w) for _, w in distinct)
         if all(t is int for t, _ in distinct):
             return 1, self.weights
-        ratios = {w: _integer_ratio(w) for _, w in distinct}
-        W = lcm(*(den for _, den in ratios.values()))
-        scaled = {w: num * (W // den) for w, (num, den) in ratios.items()}
+        ws = [w for _, w in distinct]
+        nums, W = _over_lcm(ws)
+        scaled = dict(zip(ws, nums))
         return W, tuple(tuple(map(scaled.__getitem__, row)) for row in self.weights)
 
     @property

@@ -11,15 +11,17 @@ for c2..c4 live in ``tests/oracles.py`` as an independent cross-check.
 
 Every table runs the recursion on scaled integers, in every domain and for
 every weight type: a float or mpf weight counts as its exact dyadic value.
-A float table then holds each value rounded once from the exact one, and
-every table keeps its exact values as integers over one denominator for
-``euler`` to sum.  The graph reads the integer weights once
-(``Graph._integer_weights``), and ``_residue_recursion`` runs the recursion
-on them modulo primes below 2^26, one vectorised int64 step per order for a
-sweep's nodes (``_stack``), then rebuilds each value by the Chinese remainder
-theorem (Garner 1959; Knuth, TAOCP vol. 2, 4.3.2).  No series reads beta, so
-the table holds only d_q and the c_j; ``beta_rows`` gives the beta rows of
-the same recursion, and ``reconstruct_eigenvector`` sums them.
+A float table then holds each value rounded once from the exact one, at
+the domain's own precision (``NumberDomain.ratio``), whatever mpmath's
+working precision is, and every table keeps its exact values as integers
+over one denominator for ``euler`` to sum.  The graph reads the integer
+weights once (``Graph._integer_weights``), and ``_residue_recursion`` runs
+the recursion on them modulo primes below 2^26, one vectorised int64 step per
+order for a sweep's nodes (``_stack``), then rebuilds each value by the
+Chinese remainder theorem (Garner 1959; Knuth, TAOCP vol. 2, 4.3.2).  No
+series reads beta, so the table holds only d_q and the c_j; ``beta_rows``
+gives the beta rows of the same recursion, and ``reconstruct_eigenvector``
+sums them.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ import numpy as np
 from .domain import (
     NumberDomain,
     _rational,
-    _rounded_ratio,
     exact_domain,
     float_domain,
     format_rational,
@@ -164,10 +165,8 @@ def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -
     Fs = [Cj * x for Cj, x in zip(C, reversed(powers[:-1]))]  # over dens[-1] = W D^(K-1)
     common = gcd(dens[-1], *Fs)
     exact = (Fraction(d_q, W), tuple(x // common for x in Fs), dens[-1] // common)
-    ratio = Fraction if domain.is_exact else _rounded_ratio
-    with domain.context():
-        return CoefficientTable(q, K, ratio(d_q, W), tuple(map(ratio, C, dens)), domain,
-                                _exact=exact)
+    ratio = domain.ratio
+    return CoefficientTable(q, K, ratio(d_q, W), tuple(map(ratio, C, dens)), domain, _exact=exact)
 
 
 # Set by ``_stack``: [g, K, domain, next q, picked domain, values, later nodes], or [].  A
@@ -191,9 +190,7 @@ def beta_rows(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -> t
     """
     domain, ((_, _, B, (_, D)),) = _expand(g, (q,), K, domain, least_K=0, rows=True)
     powers = [D ** j for j in range(1, K + 1)]
-    ratio = Fraction if domain.is_exact else _rounded_ratio
-    with domain.context():
-        return tuple(tuple(ratio(x, Dj) for x in row) for row, Dj in zip(B, powers))
+    return tuple(tuple(domain.ratio(x, Dj) for x in row) for row, Dj in zip(B, powers))
 
 
 def _expand(g: Graph, nodes: tuple, K: int, domain: NumberDomain | None, least_K: int,
@@ -493,6 +490,5 @@ def coefficient_table_to_json(table: CoefficientTable) -> str:
     else:
         import mpmath
 
-        with table.domain.context():
-            cs = [mpmath.nstr(cj, int(table.domain.precision_bits * 0.3010) + 2) for cj in table.c]
+        cs = [mpmath.nstr(cj, int(table.domain.precision_bits * 0.3010) + 2) for cj in table.c]
     return json.dumps({"q": table.q, "K": table.K, "c": cs})

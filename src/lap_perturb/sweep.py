@@ -81,7 +81,8 @@ class ExperimentConfig:
     accepted by the CLI ("example:e2", "file:PATH", "ring_with_core:21,1",
     ...), for which those four are ignored.
     ``q_selector`` is a 1-based node index, "max_unique_degree", or
-    "all_unique".
+    "all_unique".  A sweep reads no order above ``K_check``, so it builds
+    its tables and series to that order; ``K_max`` only bounds ``K_check``.
     """
 
     graph_source: str = "erdos_renyi"
@@ -247,15 +248,16 @@ def _evaluate(g: Graph, nodes: tuple, config: ExperimentConfig, mus: list):
 
     ``mus`` is the graph's Laplacian spectrum (``_laplacian_spectrum``); it
     and one coefficient table per node serve the whole t grid.  Each node
-    runs through ``config.t_grid`` in order.
+    runs through ``config.t_grid`` in order.  Tables and series stop at
+    ``config.K_check``, the highest order a sweep reads.
     """
-    _stack(g, nodes, config.K_max, config.domain)
+    K = config.K_check
+    _stack(g, nodes, K, config.domain)
     for q in nodes:
-        table = coefficients(g, q, config.K_max, config.domain)
+        table = coefficients(g, q, K, config.domain)
         for t in config.t_grid:
-            series = euler_series(table, EulerParams(t=t, zeta=config.zeta, K_max=config.K_max))
-            yield q, t, series, convergence_classify(series, mus, config.alpha_threshold,
-                                                     config.K_check)
+            series = euler_series(table, EulerParams(t=t, zeta=config.zeta, K_max=K))
+            yield q, t, series, convergence_classify(series, mus, config.alpha_threshold, K)
 
 
 def _cells(config: ExperimentConfig):

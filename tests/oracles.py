@@ -81,9 +81,9 @@ from lap_perturb.almost_regular import (
     chc_build,
     cm_closed_form,
 )
-from lap_perturb.domain import NumberDomain, _exact_value, exact_domain, to_mpf
+from lap_perturb.domain import NumberDomain, _exact_value, _over_lcm, exact_domain, to_mpf
 from lap_perturb.eigen import accuracy_alpha, symmetric_eigen
-from lap_perturb.euler import ConvergenceReport, EulerParams, _numerator, _over_lcm, _transform
+from lap_perturb.euler import ConvergenceReport, EulerParams, _numerator, _transform
 from lap_perturb.graph import Graph, build_graph, closed_walk_counts, degree_profile
 from lap_perturb.perturb import (
     CoefficientTable,

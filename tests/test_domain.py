@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import mpmath
@@ -19,8 +22,10 @@ from lap_perturb.domain import (
     parse_number,
     to_mpf,
 )
+from lap_perturb.euler import EulerParams, euler_series, taylor_partial_sums
 from lap_perturb.graph import build_graph
-from lap_perturb.perturb import coefficients, default_domain
+from lap_perturb.perturb import beta_rows, coefficient_table_to_json, coefficients, default_domain
+from lap_perturb.sweep import ExperimentConfig, run_sweep
 
 from helpers import mpf_value
 from oracles import round_to_nearest
@@ -114,3 +119,77 @@ def test_to_mpf_rounds_a_fraction_once(bits, seed):
         value = to_mpf(x)
     assert value._mpf_ == from_rational(x.numerator, x.denominator, bits, round_nearest)
     assert mpf_value(value) == round_to_nearest(x, bits)
+
+
+@pytest.fixture
+def prec_sets(monkeypatch):
+    """The values assigned to mpmath's working precision while the test runs, in order."""
+    sets = []
+    context = type(mpmath.mp)
+    prec = context.prec
+
+    def counted(ctx, value):
+        sets.append(value)
+        prec.fset(ctx, value)
+    monkeypatch.setattr(context, "prec", property(prec.fget, counted))
+    return sets
+
+
+def _series_read(g, domain) -> list:
+    """Every partial sum of an Euler and a Taylor series of node 13, and their zeta and t."""
+    table = coefficients(g, 13, 30, domain)
+    euler = euler_series(table, EulerParams(t=Fraction(-1), zeta=Fraction(-1), K_max=30))
+    taylor = taylor_partial_sums(table, Fraction(-1, 3))
+    return [euler.zeta, euler.t, taylor.zeta, *euler.partial_sums.values(),
+            *taylor.partial_sums.values()]
+
+
+class TestNoWorkingPrecision:
+    """Values enter a domain without setting mpmath's process-wide working precision."""
+
+    @pytest.mark.parametrize("made", ["coefficients", "beta_rows", "series", "json", "sweep"])
+    def test_nothing_sets_the_working_precision(self, e2, prec_sets, made):
+        domain = float_domain(128)
+        if made == "coefficients":
+            assert coefficients(e2, 13, 30, domain).c
+        elif made == "beta_rows":
+            assert beta_rows(e2, 13, 30, domain)
+        elif made == "series":
+            assert len(_series_read(e2, domain)) == 3 + 2 * 29
+        elif made == "json":
+            assert coefficient_table_to_json(coefficients(e2, 13, 30, domain))
+        else:
+            config = ExperimentConfig(domain=domain, trials=3, q_selector="all_unique",
+                                      t_grid=(Fraction(-1), Fraction(-2)))
+            assert run_sweep(config, detail=True)[1]
+        assert prec_sets == []
+
+    def test_the_spy_sees_a_setting(self, prec_sets):
+        ambient = mpmath.mp.prec
+        with float_domain(200).context():
+            pass
+        assert prec_sets == [200, ambient]
+
+    def test_two_threads_at_two_precisions_make_their_one_thread_values(self, e2):
+        # a tiny switch interval makes the threads interleave inside every rounding
+        domains = (float_domain(53), float_domain(256))
+        expected = {domain: _series_read(e2, domain) for domain in domains}
+        got = {domain: [] for domain in domains}
+
+        def work(domain):
+            end = time.perf_counter() + 0.5
+            while time.perf_counter() < end or len(got[domain]) < 2:
+                got[domain].append(_series_read(e2, domain))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(domain,)) for domain in domains]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for domain in domains:
+            assert len(got[domain]) >= 2
+            assert all(values == expected[domain] for values in got[domain])

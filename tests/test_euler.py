@@ -8,9 +8,8 @@ import pytest
 from mpmath.libmp import from_man_exp
 from hypothesis import assume, given, settings, strategies as st
 
-import lap_perturb.euler as euler
 from lap_perturb.digits import matches_printed
-from lap_perturb.domain import _exact_value, exact_domain, float_domain, to_mpf
+from lap_perturb.domain import NumberDomain, _exact_value, exact_domain, float_domain, to_mpf
 from lap_perturb.eigen import accuracy_alpha, symmetric_eigen
 from lap_perturb.euler import (
     EulerParams,
@@ -205,14 +204,16 @@ class TestPartialSumsOnRead:
     @pytest.mark.parametrize("domain", [exact_domain(), float_domain(128)], ids=["exact", "128"])
     def test_classify_makes_only_the_order_it_reads(self, e2, monkeypatch, domain):
         rounded = []
-        def counted(*args):
-            rounded.append(args)
-            return mpmath.mp.make_mpf(mpmath.libmp.from_rational(*args, mpmath.mp.prec,
-                                                                 mpmath.libmp.round_nearest))
-        monkeypatch.setattr(euler, "_rounded_ratio", counted)
+        ratio = NumberDomain.ratio
+        def counted(self, numerator, denominator):
+            if not self.is_exact:
+                rounded.append((numerator, denominator))
+            return ratio(self, numerator, denominator)
         mus = [float(v) for v in symmetric_eigen(laplacian(e2)).eigenvalues]
         series = euler_series(coefficients(e2, 13, 30, domain),
                               EulerParams(t=Fraction(-1), zeta=Fraction(-1), K_max=30))
+        # every value enters a domain through ``ratio``; count after the table, zeta and t
+        monkeypatch.setattr(NumberDomain, "ratio", counted)
         report = convergence_classify(series, mus, K_check=30)
         assert report.matched_index == 2 and report.converged
         assert list(series.partial_sums._cache) == [30]

@@ -14,7 +14,7 @@ import lap_perturb.perturb as perturb
 from lap_perturb.domain import _exact_value, exact_domain, float_domain
 from lap_perturb.eigen import symmetric_eigen
 from lap_perturb.examples_data import example_graph
-from lap_perturb.euler import taylor_partial_sums
+from lap_perturb.euler import EulerParams, euler_series, taylor_partial_sums
 from lap_perturb.graph import (
     build_graph,
     degree_profile,
@@ -579,18 +579,38 @@ class TestTablesUnchanged:
         assert digest.hexdigest() == TABLES_SHA256
 
 
+with mpmath.workprec(600):
+    COERCED = (Fraction(-1, 3), 0.1, 2**200 + 1, mpmath.mpf(1) / 3)  # the mpf has 600 bits
+
+
+def _entering(made: str, g, domain) -> list:
+    """The values that ``made`` takes from exact ones into ``domain``, as one list."""
+    if made == "beta_rows":
+        return [b for row in beta_rows(g, 13, 20, domain) for b in row]
+    if made == "coerce":
+        return [domain.coerce(x) for x in COERCED]
+    table = coefficients(g, 13, 20, domain)
+    if made == "coefficients":
+        return [table.d_q, *table.c]
+    series = euler_series(table, EulerParams(t=Fraction(-7, 3), zeta=Fraction(-1, 3), K_max=20))
+    return [series.zeta, series.t, *series.partial_sums.values()]
+
+
 class TestLazyBeta:
     """Beta rows are made only on request, by ``beta_rows``."""
 
+    @pytest.mark.parametrize("made", ["beta_rows", "coefficients", "coerce", "series"])
     @pytest.mark.parametrize("ambient", [24, 512])
     @pytest.mark.parametrize("bits", [53, 128, 256])
-    def test_read_at_another_working_precision_is_rounded_at_the_tables(self, e2, bits, ambient):
+    def test_read_at_another_working_precision_is_rounded_at_the_tables(self, e2, bits, ambient,
+                                                                         made):
+        # a float domain rounds once at its own precision, whatever the working precision
         with mpmath.workprec(ambient):
-            beta = beta_rows(e2, 13, 20, float_domain(bits))
+            values = _entering(made, e2, float_domain(bits))
             assert mpmath.mp.prec == ambient
-        exact = beta_rows(e2, 13, 20, exact_domain())
-        assert_rounded_once([b for row in beta for b in row],
-                            [b for row in exact for b in row], bits)
+        exact = (list(map(_exact_value, COERCED)) if made == "coerce"
+                 else _entering(made, e2, exact_domain()))
+        assert_rounded_once(values, exact, bits)
 
     @pytest.mark.parametrize("name", ["coefficients", "beta_rows", "reconstruct_eigenvector"])
     def test_bad_arguments_raise_as_coefficients_does(self, e2, name):

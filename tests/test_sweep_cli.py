@@ -249,6 +249,27 @@ class TestSweepWorkPerTrial:
         assert details == tuple(r for _, single_details in singles for r in single_details)
         assert len(details) > len(MULTI_T)
 
+    @pytest.mark.parametrize("domain", DOMAINS)
+    def test_tables_and_series_stop_at_K_check(self, monkeypatch, domain):
+        # a sweep reads no order above K_check, so a larger K_max changes nothing
+        tables, series = [], []
+        coefficients, euler_series = sweep.coefficients, sweep.euler_series
+
+        def counted_coefficients(g, q, K, domain):
+            tables.append(K)
+            return coefficients(g, q, K, domain)
+
+        def counted_euler_series(table, params):
+            series.append(params.K_max)
+            return euler_series(table, params)
+        monkeypatch.setattr(sweep, "coefficients", counted_coefficients)
+        monkeypatch.setattr(sweep, "euler_series", counted_euler_series)
+        config = dataclasses.replace(_multi_t_config(domain), K_max=60, K_check=30)
+        cells, details = run_sweep(config, detail=True)
+        assert tables and set(tables) == {30}
+        assert len(series) == len(details) and set(series) == {30}
+        assert (cells, details) == run_sweep(dataclasses.replace(config, K_max=30), detail=True)
+
     def test_tampered_eigenvector_fails_the_residual_check(self, monkeypatch):
         eigh = np.linalg.eigh
 
@@ -301,6 +322,16 @@ SERIES_STDOUT_SHA256 = {
     "taylor-e3-53": (["taylor", "--example", "e3", "--q", "10", "--K", "60", "--zeta", "-1/3",
                       "--prec", "53"],
                      "73c3200dfc7b9c2fe0c14eb34ba5c4aa354818c8b7bd052c7be468104ed1488b"),
+}
+
+# SHA-256 of the stdout of a 256-bit Euler series and a 24-bit table, the
+# precision extremes of the float domains
+PRECISION_STDOUT_SHA256 = {
+    "euler-e2-256": (["euler", "--example", "e2", "--q", "13", "--K", "30", "--prec", "256"],
+                     "c062205a624202325a989a26c420b63006e11d1b78d237cebf92fed0e4908182"),
+    "coeffs-e2-24": (["coeffs", "--example", "e2", "--q", "13", "--K", "8", "--prec", "24",
+                      "--json"],
+                     "8c2dce59090fc736898eb1190715ab5d23ce4306e6a284e51118bad0e35833a3"),
 }
 
 # SHA-256 of `sweep --detail` CSVs in the 128-bit domain: the benchmark's
@@ -539,6 +570,12 @@ class TestCli:
     @pytest.mark.parametrize("name", list(SERIES_STDOUT_SHA256))
     def test_series_stdout_bytes(self, capsys, name):
         argv, sha256 = SERIES_STDOUT_SHA256[name]
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+    @pytest.mark.parametrize("name", list(PRECISION_STDOUT_SHA256))
+    def test_precision_extremes_stdout_bytes(self, capsys, name):
+        argv, sha256 = PRECISION_STDOUT_SHA256[name]
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
