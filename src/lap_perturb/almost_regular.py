@@ -18,8 +18,9 @@ walk generating function f(z) = sum_m (A^m)_11 z^m as the rational function
 P/Q that the exact walk counts fix (Berlekamp-Massey), sums half of the
 circle (the integrand is conjugate-symmetric), and takes its radius from
 lambda_1, f's nearest pole, a root of Q (no eigensolver).  The closed-form
-coefficient table, the specialised constant-gap recursion for c_m and the
-eigenvector spectral-sum contour are test oracles in ``tests/oracles.py``.
+coefficient table (its exact c_m over their lcm, stored as every table is),
+the specialised constant-gap recursion for c_m and the eigenvector
+spectral-sum contour are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations

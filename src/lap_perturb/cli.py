@@ -27,7 +27,7 @@ from .almost_regular import (
     contour_eigenvalue,
 )
 from .digits import matches_printed
-from .domain import NumberDomain, exact_domain, float_domain, format_rational, parse_number, to_mpf
+from .domain import NumberDomain, exact_domain, float_domain, format_rational, parse_number
 from .eigen import accuracy_alpha, spectrum_to_json, symmetric_eigen
 from .euler import EulerParams, convergence_classify, euler_series, taylor_partial_sums
 from .examples_data import (
@@ -91,8 +91,7 @@ def _domain_from_args(args) -> NumberDomain:
 def _format_value(x, exact: bool) -> str:
     if exact and isinstance(x, Fraction):
         return format_rational(x)
-    with mpmath.workprec(113):
-        return mpmath.nstr(to_mpf(x), 17)
+    return mpmath.nstr(float_domain(113).coerce(x), 17)  # rounded once to 113 bits
 
 
 def _write_csv(rows, header, out_path: str | None) -> None:
@@ -189,7 +188,7 @@ def _reproduce_e2(digest: _Digest) -> list:
             for K in series[q].orders:
                 xi = series[q].at(K)
                 rows.append((q, -1, K, _format_value(xi, False),
-                             f"{accuracy_alpha(xi, mu):.6f}", mpmath.nstr(to_mpf(mu), 17), ""))
+                             f"{accuracy_alpha(xi, mu):.6f}", mpmath.nstr(mu, 17), ""))
     return rows
 
 
@@ -343,13 +342,12 @@ def cmd_contour(args) -> int:
         quad_points=args.points,
         precision_bits=prec,
     )
-    with mpmath.workprec(prec):
-        print(json.dumps({
-            "radius": float(result.radius),
-            "points": result.points,
-            "branch_ok": result.branch_ok,
-            "value": mpmath.nstr(result.value, 25),
-        }))
+    print(json.dumps({
+        "radius": float(result.radius),
+        "points": result.points,
+        "branch_ok": result.branch_ok,
+        "value": mpmath.nstr(result.value, 25),
+    }))
     return 0
 
 

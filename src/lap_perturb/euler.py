@@ -7,9 +7,9 @@ The Euler t-transform rewrites a Taylor series f0 + sum f_k z^k as
 with a tunable parameter t; it often converges where the plain series does
 not.  At t = 0 it is the plain Taylor series, so ``_transform`` is the one
 core behind every partial-sum series in the package, and it has one caller,
-``_table_series``: the Taylor and Euler series of a coefficient table,
-whether the table comes from the recursion or from the almost-regular closed
-form, and the four-term estimate.
+``_table_series``: the Taylor and Euler series of a coefficient table, from
+the recursion or from the almost-regular closed form (a test oracle), and the
+four-term estimate.
 
 The core takes every input at its exact rational value (a finite float or
 mpf real is a dyadic rational) and runs on integers.  Partial sum m of the
@@ -17,12 +17,12 @@ transform is the Euler mean of the Taylor partial sums of orders 0..m, so
 with the f_k as integers F_k over one denominator L, t = a/b and
 z/(1 + t z) = p/s, it is f0 plus one integer ratio whose numerator is
 sum_j C(m, j) (ap)^(m-j) H_j over the Taylor numerators H_j, made once per
-series in O(K) products.  A table from the residue engine keeps its F and L
-(``CoefficientTable._exact``); a table built by hand is put over its lcm
-once per series (``domain._over_lcm``).  A series makes each partial sum only
-when it is read, from its unreduced ratio, by ``NumberDomain.ratio``: the
-exact domain reduces it to a ``Fraction``, and a float domain rounds it once
-at the table's precision, whatever mpmath's working precision is.
+series in O(K) products.  Every table stores its exact values as F and L
+(``CoefficientTable._exact``), so a series reads none of its rounded d_q or
+c_j.  A series makes each partial sum only when it is read, from its
+unreduced ratio, by ``NumberDomain.ratio``: the exact domain reduces it to a
+``Fraction``, and a float domain rounds it once at the table's precision,
+whatever mpmath's working precision is.
 ``convergence_classify`` reads one of them and finds the nearest eigenvalue
 by bisection on integer cross-products.
 """
@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import comb, inf, isfinite
 from operator import mul
 
-from .domain import NumberDomain, _exact_value, _integer_ratio, _over_lcm
+from .domain import NumberDomain, _exact_value, _integer_ratio
 from .eigen import accuracy_alpha
 from .perturb import CoefficientTable, SeriesEvaluation, coefficients
 
@@ -114,20 +114,15 @@ class _PartialSums(Mapping):
 def _table_series(table: CoefficientTable, zeta, t, K_max: int, kind: str) -> SeriesEvaluation:
     """Transform partial sums of orders 2..K_max in the table's domain (c_1 = 0).
 
-    The sums run on the exact values of the table's d_q and c at the exact
-    zeta and t: its ``_exact`` integers when it keeps them, else its stored
-    values put over their lcm (``_over_lcm``).  ``partial_sums`` makes each
-    order on its first read: a reduced ``Fraction`` in the exact domain,
-    rounded once in a float domain.  The record's zeta and t are the domain's
-    values of the inputs (``coerce``).
+    The sums run on the table's ``_exact`` integers at the exact zeta and t.
+    ``partial_sums`` makes each order on its first read: a reduced
+    ``Fraction`` in the exact domain, rounded once in a float domain.  The
+    record's zeta and t are the domain's values of the inputs (``coerce``).
     """
     if K_max > table.K:
         raise ValueError(f"K_max = {K_max} exceeds table order {table.K}")
     domain = table.domain
-    if table._exact is not None:
-        d_q, F, L = table._exact
-    else:
-        d_q, (F, L) = table.d_q, _over_lcm(table.c)
+    d_q, F, L = table._exact
     z, tt = domain.coerce(zeta), domain.coerce(t)
     sums = _PartialSums(_transform(d_q, (0, *F[:K_max - 1]), L, t, zeta), K_max, domain)
     return SeriesEvaluation(q=table.q, zeta=z, kind=kind, partial_sums=sums,

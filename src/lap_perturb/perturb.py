@@ -11,14 +11,14 @@ for c2..c4 live in ``tests/oracles.py`` as an independent cross-check.
 
 Every table runs the recursion on scaled integers, in every domain and for
 every weight type: a float or mpf weight counts as its exact dyadic value.
-A float table then holds each value rounded once from the exact one, at
-the domain's own precision (``NumberDomain.ratio``), whatever mpmath's
-working precision is, and every table keeps its exact values as integers
-over one denominator for ``euler`` to sum.  The graph reads the integer
-weights once (``Graph._integer_weights``), and ``_residue_recursion`` runs
-the recursion on them modulo primes below 2^26, one vectorised int64 step per
-order for a sweep's nodes (``_stack``), then rebuilds each value by the
-Chinese remainder theorem (Garner 1959; Knuth, TAOCP vol. 2, 4.3.2).  No
+A table stores only its exact values, as integers over one denominator,
+which the series in ``euler`` sum; its d_q and c_j enter the domain on
+first read (``NumberDomain.ratio``), rounded once at the domain's own
+precision whatever mpmath's working precision is.  The graph reads the
+integer weights once (``Graph._integer_weights``), and ``_residue_recursion``
+runs the recursion on them modulo primes below 2^26, one vectorised int64
+step per order for a sweep's nodes (``_stack``), then rebuilds each value by
+the Chinese remainder theorem (Garner 1959; Knuth, TAOCP vol. 2, 4.3.2).  No
 series reads beta, so the table holds only d_q and the c_j; ``beta_rows``
 gives the beta rows of the same recursion, and ``reconstruct_eigenvector``
 sums them.
@@ -27,9 +27,9 @@ sums them.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import gcd, inf, isqrt, lcm, log2, prod
 from operator import itemgetter, mul
@@ -67,23 +67,29 @@ class NonUniqueDegreeError(ValueError):
 class CoefficientTable:
     """Perturbation coefficients c_2..c_K for one node: what the series read.
 
-    ``c[j - 2]`` holds c_j; c_0 = d_q and c_1 = 0 are implicit.  Values are
-    Fractions in exact mode, mpmath reals otherwise: each value correctly
-    rounded from the exact one.  A table from ``coefficients``, in any
-    domain, keeps its exact values in ``_exact`` = (d_q, F, L): d_q a
-    ``Fraction`` and the integers F[j - 2] / L = c_j over L, the lcm of
-    their reduced denominators, which the series in ``euler`` sum.  It is
-    None for a table built by hand and takes no part in comparisons.  The
-    eigenvector coefficients beta_jr of the same recursion come from
-    ``beta_rows``.
+    The table stores its exact values in ``_exact`` = (d_q, F, L): d_q a
+    ``Fraction`` and the integers F[j - 2] / L = c_j over L, the lcm of their
+    reduced denominators, which the series in ``euler`` sum.  ``d_q`` and
+    ``c`` (``c[j - 2]`` holds c_j; c_0 = d_q and c_1 = 0 are implicit) are
+    made on first read: Fractions in exact mode, mpmath reals otherwise, each
+    rounded once from the exact value.  The eigenvector coefficients beta_jr
+    of the same recursion come from ``beta_rows``.
     """
 
     q: int
     K: int
-    d_q: object
-    c: tuple
     domain: NumberDomain
-    _exact: tuple | None = field(default=None, compare=False, repr=False)
+    _exact: tuple
+
+    @cached_property
+    def d_q(self):
+        d_q = self._exact[0]
+        return self.domain.ratio(d_q.numerator, d_q.denominator)
+
+    @cached_property
+    def c(self) -> tuple:
+        _, F, L = self._exact
+        return tuple(self.domain.ratio(x, L) for x in F)
 
     def c_at(self, j: int):
         """Coefficient c_j for 1 <= j <= K."""
@@ -146,12 +152,11 @@ def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -
     where the c convolution reuses c_m = sum_{l != q} beta_{m-1,l} a_ql, the
     same sum that defines the coefficients; this keeps the total cost at
     O(K^2 N + K |E|) operations on values.  The recursion runs on scaled
-    integers, in any domain (``_expand``); a float domain then rounds each
-    d_q and c_j once, to nearest at its precision, straight from the ratio
-    c_j = C_j / (W D^(j-1)) of ``_expand``.  Either domain keeps the exact
-    values for the series in ``_exact``: the C_j over W D^(K-1), with their
-    common gcd divided out.  K below 2 or a node outside 1..n raises
-    ValueError.
+    integers, in any domain (``_expand``), and the table keeps the exact
+    values: d_q = d / W and the C_j of c_j = C_j / (W D^(j-1)) over
+    W D^(K-1), with their common gcd divided out.  It rounds or reduces none
+    of them; its ``d_q`` and ``c`` do so on first read.  K below 2 or a node
+    outside 1..n raises ValueError.
     """
     if _stacked and _stacked[0] is g and _stacked[1:4] == [K, domain, q]:  # from _stack
         picked, values, rest = _stacked[4:]
@@ -161,12 +166,11 @@ def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -
         _stacked.clear()
         domain, ((d_q, C, _, (W, D)),) = _expand(g, (q,), K, domain, least_K=2, rows=False)
     powers = list(accumulate([1] + [D] * (K - 1), mul))  # D^0..D^(K-1)
-    dens = [W * x for x in powers[1:]]  # c_j = C_j / dens[j - 2]
-    Fs = [Cj * x for Cj, x in zip(C, reversed(powers[:-1]))]  # over dens[-1] = W D^(K-1)
-    common = gcd(dens[-1], *Fs)
-    exact = (Fraction(d_q, W), tuple(x // common for x in Fs), dens[-1] // common)
-    ratio = domain.ratio
-    return CoefficientTable(q, K, ratio(d_q, W), tuple(map(ratio, C, dens)), domain, _exact=exact)
+    F = [Cj * x for Cj, x in zip(C, reversed(powers[:-1]))]  # the c_j over L = W D^(K-1)
+    L = W * powers[-1]
+    common = gcd(L, *F)
+    return CoefficientTable(q, K, domain, (Fraction(d_q, W), tuple(x // common for x in F),
+                                           L // common))
 
 
 # Set by ``_stack``: [g, K, domain, next q, picked domain, values, later nodes], or [].  A

@@ -63,6 +63,8 @@ code with ``perturb.coefficients`` or with the closed form
 ``closed_form_table`` fills a whole coefficient table from that closed
 form, the paper's explicit series for almost-regular graphs, so that its
 Taylor and Euler sums can be checked against those of the engine's table.
+Every table built here, like one from the engine, stores only its exact
+values, put over their lcm by ``exact_table``.
 """
 
 from __future__ import annotations
@@ -96,6 +98,15 @@ from lap_perturb.perturb import (
 def pascal_row(m: int) -> list:
     """Row m of Pascal's triangle: [C(m, 0), ..., C(m, m)], exact integers."""
     return [comb(m, k) for k in range(m + 1)]
+
+
+def exact_table(q: int, K: int, d_q, c, domain: NumberDomain) -> CoefficientTable:
+    """The table of d_q and c_2..c_K in ``domain``, stored as their exact values over their lcm.
+
+    Each value, an int, Fraction, float or mpf, counts at its exact value;
+    NaN or an infinity raises the ValueError of ``_integer_ratio``.
+    """
+    return CoefficientTable(q, K, domain, (_exact_value(d_q), *_over_lcm(c)))
 
 
 def reference_coefficients(g: Graph, q: int, K: int) -> tuple:
@@ -150,13 +161,7 @@ def reference_coefficients(g: Graph, q: int, K: int) -> tuple:
             if j + 1 <= K:
                 c[j + 1] = sum(row[r] * a[qi][r] for r in others)
 
-        table = CoefficientTable(
-            q=q,
-            K=K,
-            d_q=d_q,
-            c=tuple(c[j] for j in range(2, K + 1)),
-            domain=domain,
-        )
+        table = exact_table(q, K, d_q, [c[j] for j in range(2, K + 1)], domain)
         return table, tuple(tuple(row) for row in beta_rows)
 
 
@@ -482,11 +487,8 @@ def closed_form_table(arg: AlmostRegularGraph, K: int) -> CoefficientTable:
     if K < 2:
         raise ValueError("K must be at least 2")
     chc = chc_build(closed_walk_counts(arg.graph, arg.special, K), K)
-    return CoefficientTable(
-        q=arg.special, K=K, d_q=Fraction(arg.r + arg.x),
-        c=tuple(cm_closed_form(arg, chc, m) for m in range(2, K + 1)),
-        domain=exact_domain(),
-    )
+    return exact_table(arg.special, K, arg.r + arg.x,
+                       [cm_closed_form(arg, chc, m) for m in range(2, K + 1)], exact_domain())
 
 
 _SM64_MASK = (1 << 64) - 1

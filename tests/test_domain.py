@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 import sys
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath.libmp import from_rational, round_nearest
 
+import lap_perturb.cli as cli
+from lap_perturb.almost_regular import almost_regular, contour_eigenvalue
 from lap_perturb.domain import (
     NumberDomain,
     _exact_value,
@@ -23,7 +26,7 @@ from lap_perturb.domain import (
     to_mpf,
 )
 from lap_perturb.euler import EulerParams, euler_series, taylor_partial_sums
-from lap_perturb.graph import build_graph
+from lap_perturb.graph import build_graph, ring_with_core
 from lap_perturb.perturb import beta_rows, coefficient_table_to_json, coefficients, default_domain
 from lap_perturb.sweep import ExperimentConfig, run_sweep
 
@@ -147,11 +150,19 @@ def _series_read(g, domain) -> list:
 class TestNoWorkingPrecision:
     """Values enter a domain without setting mpmath's process-wide working precision."""
 
-    @pytest.mark.parametrize("made", ["coefficients", "beta_rows", "series", "json", "sweep"])
+    @pytest.mark.parametrize("made", ["coefficients", "beta_rows", "series", "json", "sweep",
+                                      "format"])
     def test_nothing_sets_the_working_precision(self, e2, prec_sets, made):
         domain = float_domain(128)
         if made == "coefficients":
             assert coefficients(e2, 13, 30, domain).c
+        elif made == "format":
+            third = mpmath.mp.make_mpf(from_rational(1, 3, 600, round_nearest))
+            read = _series_read(e2, float_domain(256))[-1]
+            values = (Fraction(1, 3), 0.1, 2**200 + 1, third, read, -7)
+            assert [cli._format_value(x, False) for x in values] == [  # as under workprec(113)
+                "0.33333333333333333", "0.10000000000000001", "1.6069380442589903e+60",
+                "0.33333333333333333", "10.212683554825933", "-7.0"]
         elif made == "beta_rows":
             assert beta_rows(e2, 13, 30, domain)
         elif made == "series":
@@ -163,6 +174,17 @@ class TestNoWorkingPrecision:
                                       t_grid=(Fraction(-1), Fraction(-2)))
             assert run_sweep(config, detail=True)[1]
         assert prec_sets == []
+
+    def test_the_contour_command_sets_only_the_contours_precision(self, prec_sets, capsys):
+        arg = almost_regular(ring_with_core(21, 1))
+        contour_eigenvalue(arg, Fraction(-1), precision_bits=256)
+        own = list(prec_sets)
+        assert own == [256, mpmath.mp.prec]  # its own enter and exit
+        del prec_sets[:]
+        assert cli.main(["contour", "--gen", "ring_with_core:21,1", "--zeta", "-1",
+                         "--prec", "256"]) == 0
+        assert json.loads(capsys.readouterr().out)["branch_ok"]
+        assert prec_sets == own
 
     def test_the_spy_sees_a_setting(self, prec_sets):
         ambient = mpmath.mp.prec

@@ -21,7 +21,7 @@ from lap_perturb.euler import (
 )
 from lap_perturb.examples_data import E2_Q13_XI, E2_Q3_XI, E2_Q7_XI
 from lap_perturb.graph import Graph, build_graph, laplacian
-from lap_perturb.perturb import CoefficientTable, SeriesEvaluation, coefficients
+from lap_perturb.perturb import SeriesEvaluation, coefficients
 
 from helpers import (
     T_GRID,
@@ -36,6 +36,7 @@ from oracles import (
     bisect_classify,
     euler_series_t_minus_one,
     euler_transform_generic,
+    exact_table,
     pascal_row,
     pascal_transform,
     reference_euler_series,
@@ -118,11 +119,10 @@ class TestEulerSeries:
         g = Graph(n=3, weights=weights, is_weighted=True)
         with pytest.raises(ValueError, match="^inf is not a finite number$"):
             coefficients(g, 3, 6, float_domain(53))
-        # no partial sum is made of a NaN coefficient
+        # a table stores exact values, so none is made of a NaN coefficient
         c = (mpmath.mpf(1), mpmath.nan, mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(0))
-        table = CoefficientTable(q=3, K=6, d_q=mpmath.mpf(1), c=c, domain=float_domain(53))
         with pytest.raises(ValueError, match="not a finite number"):
-            euler_series(table, EulerParams(t=-1, zeta=-1, K_max=6))
+            exact_table(3, 6, mpmath.mpf(1), c, float_domain(53))
 
     def test_e2_q13_printed_digits(self, e2):
         series = euler_series(coefficients(e2, 13, 30),
@@ -257,7 +257,10 @@ _TYPED_VALUES = {
 
 @st.composite
 def _typed_tables(draw):
-    """A table of d_q and c_2..c_K (K <= 100) of one type, with the domain that type allows."""
+    """(table, values): d_q and c_2..c_K (K <= 100) of one type, in a domain that type allows.
+
+    The table stores their exact values; its own d_q and c are rounded to the domain.
+    """
     kind = draw(st.sampled_from(sorted(_TYPED_VALUES)))
     K = draw(st.integers(2, 100))
     values = draw(st.lists(st.one_of(st.just(0), _TYPED_VALUES[kind]), min_size=K, max_size=K))
@@ -265,21 +268,22 @@ def _typed_tables(draw):
         values = [float(v) if kind == "float" else mpmath.mpf(v) for v in values]  # and the 0s
     bits = draw(st.sampled_from((0, 53, 128) if kind in ("int", "Fraction") else (53, 128)))
     domain = float_domain(bits) if bits else exact_domain()
-    return CoefficientTable(q=1, K=K, d_q=values[0], c=tuple(values[1:]), domain=domain)
+    return exact_table(1, K, values[0], values[1:], domain), values
 
 
 class TestEulerMeans:
     """Every order a series reads equals the Pascal-row transform it replaced."""
 
     @settings(max_examples=120, deadline=None, derandomize=True)
-    @given(table=_typed_tables(), t=st.sampled_from(_MEAN_TS), zeta=st.sampled_from(_MEAN_ZETAS),
+    @given(typed=_typed_tables(), t=st.sampled_from(_MEAN_TS), zeta=st.sampled_from(_MEAN_ZETAS),
            data=st.data())
-    def test_every_order_in_any_order_equals_the_pascal_rows(self, table, t, zeta, data):
+    def test_every_order_in_any_order_equals_the_pascal_rows(self, typed, t, zeta, data):
         assume(1 + t * zeta != 0)
+        table, (d_q, *c) = typed
         K, domain = table.K, table.domain
-        pascal = pascal_transform(table.d_q, (0, *table.c), t, zeta, K)
+        pascal = pascal_transform(d_q, (0, *c), t, zeta, K)
         if K <= 20:
-            exact = [_exact_value(f) for f in (table.d_q, 0, *table.c)]
+            exact = [_exact_value(f) for f in (d_q, 0, *c)]
             assert pascal == reference_transform(exact[0], exact[1:], t, zeta, K)
         with domain.context():
             expected = {m: pascal[m] if domain.is_exact else to_mpf(pascal[m])

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
-import tracemalloc
 import random
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import lap_perturb.perturb as perturb
-from lap_perturb.domain import _exact_value, exact_domain, float_domain
+from lap_perturb.domain import NumberDomain, _exact_value, exact_domain, float_domain
 from lap_perturb.eigen import symmetric_eigen
 from lap_perturb.examples_data import example_graph
 from lap_perturb.euler import EulerParams, euler_series, taylor_partial_sums
@@ -33,6 +36,7 @@ from helpers import (
 )
 from oracles import explicit_c2_c3_c4, integer_recursion, reference_coefficients
 from lap_perturb.perturb import (
+    CoefficientTable,
     NonUniqueDegreeError,
     beta_rows,
     coefficient_bounds_ok,
@@ -540,6 +544,68 @@ class TestStack:
             perturb._stack(g, (1, 2, 3), 30, None)
         with pytest.raises(ValueError, match="K must be at least 2"):
             perturb._stack(g, (1,), 1, None)
+
+
+class TestRoundOnRead:
+    """A table stores only its exact values; ``d_q`` and ``c`` enter its domain on first read."""
+
+    DOMAINS = [exact_domain(), float_domain(53), float_domain(256)]
+    IDS = ["exact", "53", "256"]
+
+    def test_a_table_stores_only_its_exact_values(self):
+        assert [f.name for f in dataclasses.fields(CoefficientTable)] == ["q", "K", "domain",
+                                                                          "_exact"]
+
+    @pytest.mark.parametrize("domain", DOMAINS, ids=IDS)
+    def test_coefficients_rounds_nothing_and_each_read_once(self, monkeypatch, e2, domain):
+        made = []
+        ratio = NumberDomain.ratio
+
+        def counted(self, numerator, denominator):
+            made.append(self)
+            return ratio(self, numerator, denominator)
+        monkeypatch.setattr(NumberDomain, "ratio", counted)
+        table = coefficients(e2, 13, 30, domain)
+        assert made == []
+        c = table.c
+        assert made == [domain] * 29
+        assert table.d_q == 10 and table.c is c and table.c_at(30) is c[-1]
+        assert made == [domain] * 30  # each read is cached
+
+    @pytest.mark.parametrize("domain", DOMAINS, ids=IDS)
+    def test_two_threads_first_read_one_table(self, e2, domain):
+        # a tiny switch interval makes the threads interleave inside the first reads
+        lone = coefficients(e2, 13, 30, domain)
+        expected = _typed([*lone.c, lone.d_q])
+        got = []
+
+        def read(table, barrier):
+            barrier.wait()
+            got.append(_typed([*table.c, table.d_q]))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(40):
+                table, barrier = CoefficientTable(13, 30, domain, lone._exact), threading.Barrier(2)
+                threads = [threading.Thread(target=read, args=(table, barrier)) for _ in range(2)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(got) == 80 and all(values == expected for values in got)
+
+    @pytest.mark.parametrize("domain", DOMAINS, ids=IDS)
+    def test_a_stacked_table_equals_and_hashes_like_its_lone_twin(self, e2, domain):
+        nodes = (3, 4, 7, 13)
+        perturb._stack(e2, nodes, 30, domain)
+        stacked = [coefficients(e2, q, 30, domain) for q in nodes]
+        assert perturb._stacked == []
+        lone = [coefficients(e2, q, 30, domain) for q in nodes]
+        assert all(table.c for table in lone)  # a read leaves equality and hash as they were
+        assert stacked == lone and list(map(hash, stacked)) == list(map(hash, lone))
+        assert len(set(stacked)) == len(nodes)
 
 
 # SHA-256 of the value types and exact values of the tables (d_q, c and

@@ -15,7 +15,7 @@ import lap_perturb.euler as euler
 import lap_perturb.perturb as perturb
 import lap_perturb.sweep as sweep
 from lap_perturb.cli import main
-from lap_perturb.domain import exact_domain, float_domain
+from lap_perturb.domain import NumberDomain, exact_domain, float_domain
 from lap_perturb.eigen import accuracy_alpha, symmetric_eigen
 from lap_perturb.examples_data import example_graph
 from lap_perturb.graph import build_graph, format_edge_list, laplacian
@@ -269,6 +269,32 @@ class TestSweepWorkPerTrial:
         assert tables and set(tables) == {30}
         assert len(series) == len(details) and set(series) == {30}
         assert (cells, details) == run_sweep(dataclasses.replace(config, K_max=30), detail=True)
+
+    @pytest.mark.parametrize("domain, selector", [
+        pytest.param(float_domain(128), "all_unique", id="128-all_unique"),
+        pytest.param(exact_domain(), "max_unique_degree", id="exact-max_unique_degree"),
+    ])
+    def test_a_sweep_makes_no_value_it_does_not_read(self, monkeypatch, domain, selector):
+        # every value enters a domain through ``ratio``: a sweep makes the one partial sum
+        # it reads per series and a float series' zeta and t, and none of a table's values
+        made, series = [], []
+        ratio, euler_series = NumberDomain.ratio, sweep.euler_series
+
+        def counted_ratio(self, numerator, denominator):
+            made.append(self)
+            return ratio(self, numerator, denominator)
+
+        def kept_series(table, params):
+            series.append(euler_series(table, params))
+            return series[-1]
+        monkeypatch.setattr(NumberDomain, "ratio", counted_ratio)
+        monkeypatch.setattr(sweep, "euler_series", kept_series)
+        config = dataclasses.replace(_multi_t_config(domain, selector=selector), K_max=30,
+                                     K_check=30)
+        _, details = run_sweep(config, detail=True)
+        read = sum(len(s.partial_sums._cache) for s in series)
+        assert details and read == len(series) == len(details)
+        assert made == [domain] * (read if domain.is_exact else 3 * read)
 
     def test_tampered_eigenvector_fails_the_residual_check(self, monkeypatch):
         eigh = np.linalg.eigh
