@@ -51,13 +51,14 @@ from .sweep import (
     DETAIL_HEADER,
     ExperimentConfig,
     _evaluate,
-    _laplacian_spectrum,
+    _perturbed_spectrum,
     resolve_graph_source,
     run_sweep,
     select_nodes,
 )
 
 DEFAULT_T_GRID = (-2, -3, -4, -5, -6)
+_ZETA_HELP = "the series point; alpha is to the nearest eigenvalue of M(zeta) = diag(d) + zeta A"
 
 
 def _add_graph_args(p: argparse.ArgumentParser) -> None:
@@ -166,8 +167,7 @@ def _reproduce_e1(digest: _Digest) -> list:
             f"e1 odd coefficients vanish (q={q}, K<=12)",
             all(table.c_at(j) == 0 for j in range(3, 13, 2)),
         )
-    spec = symmetric_eigen(laplacian(example_graph("e1")))
-    for mu, printed in zip(spec.eigenvalues, E1_LAPLACIAN_MU):
+    for mu, printed in zip(_perturbed_spectrum(example_graph("e1"), -1), E1_LAPLACIAN_MU):
         digest.check("e1 Laplacian eigenvalue", mu, printed)
     return rows
 
@@ -182,13 +182,12 @@ def _reproduce_e2(digest: _Digest) -> list:
     digest.check("e2 lambda_1(A)", adj_spec.eigenvalues[0], E2_LAMBDA1_ADJ)
 
     rows = []
-    with mpmath.workprec(128):
-        for q, index in ((13, 1), (7, 0), (3, 2)):  # the eigenvalue each node's series targets
-            mu = spec.eigenvalues[index]
-            for K in series[q].orders:
-                xi = series[q].at(K)
-                rows.append((q, -1, K, _format_value(xi, False),
-                             f"{accuracy_alpha(xi, mu):.6f}", mpmath.nstr(mu, 17), ""))
+    for q, index in ((13, 1), (7, 0), (3, 2)):  # the eigenvalue each node's series targets
+        mu = spec.eigenvalues[index]
+        for K in series[q].orders:
+            xi = series[q].at(K)
+            rows.append((q, -1, K, _format_value(xi, False),
+                         f"{accuracy_alpha(xi, mu):.6f}", mpmath.nstr(mu, 17), ""))
     return rows
 
 
@@ -196,7 +195,7 @@ def _reproduce_e3(digest: _Digest) -> list:
     config = ExperimentConfig(graph_source="example:e3", q_selector="all_unique",
                               t_grid=tuple(map(Fraction, DEFAULT_T_GRID)), K_max=100, K_check=100)
     g = resolve_graph_source(config.graph_source)
-    mus = _laplacian_spectrum(g)
+    mus = _perturbed_spectrum(g, config.zeta)
     ok = all(abs(mu - ref) <= 1e-9 for mu, ref in zip(mus, E3_LAPLACIAN_MU))
     digest.check_bool(f"e3 Laplacian spectrum = {E3_LAPLACIAN_MU}", ok)
     rows = []
@@ -221,13 +220,13 @@ def _reproduce_almost_regular(digest: _Digest) -> list:
 
     g = ring_with_core(21, 1)
     table = coefficients(g, 1, 80)
-    mu1 = float(symmetric_eigen(laplacian(g)).eigenvalues[0])
+    mu1 = _perturbed_spectrum(g, -1)[0]
     ser = taylor_partial_sums(table, Fraction(-1))
     digest.check_bool(
         "ring_with_core(21,1): series at zeta=-1 converges to mu_1",
         abs(float(ser.at(80)) - mu1) < 1e-9,
     )
-    mu1_m2 = float(symmetric_eigen(perturbed_matrix(g, -2)).eigenvalues[0])
+    mu1_m2 = _perturbed_spectrum(g, -2)[0]
     eul = euler_series(table, EulerParams(t=Fraction(-1), zeta=Fraction(-2), K_max=80))
     digest.check_bool(
         "ring_with_core(21,1): Euler t=-1 at zeta=-2 converges to mu_1(-2) "
@@ -250,7 +249,7 @@ def _reproduce_almost_regular(digest: _Digest) -> list:
     xis9 = [float(euler_series(table9, EulerParams(t=Fraction(t), zeta=Fraction(-2), K_max=60))
                   .at(60)) for t in (-1, -2, -3)]
     # far from every eigenvalue of its own matrix: the top one, 23, is a cluster
-    mus9 = [float(mu) for mu in symmetric_eigen(perturbed_matrix(g9, -2)).eigenvalues]
+    mus9 = _perturbed_spectrum(g9, -2)
     div9 = all(abs(xi - mu) > 1e3 for xi in xis9 for mu in mus9)
     digest.check_bool("ring_with_core(21,9): Euler at zeta=-2 diverges for t=-1,-2,-3", div9)
 
@@ -306,12 +305,12 @@ def cmd_series(args) -> int:
     g = _graph_from_args(args)
     domain = _domain_from_args(args)
     table = coefficients(g, args.q, args.K, domain)
+    zeta = parse_number(args.zeta)
     if args.command == "euler":
-        params = EulerParams(t=parse_number(args.t), zeta=parse_number(args.zeta), K_max=args.K)
-        series = euler_series(table, params)
+        series = euler_series(table, EulerParams(t=parse_number(args.t), zeta=zeta, K_max=args.K))
     else:
-        series = taylor_partial_sums(table, parse_number(args.zeta), args.K)
-    mus = _laplacian_spectrum(g)
+        series = taylor_partial_sums(table, zeta, args.K)
+    mus = _perturbed_spectrum(g, zeta)
     _write_csv(_series_rows(series, mus, args.alpha_threshold, args.K, args.exact),
                DETAIL_HEADER, args.out)
     return 0
@@ -326,8 +325,7 @@ def cmd_oracle(args) -> int:
     }[args.matrix]
     prec = _prec(args, 53)
     spec = symmetric_eigen(matrix, precision_bits=prec)
-    with mpmath.workprec(max(prec, 53)):
-        print(spectrum_to_json(spec, digits=int(prec * 0.302) + 1))
+    print(spectrum_to_json(spec, digits=int(prec * 0.302) + 1))
     return 0
 
 
@@ -419,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_graph_args(p)
         p.add_argument("--q", type=int, required=True)
         p.add_argument("--K", type=int, default=30)
-        p.add_argument("--zeta", default="-1")
+        p.add_argument("--zeta", default="-1", help=_ZETA_HELP)
         if name == "euler":
             p.add_argument("--t", default="-1")
         p.add_argument("--alpha-threshold", type=float, default=-4.0)
@@ -448,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="20")
     p.add_argument("--p", default="0.2")
     p.add_argument("--t", default="-1")
-    p.add_argument("--zeta", default="-1")
+    p.add_argument("--zeta", default="-1", help=_ZETA_HELP)
     p.add_argument("--K", type=int, default=30)
     p.add_argument("--K-check", dest="K_check", type=int, default=30)
     p.add_argument("--alpha-threshold", type=float, default=-4.0)

@@ -25,13 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
 
 import mpmath
 import numpy as np
 from mpmath.libmp import from_man_exp, from_rational, round_nearest, to_rational
 
-from .domain import _over_lcm, to_mpf
+from .domain import _integer_ratio, _over_lcm, float_domain
 
 __all__ = [
     "Spectrum",
@@ -336,23 +335,21 @@ def _unit_vector(x: list, norm2: int, s: int, prec: int) -> tuple:
 
 
 def accuracy_alpha(xi, mu, floor: float = ALPHA_FLOOR) -> float:
-    """log10 |xi - mu|, floored to represent exact hits.
+    """log10 |xi - mu| of the exact values, or ``floor`` if lower (an exact hit gives ``floor``).
 
-    Rational inputs are differenced exactly before the log, so tiny gaps
-    between exact series values and high-precision eigenvalues survive.
+    The difference of the inputs' integer pairs (``_integer_ratio``; a float
+    or mpf is dyadic) is exact, and its log10 comes from bit lengths and one
+    ``math.log10`` of a 64-bit quotient, within about 1e-14, with no working
+    precision read.  A NaN or infinite input raises ValueError.
     """
-    if isinstance(xi, Rational) and isinstance(mu, Rational):
-        diff = Fraction(xi) - Fraction(mu)
-        if diff == 0:
-            return floor
-        diff = abs(diff)
-        alpha = float(mpmath.log10(mpmath.mpf(diff.numerator)) - mpmath.log10(diff.denominator))
-    else:
-        diff = abs(to_mpf(xi) - to_mpf(mu))
-        if diff == 0:
-            return floor
-        alpha = float(mpmath.log10(diff))
-    return max(alpha, floor)
+    xn, xd = _integer_ratio(xi)
+    mn, md = _integer_ratio(mu)
+    num, den = abs(xn * md - mn * xd), xd * md
+    if not num:
+        return floor
+    shift = 64 - num.bit_length() + den.bit_length()  # num 2^shift / den has 64 or 65 bits
+    top = (num << shift) // den if shift >= 0 else num // (den << -shift)
+    return max(math.log10(top) - shift * math.log10(2), floor)
 
 
 @dataclass(frozen=True)
@@ -420,5 +417,6 @@ def spectral_bounds(g, spectrum: Spectrum | None = None, tol: float = 1e-9) -> S
 def spectrum_to_json(spectrum: Spectrum, digits: int = 30) -> str:
     import json
 
-    vals = [mpmath.nstr(to_mpf(v), digits) for v in spectrum.eigenvalues]
+    vals = [mpmath.nstr(v if isinstance(v, mpmath.mpf) else float_domain(53).coerce(v), digits)
+            for v in spectrum.eigenvalues]  # a float exactly; nstr reads no working precision
     return json.dumps({"eigenvalues": vals, "residual": float(spectrum.residual)})

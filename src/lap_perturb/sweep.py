@@ -3,9 +3,9 @@
 A sweep draws graphs from a generator ensemble (a single graph is a cell
 of one graph), expands around selected unique-degree nodes, classifies each
 Euler series at (alpha_threshold, K_check), and reports the converged
-fraction per (n, p, t) cell.  A graph is drawn, its spectrum computed and
-each node's table built once (all from one ``perturb._stack``), for the whole
-t grid.  Everything is deterministic given the config seed.
+fraction per (n, p, t) cell.  A graph is drawn, the spectrum of its M(zeta)
+computed and each node's table built once (all from one ``perturb._stack``),
+for the whole t grid.  Everything is deterministic given the config seed.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .graph import (
     complete_graph,
     degree_profile,
     erdos_renyi,
-    laplacian,
     parse_edge_list,
+    perturbed_matrix,
     ring_with_core,
 )
 from .perturb import _stack, coefficients
@@ -231,8 +231,11 @@ def select_nodes(g: Graph, q_selector) -> tuple:
     raise ValueError(f"unknown q_selector: {q_selector!r}")
 
 
-def _laplacian_spectrum(g: Graph) -> list:
-    return [float(v) for v in symmetric_eigen(laplacian(g)).eigenvalues]
+def _perturbed_spectrum(g: Graph, zeta) -> tuple:
+    """The 53-bit descending spectrum of M(zeta) = diag(d) + zeta A; at zeta = -1, L's."""
+    if isinstance(zeta, Fraction) and zeta.denominator == 1:  # the same matrix, made in ints
+        zeta = zeta.numerator
+    return symmetric_eigen(perturbed_matrix(g, zeta)).eigenvalues
 
 
 def _float(x) -> float:
@@ -246,8 +249,8 @@ def _float(x) -> float:
 def _evaluate(g: Graph, nodes: tuple, config: ExperimentConfig, mus: list):
     """Yield (q, t, series, report) for each node of ``nodes`` and each t of the grid.
 
-    ``mus`` is the graph's Laplacian spectrum (``_laplacian_spectrum``); it
-    and one coefficient table per node serve the whole t grid.  Each node
+    ``mus`` is the spectrum of the graph's M(zeta) (``_perturbed_spectrum``);
+    it and one coefficient table per node serve the whole t grid.  Each node
     runs through ``config.t_grid`` in order.  Tables and series stop at
     ``config.K_check``, the highest order a sweep reads.
     """
@@ -297,7 +300,7 @@ def run_sweep(config: ExperimentConfig, detail: bool = False):
             if not nodes:
                 skipped += 1
                 continue
-            evaluated = _evaluate(g, nodes, config, _laplacian_spectrum(g))
+            evaluated = _evaluate(g, nodes, config, _perturbed_spectrum(g, config.zeta))
             # _evaluate runs each node through the grid in order, so the buckets cycle with it
             for bucket, (q, t, series, report) in zip(cycle(records), evaluated):
                 bucket.append(TrialRecord(q=q, t=t, K=K, xi=_float(series.at(K)),

@@ -25,8 +25,9 @@ from lap_perturb.domain import (
     parse_number,
     to_mpf,
 )
+from lap_perturb.eigen import symmetric_eigen
 from lap_perturb.euler import EulerParams, euler_series, taylor_partial_sums
-from lap_perturb.graph import build_graph, ring_with_core
+from lap_perturb.graph import build_graph, laplacian, ring_with_core
 from lap_perturb.perturb import beta_rows, coefficient_table_to_json, coefficients, default_domain
 from lap_perturb.sweep import ExperimentConfig, run_sweep
 
@@ -151,8 +152,8 @@ class TestNoWorkingPrecision:
     """Values enter a domain without setting mpmath's process-wide working precision."""
 
     @pytest.mark.parametrize("made", ["coefficients", "beta_rows", "series", "json", "sweep",
-                                      "format"])
-    def test_nothing_sets_the_working_precision(self, e2, prec_sets, made):
+                                      "format", "oracle"])
+    def test_nothing_sets_the_working_precision(self, e2, prec_sets, capsys, made):
         domain = float_domain(128)
         if made == "coefficients":
             assert coefficients(e2, 13, 30, domain).c
@@ -169,6 +170,10 @@ class TestNoWorkingPrecision:
             assert len(_series_read(e2, domain)) == 3 + 2 * 29
         elif made == "json":
             assert coefficient_table_to_json(coefficients(e2, 13, 30, domain))
+        elif made == "oracle":
+            for prec in ("24", "53"):
+                assert cli.main(["oracle", "--example", "e2", "--prec", prec]) == 0
+                assert json.loads(capsys.readouterr().out)["eigenvalues"]
         else:
             config = ExperimentConfig(domain=domain, trials=3, q_selector="all_unique",
                                       t_grid=(Fraction(-1), Fraction(-2)))
@@ -184,6 +189,16 @@ class TestNoWorkingPrecision:
         assert cli.main(["contour", "--gen", "ring_with_core:21,1", "--zeta", "-1",
                          "--prec", "256"]) == 0
         assert json.loads(capsys.readouterr().out)["branch_ok"]
+        assert prec_sets == own
+
+    def test_the_oracle_command_sets_only_the_solvers_precision(self, e2, prec_sets, capsys):
+        # the certificate of a spectrum above 53 bits still works at 64 bits
+        symmetric_eigen(laplacian(e2), precision_bits=128)
+        own = list(prec_sets)
+        assert own
+        del prec_sets[:]
+        assert cli.main(["oracle", "--example", "e2", "--prec", "128"]) == 0
+        assert json.loads(capsys.readouterr().out)["eigenvalues"]
         assert prec_sets == own
 
     def test_the_spy_sees_a_setting(self, prec_sets):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +10,14 @@ import numpy as np
 import pytest
 
 from lap_perturb.digits import matches_printed
-from lap_perturb.eigen import accuracy_alpha, spectral_bounds, spectrum_to_json, symmetric_eigen
+from lap_perturb.domain import _exact_value, float_domain
+from lap_perturb.eigen import (
+    ALPHA_FLOOR,
+    accuracy_alpha,
+    spectral_bounds,
+    spectrum_to_json,
+    symmetric_eigen,
+)
 from lap_perturb.graph import (
     build_graph,
     antiregular,
@@ -274,6 +282,9 @@ class TestAccuracyAlpha:
     def test_exact_hit_floors(self):
         assert accuracy_alpha(Fraction(7, 2), Fraction(7, 2)) == -300.0
         assert accuracy_alpha(3.5, 3.5) == -300.0
+        for value in (7, Fraction(1, 3), mpmath.mpf(3.5), float_domain(256).coerce(Fraction(1, 3))):
+            assert accuracy_alpha(value, value) == ALPHA_FLOOR
+            assert accuracy_alpha(value, _exact_value(value)) == ALPHA_FLOOR
 
     def test_unit_difference_is_zero(self):
         assert abs(accuracy_alpha(Fraction(5), Fraction(4))) < 1e-12
@@ -282,6 +293,48 @@ class TestAccuracyAlpha:
         # differences far below double precision still produce finite alpha
         alpha = accuracy_alpha(Fraction(1, 10**40) + 5, Fraction(5))
         assert abs(alpha - (-40)) < 1e-9
+        # from a float eigenvalue too: xi is not rounded to 53 bits first
+        alpha = accuracy_alpha(Fraction(21) + Fraction(1, 10**20), 21.0)
+        assert abs(alpha - (-20)) < 1e-12
+
+    @pytest.mark.parametrize("kinds", [("fraction", "fraction"), ("float", "float"),
+                                       ("mpf53", "mpf53"), ("mpf128", "mpf128"),
+                                       ("mpf256", "mpf256"), ("fraction", "float"),
+                                       ("mpf128", "float"), ("mpf256", "fraction")])
+    def test_random_pairs_match_the_log_of_the_exact_difference(self, kinds):
+        rng = random.Random("-".join(kinds))
+        for _ in range(300):
+            mu = _random_rational(rng)
+            # half the pairs are near hits, 2^-1 to 2^-200 apart relative to mu
+            xi = mu * (1 + Fraction(1, 2 ** rng.randint(1, 200))) if rng.random() < 0.5 \
+                else _random_rational(rng)
+            xi, mu = (_of_kind(kind, value) for kind, value in zip(kinds, (xi, mu)))
+            gap = abs(_exact_value(xi) - _exact_value(mu))
+            if gap:
+                with mpmath.workprec(256):
+                    expected = float(mpmath.log10(gap.numerator) - mpmath.log10(gap.denominator))
+                assert abs(accuracy_alpha(xi, mu) - max(expected, ALPHA_FLOOR)) < 1e-12
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, mpmath.nan, mpmath.inf])
+    def test_non_finite_input_raises(self, bad):
+        with pytest.raises(ValueError, match="not a finite number"):
+            accuracy_alpha(bad, 1.0)
+        with pytest.raises(ValueError, match="not a finite number"):
+            accuracy_alpha(Fraction(1, 3), bad)
+
+
+def _random_rational(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-10**40, 10**40), 10**40 - rng.randint(0, 10**30)) \
+        * Fraction(2) ** rng.randint(-80, 80)
+
+
+def _of_kind(kind: str, value: Fraction):
+    """``value`` as a Fraction, a float or an mpf rounded to the bits of "mpf<bits>"."""
+    if kind == "fraction":
+        return value
+    if kind == "float":
+        return float(value)
+    return float_domain(int(kind[3:])).coerce(value)
 
 
 class TestSpectralBounds:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -18,8 +21,9 @@ from lap_perturb.cli import main
 from lap_perturb.domain import NumberDomain, exact_domain, float_domain
 from lap_perturb.eigen import accuracy_alpha, symmetric_eigen
 from lap_perturb.examples_data import example_graph
-from lap_perturb.graph import build_graph, format_edge_list, laplacian
+from lap_perturb.graph import build_graph, format_edge_list, laplacian, perturbed_matrix
 from lap_perturb.sweep import ExperimentConfig, resolve_graph_source, run_sweep, select_nodes
+from oracles import eigsy_eigenvalues
 
 
 class TestSelectNodes:
@@ -328,26 +332,26 @@ class TestResolveGraphSource:
 
 # SHA-256 of the reproduce CSVs.  e1.csv and e2.csv hold only exact series and
 # 128-bit mpmath values; e3.csv and almost_regular.csv also hold LAPACK float64
-# eigenvalues and the alphas computed from them
+# eigenvalues and the alphas of their exact differences from the series
 REPRODUCE_CSV_SHA256 = {
     "e1": "5237df42ef162320623ea924a2a0ccfefcf94283939e520c3eb89bab41425cc0",
     "e2": "f569135f411a01278b143a926158ed8ae07af49ef779f583664a0b90e0d418e1",
-    "e3": "d5130e357b431d480c0c72928c81a3385d73a01c15725346c05ae0f2b86a81f5",
-    "almost_regular": "70db37cf1c36c0eeade4e04e00be3d83c8b47625bc4113f9bb9d03b9db39f3d0",
+    "e3": "d73b1824da97dc902f36f8d6766c5759691444bca3f9d26a850c065f9a72fa41",
+    "almost_regular": "112d86effaabb667775b8ed567d1ea451cc0c7e7dc422b01b0d74d53b80f8371",
 }
 
 # SHA-256 of the stdout of `euler` and `taylor`, whose alpha column is
-# computed per order against the matched eigenvalue
+# computed per order against the matched eigenvalue of M(zeta)
 SERIES_STDOUT_SHA256 = {
     "euler-e2-exact": (["euler", "--example", "e2", "--q", "13", "--K", "100"],
-                       "730ba1e6d38b96ebedc13c5f5bb628357387bacdbf842684988e1b26cd65109b"),
+                       "01b1883cf8788fc48cbb3ad87126daeb6b2daed024d48432dd85a491061fd164"),
     "euler-e2-53": (["euler", "--example", "e2", "--q", "13", "--K", "100", "--prec", "53"],
                     "451629f66b67f956493b826da7e2723ca3de1aaf91e7db2a626f915bfd7528bb"),
     "taylor-e3-exact": (["taylor", "--example", "e3", "--q", "10", "--K", "60", "--zeta", "-1/3"],
-                        "f63d4d9c002f96f1cb821d3ab9ddcf980f8adcc09d57707b76deb61012bf3b9e"),
+                        "086c5c0f39e652697cd93d981a94374dc0fe50e034f4e796e60a07a58ed6efa1"),
     "taylor-e3-53": (["taylor", "--example", "e3", "--q", "10", "--K", "60", "--zeta", "-1/3",
                       "--prec", "53"],
-                     "73c3200dfc7b9c2fe0c14eb34ba5c4aa354818c8b7bd052c7be468104ed1488b"),
+                     "a4287ea155a2355b77dd6a873b1ba3ea0d825c0bf08a4bc8824c32a8f2d603cb"),
 }
 
 # SHA-256 of the stdout of a 256-bit Euler series and a 24-bit table, the
@@ -358,6 +362,17 @@ PRECISION_STDOUT_SHA256 = {
     "coeffs-e2-24": (["coeffs", "--example", "e2", "--q", "13", "--K", "8", "--prec", "24",
                       "--json"],
                      "8c2dce59090fc736898eb1190715ab5d23ce4306e6a284e51118bad0e35833a3"),
+}
+
+# SHA-256 of the stdout of `oracle`, pinned before it stopped setting a working
+# precision: certified 128 and 256-bit spectra, and e3's at 53 bits
+ORACLE_STDOUT_SHA256 = {
+    "e2-128": (["oracle", "--example", "e2", "--prec", "128"],
+               "320bde3afa1f042930911eadc242e3d0b1145851344a2ce08022a4606b5e1da5"),
+    "e3-256": (["oracle", "--example", "e3", "--prec", "256"],
+               "b406b2e313236119096354063e8c7fb2de5521cfb2773de831c3a38c5e3e4ba6"),
+    "e3-53": (["oracle", "--example", "e3"],
+              "3003dd9a6f5233926a5427b120b614ba4ffaec35ffa7a93b0fdae6980a5175e9"),
 }
 
 # SHA-256 of `sweep --detail` CSVs in the 128-bit domain: the benchmark's
@@ -371,7 +386,7 @@ SWEEP_128_CONFIGS = {
     "zeta-third": ({"q_selector": "all_unique", "t_grid": [-3, -1, "-1/2", 0, 2], "zeta": "-1/3",
                     "K_max": 30, "K_check": 30, "domain": {"precision_bits": 128}, "trials": 3,
                     "n_grid": [12, 20], "p_grid": ["1/5", "1/2"], "seed": 7},
-                   "11f7411345a6b8330b1d13f8868bebac6af453ea960b73b57a4aec814383cd34"),
+                   "677ae420bd02857c0dbc95cba205eb18a4531c6b8509e7e6115343835b3d2198"),
 }
 
 # SHA-256 of the stdout of sweeps at n = 1000: three classified trials, and a
@@ -599,6 +614,14 @@ class TestCli:
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
+    @pytest.mark.parametrize("ambient", [None, 24, 256])
+    @pytest.mark.parametrize("name", list(ORACLE_STDOUT_SHA256))
+    def test_oracle_stdout_bytes(self, capsys, name, ambient):
+        argv, sha256 = ORACLE_STDOUT_SHA256[name]
+        with _working_precision(ambient):
+            assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
     @pytest.mark.parametrize("name", list(PRECISION_STDOUT_SHA256))
     def test_precision_extremes_stdout_bytes(self, capsys, name):
         argv, sha256 = PRECISION_STDOUT_SHA256[name]
@@ -731,3 +754,120 @@ class TestCli:
     def test_nonunique_node_error_exit(self, capsys):
         assert main(["coeffs", "--example", "e2", "--q", "1", "--K", "4"]) == 2
         assert "unique degree" in capsys.readouterr().err
+
+
+# zetas other than -1, none singular for t = 0 or t = -1, and graphs as sweep
+# sources with their CLI arguments
+MZETAS = (Fraction(-1, 3), Fraction(-1, 2), Fraction(1, 2))
+MZETA_GRAPHS = {"example:e1": ["--example", "e1"], "example:e3": ["--example", "e3"],
+                "erdos_renyi:12,1/2,7": ["--gen", "erdos_renyi:12,1/2,7"],
+                "erdos_renyi:16,1/5,3": ["--gen", "erdos_renyi:16,1/5,3"]}
+
+
+class TestMatchAgainstMZeta:
+    """A series at zeta is matched against the spectrum of its own M(zeta) = diag(d) + zeta A."""
+
+    @pytest.mark.parametrize("zeta", MZETAS)
+    def test_matched_mu_is_an_eigenvalue_of_m_zeta(self, capsys, zeta):
+        matched = 0
+        for source, graph_args in MZETA_GRAPHS.items():
+            g = resolve_graph_source(source)
+            mus = eigsy_eigenvalues(perturbed_matrix(g, zeta), 128)
+            config = ExperimentConfig(graph_source=source, q_selector="all_unique",
+                                      t_grid=(Fraction(0), Fraction(-1)), zeta=zeta, K_max=20,
+                                      K_check=20)
+            found = [r.matched_mu for r in run_sweep(config, detail=True)[1]]
+            for q in select_nodes(g, "all_unique")[:1]:
+                for command in ("taylor", "euler"):
+                    assert main([command, *graph_args, "--q", str(q), "--K", "20",
+                                 "--zeta", str(zeta)]) == 0
+                    rows = capsys.readouterr().out.splitlines()[1:]
+                    found += [float(row.split(",")[5]) for row in rows]
+            assert all(min(abs(mu - m) for m in mus) < 1e-9 for mu in found), source
+            matched += len(found)
+        assert matched > 0
+
+    def test_e1_series_at_minus_a_third_converges(self, capsys):
+        assert main(["taylor", "--example", "e1", "--q", "1", "--K", "60", "--zeta", "-1/3",
+                     "--exact"]) == 0
+        last = capsys.readouterr().out.splitlines()[-1].split(",")
+        assert last[5:] == ["3.1979427475575077", "true"]
+        assert abs(float(last[4]) - (-10.01)) < 0.01
+
+
+@contextlib.contextmanager
+def _working_precision(bits):
+    """mpmath's process-wide working precision set to ``bits`` (kept for None), then restored."""
+    ambient = mpmath.mp.prec
+    if bits is not None:
+        mpmath.mp.prec = bits
+    try:
+        yield
+    finally:
+        mpmath.mp.prec = ambient
+
+
+# all_unique sweeps of e3 in the 128-bit and the exact domain, the exact one at
+# zeta = -1/3; most of their series converge, to alphas of -6 to -15
+AMBIENT_SWEEPS = {
+    "128": {"graph_source": "example:e3", "q_selector": "all_unique", "t_grid": [-2, -3, -4],
+            "K_max": 100, "K_check": 100, "domain": {"precision_bits": 128}},
+    "exact-third": {"graph_source": "example:e3", "q_selector": "all_unique",
+                    "t_grid": [-1, "-1/2", 2], "zeta": "-1/3", "K_max": 100, "K_check": 100},
+}
+
+
+def _sweep_bytes(name: str, directory) -> bytes:
+    """The `sweep --detail` CSV of AMBIENT_SWEEPS[name], written under ``directory``."""
+    directory.mkdir(parents=True, exist_ok=True)
+    config, out = directory / f"{name}.json", directory / f"{name}.csv"
+    config.write_text(json.dumps(AMBIENT_SWEEPS[name]))
+    assert main(["sweep", "--config", str(config), "--detail", "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+class TestOutputsReadNoWorkingPrecision:
+    """No sweep, series or alpha depends on mpmath's process-wide working precision."""
+
+    @pytest.mark.parametrize("ambient", [24, 256])
+    def test_sweeps_and_series_at_any_ambient_precision(self, tmp_path, ambient):
+        expected = {name: _sweep_bytes(name, tmp_path / "one") for name in AMBIENT_SWEEPS}
+        with _working_precision(ambient):
+            got = {name: _sweep_bytes(name, tmp_path / "ambient") for name in AMBIENT_SWEEPS}
+            for name, (argv, sha256) in SERIES_STDOUT_SHA256.items():
+                out = tmp_path / f"{name}.csv"
+                assert main(argv + ["--out", str(out)]) == 0
+                assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256, name
+        assert got == expected
+
+    def test_sweeps_beside_a_256_bit_contour_thread(self, tmp_path, capsys):
+        # a tiny switch interval makes the threads interleave inside every value
+        expected = {name: _sweep_bytes(name, tmp_path / "one") for name in AMBIENT_SWEEPS}
+        got = {name: [] for name in AMBIENT_SWEEPS}
+        done = threading.Event()
+        contours = []
+
+        def contour():
+            while not (done.is_set() and contours):
+                contours.append(main(["contour", "--gen", "ring_with_core:21,1", "--zeta", "-1",
+                                      "--prec", "256"]))
+
+        def sweeps(name):
+            for i in range(2):
+                got[name].append(_sweep_bytes(name, tmp_path / f"{name}-{i}"))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            background = threading.Thread(target=contour)
+            background.start()
+            threads = [threading.Thread(target=sweeps, args=(name,)) for name in AMBIENT_SWEEPS]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            done.set()
+            background.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert contours and set(contours) == {0}
+        assert got == {name: [value] * 2 for name, value in expected.items()}
