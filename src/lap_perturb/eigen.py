@@ -1,8 +1,9 @@
 """Ground-truth dense symmetric eigensolver and spectral bounds.
 
 At precision_bits <= 53 the solver is LAPACK ``eigh`` on a float64 numpy
-array, and the reported residual max_k ||M v_k - lambda_k v_k||_2 is
-computed with numpy on that array.
+array.  Whether the residual is finite is checked at once; the reported
+residual max_k ||M v_k - lambda_k v_k||_2 and the eigenvectors are computed
+with numpy on that array when they are first read.
 
 Above 53 bits the matrix is taken at its exact value, A = B / W with B an
 integer matrix and W the lcm of the entry denominators.  LAPACK ``eigh`` on
@@ -55,11 +56,25 @@ class Spectrum:
 
     ``eigenvectors[k]`` is the column belonging to ``eigenvalues[k]``;
     ``residual`` is max_k ||M v_k - lambda_k v_k||_2 against the input matrix.
+    A 53-bit spectrum from ``symmetric_eigen`` makes both on first read, from
+    the float64 matrix and the output of ``eigh`` that it keeps.
     """
 
     eigenvalues: tuple
     eigenvectors: tuple
     residual: float
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute not in the instance: a 53-bit spectrum's unread fields
+        if name not in ("eigenvectors", "residual") or "_eigh" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        array, values, vectors, order = self._eigh
+        # column k of R is M v_k - lambda_k v_k; einsum, unlike @, allocates no BLAS gemm buffer
+        R = np.einsum("ij,jk->ik", array, vectors) - vectors * values
+        self.__dict__.update(
+            residual=float(np.sqrt(np.max(np.einsum("ij,ij->j", R, R)))),
+            eigenvectors=tuple(map(tuple, vectors.T[order].tolist())))
+        return self.__dict__[name]
 
 
 def _check_square(matrix) -> int:
@@ -84,11 +99,12 @@ def _float_array(rows) -> np.ndarray:
         if not all(x == x and -math.inf < x < math.inf for row in rows for x in row):
             raise RuntimeError("matrix has a non-finite entry")
         raise RuntimeError("matrix has an entry beyond the float64 range")
-    bound = 1e-12 * max(1.0, float(np.abs(array).max()))
-    bad = np.argwhere(np.triu(np.abs(array - array.T) > bound, 1))
-    if len(bad):
-        i, j = bad[0]
-        raise ValueError(f"matrix is not symmetric at ({i + 1}, {j + 1})")
+    if not np.array_equal(array, array.T):  # an exactly symmetric array needs no bound
+        bound = 1e-12 * max(1.0, float(np.abs(array).max()))
+        bad = np.argwhere(np.triu(np.abs(array - array.T) > bound, 1))
+        if len(bad):
+            i, j = bad[0]
+            raise ValueError(f"matrix is not symmetric at ({i + 1}, {j + 1})")
     return array
 
 
@@ -117,6 +133,9 @@ def symmetric_eigen(matrix, precision_bits: int = 53) -> Spectrum:
     """Full spectrum of a symmetric matrix, certified above 53 bits.
 
     At ``precision_bits <= 53`` this is LAPACK ``np.linalg.eigh`` on float64.
+    Its residual is checked for finiteness at once, with one BLAS product;
+    the spectrum's ``eigenvectors`` and its reported ``residual``, whose sums
+    are numpy's ``einsum``, are made on first read.
     Above that the ``eigh`` start is refined in exact integer arithmetic (see
     the module docstring) until a certificate shows every returned
     eigenvalue, which is an exact Rayleigh quotient rounded once, within
@@ -140,17 +159,18 @@ def symmetric_eigen(matrix, precision_bits: int = 53) -> Spectrum:
     values, vectors = np.linalg.eigh(array)
     if not np.isfinite(values).all():
         raise RuntimeError("eigensolver returned a non-finite eigenvalue")
-    # column k of R is M v_k - lambda_k v_k; einsum, unlike @, allocates no BLAS gemm buffer
-    R = np.einsum("ij,jk->ik", array, vectors) - vectors * values
-    residual = float(np.sqrt(np.max(np.einsum("ij,ij->j", R, R))))
-    if not math.isfinite(residual):  # np.max propagates a NaN
+    R = array @ vectors
+    R -= vectors * values
+    if not math.isfinite(np.max(np.einsum("ij,ij->j", R, R))):  # np.max propagates a NaN
         raise RuntimeError("eigensolver returned a non-finite eigenvector residual")
+    del R
     eigenvalues = values.tolist()
     # a stable descending sort: tied eigenvalues and signed zeros keep eigh's order
     order = sorted(range(n), key=eigenvalues.__getitem__, reverse=True)
-    return Spectrum(eigenvalues=tuple(eigenvalues[k] for k in order),
-                    eigenvectors=tuple(map(tuple, vectors.T[order].tolist())),
-                    residual=residual)
+    spectrum = object.__new__(Spectrum)
+    spectrum.__dict__.update(eigenvalues=tuple(eigenvalues[k] for k in order),
+                             _eigh=(array, values, vectors, order))
+    return spectrum
 
 
 def _refined_spectrum(B: list, W: int, precision_bits: int) -> Spectrum:

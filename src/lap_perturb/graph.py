@@ -21,6 +21,8 @@ import numpy as np
 
 from .domain import _exact_value, _over_lcm, _rational, parse_number
 
+_FLOAT_INTEGERS = 1 << 53  # every integer below it is exact in float64
+
 __all__ = [
     "Graph",
     "DegreeProfile",
@@ -48,15 +50,26 @@ class Graph:
     ``weights`` is a tuple of row tuples (symmetric, zero diagonal); entries
     are ints for unweighted graphs and Fractions/floats otherwise.  Instances
     are immutable and safe to share across threads.  ``degrees`` and the
-    exact integer form of the weights (``_integer_weights``) are read from
-    ``weights`` once, on first use.  A graph from ``erdos_renyi`` arrives with
-    both, and with ``_rational_weights``, already set from the 0/1 array it
-    was drawn in (``_unit_graph``): the same values and types.
+    exact integer form of the weights (``_integer_weights``, and as one
+    array ``_weight_array``) are read from ``weights`` once, on first use.
+    A graph from ``erdos_renyi`` arrives with its ``degrees``, its
+    ``_weight_array`` (the 0/1 array it was drawn in) and
+    ``_rational_weights`` already set (``_unit_graph``).  It makes its
+    ``weights`` rows, and from them ``_integer_weights``, on first read:
+    the same values and types.
     """
 
     n: int
     weights: tuple
     is_weighted: bool
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute not in the instance: a drawn graph's rows before a read
+        if name != "weights" or "_weight_array" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        weights = tuple(map(tuple, map(np.ndarray.tolist, self._weight_array[1])))
+        self.__dict__["weights"] = weights
+        return weights
 
     @cached_property
     def degrees(self) -> tuple:
@@ -90,10 +103,24 @@ class Graph:
         scaled = dict(zip(ws, nums))
         return W, tuple(tuple(map(scaled.__getitem__, row)) for row in self.weights)
 
+    @cached_property
+    def _weight_array(self) -> tuple:
+        """(W, a): ``_integer_weights`` with a = W A as one n x n array.
+
+        a is an integer array (int64 here; a drawn graph's is its uint8
+        array) when every row's sum of |W A|, and so every entry and row
+        sum, is below 2^53 and exact in float64.  Else it holds the same
+        Python ints as an object array.
+        """
+        W, a = self._integer_weights
+        fits = max((sum(map(abs, row)) for row in a), default=0) < _FLOAT_INTEGERS
+        return W, np.array(a, dtype=np.int64 if fits else object).reshape(self.n, self.n)
+
     @property
     def _rational_weights(self) -> bool:
         """Whether every weight is rational: no float or mpf of any value."""
-        self._integer_weights  # its one pass records the answer
+        if "_all_rational" not in self.__dict__:
+            self._integer_weights  # its one pass records the answer
         return self.__dict__["_all_rational"]
 
     def weight(self, u: int, v: int):
@@ -181,15 +208,14 @@ def _unit_graph(adj: np.ndarray) -> Graph:
     """The graph of a symmetric 0/1 integer array with zero diagonal, taken unchecked.
 
     A generator's array is valid by construction, so ``build_graph``'s
-    per-edge checks are skipped.  The weight rows are read by one ``tolist``
-    per row, so no list of all rows is held beside them, and the caches
-    ``degrees`` and ``_integer_weights`` are filled from the same array with
-    the values and types their own passes would give.
+    per-edge checks are skipped.  The array is the graph's ``_weight_array``
+    and its row sums are ``degrees``, with the values and types their own
+    passes would give.  The weight rows are read from it, one ``tolist`` per
+    row, when ``weights`` is first read.
     """
-    weights = tuple(map(tuple, map(np.ndarray.tolist, adj)))
-    g = Graph(n=len(adj), weights=weights, is_weighted=False)
-    g.__dict__.update(degrees=tuple(adj.sum(1).tolist()), _integer_weights=(1, weights),
-                      _all_rational=True)
+    g = object.__new__(Graph)
+    g.__dict__.update(n=len(adj), is_weighted=False, degrees=tuple(adj.sum(1).tolist()),
+                      _weight_array=(1, adj), _all_rational=True)
     return g
 
 
@@ -245,6 +271,48 @@ def perturbed_matrix(g: Graph, zeta) -> tuple:
         row[i] = row[i] + d[i]
         out.append(tuple(row))
     return tuple(out)
+
+
+class _ArrayRows(tuple):
+    """A matrix as a tuple of rows that also hands numpy its float64 array.
+
+    ``np.array(rows, dtype=float)`` takes the array through ``__array__``
+    and reads no row; hash and equality are the tuple's.
+    """
+
+    def __array__(self, dtype=None, copy=None):
+        return self.array.astype(dtype or self.array.dtype, copy=bool(copy))
+
+
+def _perturbed_rows(g: Graph, zeta):
+    """``perturbed_matrix(g, zeta)`` made from ``_weight_array`` as rows with its float64 array; or None.
+
+    With a = W A and zeta = u / v, an off-diagonal entry is the int64
+    product u a_ij over v W, and a diagonal one the row sum of a over W.
+    When v W = 1 the rows are those ints, as ``perturbed_matrix`` makes
+    them.  Else each entry is one float64 division, which rounds correctly
+    while both integers are below 2^53, as ``float`` rounds the exact entry
+    of ``perturbed_matrix``; an int product makes no -0.0.  The rows are
+    read from the array, one ``tolist`` per row (``_ArrayRows``).  None where that
+    does not hold: an object weight array, a float or mpf zeta, or a float
+    or mpf weight, which ``perturbed_matrix`` multiplies in floats.
+    """
+    W, a = g._weight_array
+    if a.dtype == object or not isinstance(zeta, (int, Fraction)) or not g._rational_weights:
+        return None
+    u, v = zeta.numerator, zeta.denominator
+    top = max(int(a.max(initial=1)), -int(a.min(initial=0)))  # max(|a_ij|, 1)
+    if v * W >= _FLOAT_INTEGERS or abs(u) * top >= _FLOAT_INTEGERS:
+        return None
+    M = np.multiply(a, u, dtype=np.int64)
+    d = a.sum(1)
+    if v * W != 1:
+        M = M / (v * W)
+        d = d / W
+    np.fill_diagonal(M, d)
+    rows = _ArrayRows(map(tuple, map(np.ndarray.tolist, M)))
+    rows.array = M.astype(np.float64, copy=False)
+    return rows
 
 
 # ---------------------------------------------------------------------------

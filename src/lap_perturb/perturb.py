@@ -26,10 +26,13 @@ sums them.
 
 from __future__ import annotations
 
+import sys
+import threading
+from collections import OrderedDict
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from itertools import accumulate
 from math import gcd, inf, isqrt, lcm, log2, prod
 from operator import itemgetter, mul
@@ -158,12 +161,13 @@ def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -
     of them; its ``d_q`` and ``c`` do so on first read.  K below 2 or a node
     outside 1..n raises ValueError.
     """
-    if _stacked and _stacked[0] is g and _stacked[1:4] == [K, domain, q]:  # from _stack
-        picked, values, rest = _stacked[4:]
-        _stacked[:] = [g, K, domain, rest[0], picked, values, rest[1:]] if rest else []
+    stacked = _stacked.run
+    if stacked and stacked[0] is g and stacked[1:4] == [K, domain, q]:  # from _stack
+        picked, values, rest = stacked[4:]
+        stacked[:] = [g, K, domain, rest[0], picked, values, rest[1:]] if rest else []
         domain, (d_q, C, _, (W, D)) = picked, next(values)
     else:
-        _stacked.clear()
+        stacked.clear()
         domain, ((d_q, C, _, (W, D)),) = _expand(g, (q,), K, domain, least_K=2, rows=False)
     powers = list(accumulate([1] + [D] * (K - 1), mul))  # D^0..D^(K-1)
     F = [Cj * x for Cj, x in zip(C, reversed(powers[:-1]))]  # the c_j over L = W D^(K-1)
@@ -173,14 +177,21 @@ def coefficients(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -
                                            L // common))
 
 
-# Set by ``_stack``: [g, K, domain, next q, picked domain, values, later nodes], or [].  A
-# coefficients call for anything else drops it and runs alone, so no value depends on it.
-_stacked: list = []
+class _Stacked(threading.local):
+    """Each thread's ``run``, set by ``_stack``: [g, K, domain, next q, picked domain, values,
+    later nodes], or [].  A coefficients call for anything else drops it and runs alone, so no
+    value depends on it, and no thread sees another's."""
+
+    def __init__(self) -> None:
+        self.run = []
+
+
+_stacked = _Stacked()
 
 
 def _stack(g: Graph, nodes: tuple, K: int, domain: NumberDomain | None) -> None:
-    """Have the next coefficients(g, q, K, domain) calls, q in ``nodes`` (not empty), share runs."""
-    _stacked[:] = [g, K, domain, nodes[0], *_expand(g, nodes, K, domain, 2, False), nodes[1:]]
+    """Have this thread's next coefficients(g, q, K, domain) calls, q in ``nodes`` (not empty), share runs."""
+    _stacked.run[:] = [g, K, domain, nodes[0], *_expand(g, nodes, K, domain, 2, False), nodes[1:]]
 
 
 def beta_rows(g: Graph, q: int, K: int, domain: NumberDomain | None = None) -> tuple:
@@ -205,7 +216,7 @@ def _expand(g: Graph, nodes: tuple, K: int, domain: NumberDomain | None, least_K
     q's degree must occur once in the exact ``g.degrees``, and in the exact
     domain a float or mpf weight raises the TypeError of ``coerce``.  The
     recursion runs on integers: with W and a = W A from
-    ``Graph._integer_weights``, the gaps G_r = W (d_q - d_r) are integers.
+    ``Graph._weight_array``, the gaps G_r = W (d_q - d_r) are integers.
     With D = lcm_r |G_r| and the integer m_r = D / G_r, the scaled
     quantities B_j = D^j beta_j and C_j = W D^(j-1) c_j satisfy
 
@@ -229,8 +240,8 @@ def _expand(g: Graph, nodes: tuple, K: int, domain: NumberDomain | None, least_K
     elif domain.is_exact and not g._rational_weights:
         domain.coerce(next(w for row in g.weights for w in row if not _rational(w)))
 
-    W, a = g._integer_weights
-    d = [sum(row) for row in a]
+    W, a = g._weight_array
+    d = a.sum(1).tolist()
     digits = _digits(a, max(d))
     return domain, ((d[qi], C, B, (W, D)) for run in _runs(a, d, nodes, K) for (qi, *_, D), (C, B)
                     in zip(run, _residue_recursion(digits, run, K, rows)))
@@ -242,7 +253,7 @@ def _runs(a, d: list, nodes: tuple, K: int):
     for qi in (q - 1 for q in nodes):
         D = lcm(*(abs(d[qi] - x) for r, x in enumerate(d) if r != qi))
         m = [0 if r == qi else D // (d[qi] - x) for r, x in enumerate(d)]
-        b_1 = [x * row[qi] for x, row in zip(m, a)]
+        b_1 = list(map(mul, m, a[:, qi].tolist()))
         crt = _crt(_bound_bits(max(map(abs, m)), max(d), d[qi], max(map(abs, b_1)), K))
         share = len(crt[0]) * max(K, 1) * len(a) * 8  # bytes of the node's residues H
         if run and size + share > _RUN_BYTES:
@@ -310,17 +321,19 @@ def _residue_recursion(digits: tuple, run: list, K: int, rows: bool):
 def _digits(a, rho: int) -> tuple:
     """(k, [A_0, A_1, ...]): float64 digits, A = sum_i 2^(k i) A_i, each row sum below 2^27.
 
-    rho bounds the row sums of a; below 2^27 A is its own one digit.  Else k is
-    the widest digit for which 2^k - 1 times a row's non-zeros stays below 2^27.
+    a is an integer or object array and rho bounds its row sums; below 2^27 A
+    is its own one digit.  Else k is the widest digit for which 2^k - 1 times
+    a row's non-zeros stays below 2^27.
     """
     if rho < 1 << _SUM_BITS:
-        return 0, [np.array(a, dtype=np.float64)]
-    width = max(len(row) - row.count(0) for row in a)
+        return 0, [a.astype(np.float64)]
+    width = int(np.count_nonzero(a, axis=1).max())
     k = (((1 << _SUM_BITS) - 1) // width + 1).bit_length() - 1
-    A, mask = np.array(a, dtype=object), (1 << k) - 1
-    return k, [(A >> s & mask).astype(np.float64) for s in range(0, max(map(max, a)).bit_length(), k)]
+    mask = (1 << k) - 1
+    return k, [(a >> s & mask).astype(np.float64) for s in range(0, int(a.max()).bit_length(), k)]
 
 
+@lru_cache(maxsize=4096)  # the nodes of a sweep share few (gaps, degrees, K)
 def _bound_bits(m_max: int, rho: int, d_q: int, b_1: int, K: int) -> float:
     """log2 of a bound on every |B_jr| and |C_j| for j <= K, -inf if all vanish.
 
@@ -412,7 +425,42 @@ def _crt(bits: float) -> tuple:
     return _crt_constants(span, int(np.searchsorted(_primes(span)[1], bits + 2, side="right")) + 1)
 
 
-@lru_cache(maxsize=32)  # M/p_i takes about 3 P^2 bytes; a sweep at K = 30 uses about 20 P
+def _byte_lru(cap: int, size):
+    """A least-recently-used cache that keeps results while their ``size`` adds up to at most ``cap``.
+
+    The cached function has ``entries`` (args: (result, bytes), oldest first) and
+    ``cache_clear``; a result larger than ``cap`` is returned and not kept.
+    """
+    def decorate(fn):
+        entries, lock = OrderedDict(), threading.Lock()
+
+        @wraps(fn)
+        def cached(*args):
+            with lock:
+                if args in entries:
+                    entries.move_to_end(args)
+                    return entries[args][0]
+            result = fn(*args)
+            with lock:
+                entries[args] = (result, size(result))
+                while sum(b for _, b in entries.values()) > cap:
+                    entries.popitem(last=False)
+            return result
+
+        cached.entries, cached.cache_clear = entries, entries.clear
+        return cached
+    return decorate
+
+
+def _crt_bytes(constants: tuple) -> int:
+    """The bytes of the integers M/p_i and M, about 3 P^2 for P primes."""
+    return sum(map(sys.getsizeof, constants[1])) + sys.getsizeof(constants[3])
+
+
+_CRT_CACHE_BYTES = 1 << 22  # a sweep at K = 30 uses tens of kB; a node of a thousand primes, 3 MB
+
+
+@_byte_lru(_CRT_CACHE_BYTES, _crt_bytes)
 def _crt_constants(span: int, P: int) -> tuple:
     primes = _primes(span)[0][:P]
     M = prod(primes.tolist())

@@ -10,6 +10,7 @@ for the whole t grid.  Everything is deterministic given the config seed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import cycle, product
@@ -22,9 +23,9 @@ from .graph import (
     Graph,
     antiregular,
     complete_graph,
-    degree_profile,
     erdos_renyi,
     parse_edge_list,
+    _perturbed_rows,
     perturbed_matrix,
     ring_with_core,
 )
@@ -217,25 +218,32 @@ def select_nodes(g: Graph, q_selector) -> tuple:
 
     A node index outside 1..n raises ValueError.
     """
-    profile = degree_profile(g)
+    d = g.degrees
+    counts = Counter(d)
+    unique = [q for q, x in enumerate(d, 1) if counts[x] == 1]
     if isinstance(q_selector, int):
         if not 1 <= q_selector <= g.n:
             raise ValueError(f"node {q_selector} out of range 1..{g.n}")
-        return (q_selector,) if q_selector in profile.unique_nodes else ()
+        return (q_selector,) if counts[d[q_selector - 1]] == 1 else ()
     if q_selector == "max_unique_degree":
-        if not profile.unique_nodes:
+        if not unique:
             return ()
-        return (max(profile.unique_nodes, key=lambda u: profile.degrees[u - 1]),)
+        return (max(unique, key=lambda u: d[u - 1]),)
     if q_selector == "all_unique":
-        return tuple(sorted(profile.unique_nodes))
+        return tuple(unique)
     raise ValueError(f"unknown q_selector: {q_selector!r}")
 
 
 def _perturbed_spectrum(g: Graph, zeta) -> tuple:
-    """The 53-bit descending spectrum of M(zeta) = diag(d) + zeta A; at zeta = -1, L's."""
+    """The 53-bit descending spectrum of M(zeta) = diag(d) + zeta A; at zeta = -1, L's.
+
+    M(zeta) is made from the graph's weight array (``_perturbed_rows``), and
+    where that cannot round as ``perturbed_matrix`` does, by ``perturbed_matrix``.
+    """
     if isinstance(zeta, Fraction) and zeta.denominator == 1:  # the same matrix, made in ints
         zeta = zeta.numerator
-    return symmetric_eigen(perturbed_matrix(g, zeta)).eigenvalues
+    rows = _perturbed_rows(g, zeta)
+    return symmetric_eigen(perturbed_matrix(g, zeta) if rows is None else rows).eigenvalues
 
 
 def _float(x) -> float:

@@ -13,17 +13,20 @@ from lap_perturb.digits import matches_printed
 from lap_perturb.domain import _exact_value, float_domain
 from lap_perturb.eigen import (
     ALPHA_FLOOR,
+    Spectrum,
     accuracy_alpha,
     spectral_bounds,
     spectrum_to_json,
     symmetric_eigen,
 )
 from lap_perturb.graph import (
+    _perturbed_rows,
     build_graph,
     antiregular,
     complete_graph,
     erdos_renyi,
     laplacian,
+    perturbed_matrix,
     ring_with_core,
 )
 from lap_perturb.sweep import resolve_graph_source
@@ -222,6 +225,26 @@ class TestSymmetricEigen:
     def test_53_bit_entry_check_messages(self, entry, message):
         with pytest.raises(RuntimeError, match=message):
             symmetric_eigen([[entry, 0], [0, 1]])
+
+    def test_53_bit_vectors_and_residual_made_on_first_read(self, e2):
+        matrix = laplacian(e2)
+        spec = symmetric_eigen(matrix)
+        assert "eigenvectors" not in vars(spec) and "residual" not in vars(spec)
+        array = np.array(matrix, dtype=float)
+        values, vectors = np.linalg.eigh(array)
+        R = np.einsum("ij,jk->ik", array, vectors) - vectors * values
+        order = np.argsort(-values, kind="stable")
+        assert spec.residual == float(np.sqrt(np.max(np.einsum("ij,ij->j", R, R))))
+        assert spec.eigenvectors == tuple(map(tuple, vectors.T[order].tolist()))
+        assert spec == Spectrum(spec.eigenvalues, spec.eigenvectors, spec.residual)
+
+    @pytest.mark.parametrize("zeta", [-1, Fraction(-1, 3)], ids=str)
+    @pytest.mark.parametrize("g", [erdos_renyi(20, Fraction(1, 5), 11), erdos_renyi(60, Fraction(1, 2), 3),
+                                   build_graph(4, [(1, 2, Fraction(1, 3)), (2, 3, 2), (3, 4, 1)])],
+                             ids=["er20", "er60", "fractions"])
+    def test_rows_with_their_array_give_the_same_spectrum(self, g, zeta):
+        spectra = [symmetric_eigen(_perturbed_rows(g, zeta)), symmetric_eigen(perturbed_matrix(g, zeta))]
+        assert len({repr((s.eigenvalues, s.eigenvectors, s.residual)) for s in spectra}) == 1
 
     @pytest.mark.parametrize("name", list(SPECTRUM_53_SHA256))
     def test_53_bit_spectra_pinned(self, name):

@@ -5,9 +5,11 @@ import math
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
-from lap_perturb.domain import _exact_value
+from lap_perturb.domain import _exact_value, exact_domain
+from lap_perturb.examples_data import example_graph
 from lap_perturb.eigen import symmetric_eigen
 from lap_perturb.graph import (
     Graph,
@@ -20,10 +22,14 @@ from lap_perturb.graph import (
     format_edge_list,
     graph_from_json,
     graph_to_json,
+    _perturbed_rows,
     laplacian,
     parse_edge_list,
+    perturbed_matrix,
     ring_with_core,
 )
+from lap_perturb.perturb import _stack, coefficients
+from lap_perturb.sweep import _perturbed_spectrum, select_nodes
 from oracles import reference_erdos_renyi
 
 # the grid on which the vectorised draws must equal the scalar generator:
@@ -249,6 +255,25 @@ class TestGenerators:
     def test_erdos_renyi_matches_scalar_generator_at_scale(self, n, p, seed):
         assert_same_generated_graph(erdos_renyi(n, p, seed), reference_erdos_renyi(n, p, seed))
 
+    @pytest.mark.parametrize("n, p, seed", [(0, Fraction(1, 2), 1), (20, Fraction(1, 5), 3),
+                                            (57, Fraction(1, 2), 2**64 - 5)])
+    def test_a_drawn_graph_makes_its_rows_only_when_read(self, n, p, seed):
+        g = erdos_renyi(n, p, seed)
+        assert "weights" not in vars(g) and "_integer_weights" not in vars(g)
+        assert_same_generated_graph(g, reference_erdos_renyi(n, p, seed))
+        adjacency = g._weight_array[1]
+        assert g.weights == tuple(tuple(row) for row in adjacency.tolist())
+        assert g.weights is g.weights
+
+    def test_a_sweep_trial_reads_no_weight_row(self):
+        g = erdos_renyi(40, Fraction(1, 4), 5)
+        nodes = select_nodes(g, "all_unique")
+        _perturbed_spectrum(g, Fraction(-1))
+        _perturbed_spectrum(g, Fraction(-1, 3))
+        _stack(g, nodes, 30, exact_domain())
+        assert [coefficients(g, q, 30, exact_domain()) for q in nodes]
+        assert "weights" not in vars(g) and "_integer_weights" not in vars(g)
+
     @pytest.mark.parametrize("p", [0, Fraction(1, 2), 1])
     def test_erdos_renyi_negative_node_count(self, p):
         with pytest.raises(ValueError, match="^node count must be non-negative$"):
@@ -289,6 +314,51 @@ class TestLaplacian:
         spectrum = symmetric_eigen(L, 128).eigenvalues
         bound = mpmath.ldexp(max(map(abs, spectrum)), -128)
         assert min(map(abs, spectrum)) <= bound
+
+
+def _fraction_weighted():
+    """e3's edges with weights (2^28 + (u v mod 7)) / 3, and a graph of small fractions."""
+    e3 = example_graph("e3")
+    return [build_graph(e3.n, [(u, v, Fraction(2**28 + u * v % 7, 3)) for u, v, _ in e3.edges()]),
+            build_graph(5, [(1, 2, Fraction(1, 3)), (2, 3, 2), (3, 4, Fraction(7, 5)),
+                            (1, 5, Fraction(5, 2))])]
+
+
+MATRIX_ZETAS = (Fraction(-1, 3), Fraction(-7, 5), Fraction(1, 2), -1, -10**12)
+
+
+class TestPerturbedRows:
+    """M(zeta) made from the weight array rounds each entry as float() rounds
+    the exact entry of ``perturbed_matrix``, and carries that array."""
+
+    @pytest.mark.parametrize("zeta", MATRIX_ZETAS, ids=str)
+    @pytest.mark.parametrize("g", [erdos_renyi(20, Fraction(1, 2), 9), example_graph("e1"),
+                                   example_graph("e2"), example_graph("e3"), *_fraction_weighted()],
+                             ids=["er20", "e1", "e2", "e3", "e3-28-bit", "fractions"])
+    def test_same_float_matrix_as_perturbed_matrix(self, g, zeta):
+        exact = perturbed_matrix(g, zeta)
+        rows = _perturbed_rows(g, zeta)
+        if g._weight_array[0] == 3 and zeta == -10**12:  # u a_ij is beyond 2^53
+            assert rows is None
+            return
+        expected = np.array(exact, dtype=float)
+        assert np.array(rows, dtype=float).tobytes() == expected.tobytes()
+        assert rows.array.tobytes() == expected.tobytes()
+        assert np.array(tuple(rows), dtype=float).tobytes() == expected.tobytes()  # read row by row
+        assert not np.signbit(rows.array[rows.array == 0]).any()
+        if isinstance(zeta, int) and g._weight_array[0] == 1:
+            assert rows == exact and {type(x) for row in rows for x in row} == {int}
+
+    def test_none_where_floats_would_not_round_once(self):
+        floats = build_graph(3, [(1, 2, 0.75), (2, 3, 0.5)])
+        huge = build_graph(3, [(1, 2, Fraction(2**70, 243)), (2, 3, 1)])
+        g = erdos_renyi(12, Fraction(1, 2), 4)
+        assert _perturbed_rows(floats, Fraction(-1, 3)) is None
+        assert _perturbed_rows(huge, -1) is None and huge._weight_array[1].dtype == object
+        assert _perturbed_rows(g, -0.5) is None and _perturbed_rows(g, mpmath.mpf(-1)) is None
+        assert _perturbed_rows(g, Fraction(1, 2**53)) is None
+        assert _perturbed_rows(g, -2**53) is None
+        assert _perturbed_rows(build_graph(2, []), -10**400) is None
 
 
 class TestFormats:

@@ -34,6 +34,7 @@ from helpers import (
     random_unique_degree_graphs,
     table_values,
 )
+from lap_perturb.sweep import ExperimentConfig, run_sweep
 from oracles import explicit_c2_c3_c4, integer_recursion, reference_coefficients
 from lap_perturb.perturb import (
     CoefficientTable,
@@ -516,7 +517,7 @@ class TestStack:
         runs = _record_runs(monkeypatch)
         perturb._stack(g, nodes, K, domain)
         stacked = self._tables(g, nodes, K, domain)
-        assert len(runs) == 1 and len(runs[0]) == len(nodes) > 1 and perturb._stacked == []
+        assert len(runs) == 1 and len(runs[0]) == len(nodes) > 1 and perturb._stacked.run == []
         assert stacked == self._tables(g, nodes, K, domain)
         assert len(runs) == 1 + len(nodes)
 
@@ -529,10 +530,10 @@ class TestStack:
                         (nodes[0], 30, exact_domain()), (nodes[0], 30, None)]:
             perturb._stack(g, nodes, 30, domain)
             coefficients(g, q, K, d)
-            assert perturb._stacked == []
+            assert perturb._stacked.run == []
         perturb._stack(g, nodes, 30, domain)
         coefficients(example_graph("e2"), 13, 30, domain)
-        assert perturb._stacked == [] and list(map(len, runs)) == [1] * 5
+        assert perturb._stacked.run == [] and list(map(len, runs)) == [1] * 5
         perturb._stack(g, nodes, 30, domain)
         assert self._tables(g, nodes[:1], 30, domain) == lone[:1]
         assert self._tables(g, nodes[2:], 30, domain) == lone[2:]  # on their own
@@ -544,6 +545,66 @@ class TestStack:
             perturb._stack(g, (1, 2, 3), 30, None)
         with pytest.raises(ValueError, match="K must be at least 2"):
             perturb._stack(g, (1,), 1, None)
+
+
+    def test_threads_stacking_one_graph_keep_their_own_runs(self, e2):
+        # a tiny switch interval makes the threads interleave inside _stack and coefficients
+        nodes, domain = (3, 4, 7, 13), exact_domain()
+        expected = [coefficients(e2, q, 12, domain)._exact for q in nodes]
+        got, errors = [], []
+
+        def stack_and_read(barrier):
+            barrier.wait()
+            try:
+                for _ in range(500):
+                    perturb._stack(e2, nodes, 12, domain)
+                    got.append([coefficients(e2, q, 12, domain)._exact for q in nodes])
+            except Exception as error:  # collected for the assertion below
+                errors.append(error)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            barrier = threading.Barrier(2)
+            threads = [threading.Thread(target=stack_and_read, args=(barrier,)) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == [] and len(got) == 1000 and all(tables == expected for tables in got)
+
+
+class TestCrtCache:
+    """``_crt_constants`` keeps at most its cap in bytes, and what it keeps
+    changes no value."""
+
+    @staticmethod
+    def _retained() -> int:
+        return sum(sum(map(sys.getsizeof, constants[1])) + sys.getsizeof(constants[3])
+                   for constants, _ in perturb._crt_constants.entries.values())
+
+    def test_distinct_weights_stay_under_the_cap(self, monkeypatch):
+        # every node of an ER(60, 1/2) graph with distinct weights takes hundreds of primes
+        g = build_graph(60, [(u, v, 61 * u + v) for u, v, _ in erdos_renyi(60, Fraction(1, 2), 3).edges()])
+        nodes = tuple(range(1, 61))
+        perturb._crt_constants.cache_clear()
+        perturb._stack(g, nodes, 30, None)
+        cached = [coefficients(g, q, 30)._exact for q in nodes]
+        assert 0 < self._retained() <= perturb._CRT_CACHE_BYTES
+        assert len(perturb._crt_constants.entries) < 60
+        monkeypatch.setattr(perturb, "_crt_constants", perturb._crt_constants.__wrapped__)
+        assert cached[::7] == [coefficients(g, q, 30)._exact for q in nodes[::7]]
+
+    def test_a_k30_sweep_keeps_every_entry_it_uses(self):
+        config = ExperimentConfig(q_selector="all_unique", trials=40, n_grid=(20, 60),
+                                  p_grid=(Fraction(1, 5), Fraction(1, 2)), seed=3)
+        perturb._crt_constants.cache_clear()
+        run_sweep(config)
+        first = {key: id(constants) for key, (constants, _) in perturb._crt_constants.entries.items()}
+        run_sweep(config)
+        again = {key: id(constants) for key, (constants, _) in perturb._crt_constants.entries.items()}
+        assert len(first) > 10 and again == first
 
 
 class TestRoundOnRead:
@@ -601,7 +662,7 @@ class TestRoundOnRead:
         nodes = (3, 4, 7, 13)
         perturb._stack(e2, nodes, 30, domain)
         stacked = [coefficients(e2, q, 30, domain) for q in nodes]
-        assert perturb._stacked == []
+        assert perturb._stacked.run == []
         lone = [coefficients(e2, q, 30, domain) for q in nodes]
         assert all(table.c for table in lone)  # a read leaves equality and hash as they were
         assert stacked == lone and list(map(hash, stacked)) == list(map(hash, lone))

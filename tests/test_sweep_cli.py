@@ -21,7 +21,7 @@ from lap_perturb.cli import main
 from lap_perturb.domain import NumberDomain, exact_domain, float_domain
 from lap_perturb.eigen import accuracy_alpha, symmetric_eigen
 from lap_perturb.examples_data import example_graph
-from lap_perturb.graph import build_graph, format_edge_list, laplacian, perturbed_matrix
+from lap_perturb.graph import _ArrayRows, build_graph, format_edge_list, laplacian, perturbed_matrix
 from lap_perturb.sweep import ExperimentConfig, resolve_graph_source, run_sweep, select_nodes
 from oracles import eigsy_eigenvalues
 
@@ -312,6 +312,27 @@ class TestSweepWorkPerTrial:
             run_sweep(_multi_t_config(exact_domain()))
 
 
+    @pytest.mark.parametrize("zeta", [Fraction(-1), Fraction(-1, 3)], ids=str)
+    def test_tampered_eigenvector_fails_the_residual_check_on_drawn_graphs(self, monkeypatch, zeta):
+        # the M(zeta) of a drawn graph is made from its weight array, in ints at zeta = -1
+        eigh = np.linalg.eigh
+        solved = []
+
+        def tampered(array):
+            values, vectors = eigh(array)
+            vectors[3, -1] = math.nan
+            return values, vectors
+
+        def kept(matrix):
+            solved.append(matrix)
+            return symmetric_eigen(matrix)
+        monkeypatch.setattr(np.linalg, "eigh", tampered)
+        monkeypatch.setattr(sweep, "symmetric_eigen", kept)
+        with pytest.raises(RuntimeError, match="residual"):
+            run_sweep(ExperimentConfig(zeta=zeta, trials=3, n_grid=(20,), p_grid=(Fraction(1, 2),)))
+        assert len(solved) == 1 and isinstance(solved[0], _ArrayRows)
+
+
 class TestResolveGraphSource:
     def test_generator_specs(self):
         assert resolve_graph_source("ring_with_core:8,1").degrees[0] == 7
@@ -397,6 +418,13 @@ SWEEP_1000_STDOUT_SHA256 = {
     "skipped-p-1/200": (["sweep", "--n", "1000", "--p", "1/200", "--trials", "3"],
                         "3b9f552995e4d46943f059c2549aac5f267b4b01ef3fdb28de7baebab2ebf208"),
 }
+
+# SHA-256 of the stdout of one classified ER(2000, 1/40) trial, made by the
+# tuple-backed sweep before graphs kept their weights as an array.  Its
+# matched_mu is LAPACK's, whose last bit at this size moves with the number of
+# BLAS threads: the digest is that of a 2-thread x86-64 host.
+SWEEP_2000_STDOUT_SHA256 = (["sweep", "--n", "2000", "--p", "1/40", "--trials", "1", "--detail"],
+                            "0ebac4b3ee9a7a7060be469b4edbc0cfc4893bd70ae779ae0ca5b823a606cbba")
 
 # SHA-256 of `sweep --detail` CSVs on a file graph: e3's edges with weights
 # (2^28 + (u v mod 7)) / 3, so rational weights whose scaled row sums take two
@@ -666,6 +694,11 @@ class TestCli:
     @pytest.mark.parametrize("name", list(SWEEP_1000_STDOUT_SHA256))
     def test_sweep_1000_stdout_bytes(self, capsys, name):
         argv, sha256 = SWEEP_1000_STDOUT_SHA256[name]
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+    def test_sweep_2000_stdout_bytes(self, capsys):
+        argv, sha256 = SWEEP_2000_STDOUT_SHA256
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
 
