@@ -8,7 +8,7 @@ mantissa bits.  Every layer takes each input at its exact value
 (``_exact_value``, or its ``_integer_ratio``): a float or mpf is a dyadic
 rational, and a list of them is put over one common denominator by
 ``_over_lcm``.  So ``perturb`` computes every table exactly, from the weights
-of ``Graph._integer_weights``, and ``euler`` every partial sum; only the
+of ``Graph._weight_array``, and ``euler`` every partial sum; only the
 choice of the default domain asks whether every weight is rational
 (``_rational``).  An exact value enters a domain in one place,
 ``NumberDomain.ratio``: a ``Fraction``, or rounded once, to nearest, at the

@@ -19,7 +19,7 @@ from operator import not_
 
 import numpy as np
 
-from .domain import _exact_value, _over_lcm, _rational, parse_number
+from .domain import _exact_value, _integer_ratio, _over_lcm, _rational, parse_number
 
 _FLOAT_INTEGERS = 1 << 53  # every integer below it is exact in float64
 
@@ -50,13 +50,11 @@ class Graph:
     ``weights`` is a tuple of row tuples (symmetric, zero diagonal); entries
     are ints for unweighted graphs and Fractions/floats otherwise.  Instances
     are immutable and safe to share across threads.  ``degrees`` and the
-    exact integer form of the weights (``_integer_weights``, and as one
-    array ``_weight_array``) are read from ``weights`` once, on first use.
-    A graph from ``erdos_renyi`` arrives with its ``degrees``, its
-    ``_weight_array`` (the 0/1 array it was drawn in) and
-    ``_rational_weights`` already set (``_unit_graph``).  It makes its
-    ``weights`` rows, and from them ``_integer_weights``, on first read:
-    the same values and types.
+    exact integer form of the weights as one array (``_weight_array``) are
+    read from ``weights`` once, on first use.  A graph from ``erdos_renyi``
+    arrives with its ``degrees``, its ``_weight_array`` (the 0/1 array it
+    was drawn in) and ``_rational_weights`` already set (``_unit_graph``).
+    It makes its ``weights`` rows on first read: the same values and types.
     """
 
     n: int
@@ -84,35 +82,27 @@ class Graph:
                      else sum(map(_exact_value, row)) for row in self.weights)
 
     @cached_property
-    def _integer_weights(self) -> tuple:
-        """(W, a): W the lcm of the weight denominators and a = W A as rows of ints.
+    def _weight_array(self) -> tuple:
+        """(W, a): W the lcm of the weight denominators and a = W A as one n x n array.
 
         Each weight counts at its exact value (``_over_lcm``), so a float or
         mpf weight at its dyadic one.  One pass collects the distinct
         (type, weight) pairs, so an int 1 does not hide a float 1.0 that
         equals it, and records in ``_rational_weights`` whether every weight
-        is rational (``_rational``).  A graph of int weights is its own
-        ``a``, with W = 1.
-        """
-        distinct = set().union(*(zip(map(type, row), row) for row in self.weights))
-        self.__dict__["_all_rational"] = all(_rational(w) for _, w in distinct)
-        if all(t is int for t, _ in distinct):
-            return 1, self.weights
-        ws = [w for _, w in distinct]
-        nums, W = _over_lcm(ws)
-        scaled = dict(zip(ws, nums))
-        return W, tuple(tuple(map(scaled.__getitem__, row)) for row in self.weights)
-
-    @cached_property
-    def _weight_array(self) -> tuple:
-        """(W, a): ``_integer_weights`` with a = W A as one n x n array.
-
+        is rational (``_rational``).  A graph of int weights has W = 1.
         a is an integer array (int64 here; a drawn graph's is its uint8
         array) when every row's sum of |W A|, and so every entry and row
         sum, is below 2^53 and exact in float64.  Else it holds the same
         Python ints as an object array.
         """
-        W, a = self._integer_weights
+        distinct = set().union(*(zip(map(type, row), row) for row in self.weights))
+        self.__dict__["_all_rational"] = all(_rational(w) for _, w in distinct)
+        W, a = 1, self.weights
+        if not all(t is int for t, _ in distinct):
+            ws = [w for _, w in distinct]
+            nums, W = _over_lcm(ws)
+            scaled = dict(zip(ws, nums))
+            a = [list(map(scaled.__getitem__, row)) for row in a]
         fits = max((sum(map(abs, row)) for row in a), default=0) < _FLOAT_INTEGERS
         return W, np.array(a, dtype=np.int64 if fits else object).reshape(self.n, self.n)
 
@@ -120,7 +110,7 @@ class Graph:
     def _rational_weights(self) -> bool:
         """Whether every weight is rational: no float or mpf of any value."""
         if "_all_rational" not in self.__dict__:
-            self._integer_weights  # its one pass records the answer
+            self._weight_array  # its one pass records the answer
         return self.__dict__["_all_rational"]
 
     def weight(self, u: int, v: int):
@@ -261,16 +251,24 @@ def laplacian(g: Graph) -> tuple:
 
 
 def perturbed_matrix(g: Graph, zeta) -> tuple:
-    """diag(degrees) + zeta * weights; zeta = -1 is the Laplacian, +1 the signless one."""
-    d = g.degrees
-    out = []
-    for i in range(g.n):
-        row = list(g.weights[i])
-        for j in range(g.n):
-            row[j] = zeta * row[j]
-        row[i] = row[i] + d[i]
-        out.append(tuple(row))
-    return tuple(out)
+    """diag(degrees) + zeta * weights, exact; zeta = -1 is the Laplacian, +1 the signless one.
+
+    With (W, a = W A) from ``_weight_array`` and zeta = u / v from
+    ``_integer_ratio``, so a float or mpf weight or zeta at its dyadic value:
+    when v W = 1 the entries are the ints u a_ij and, on the diagonal, the
+    row sums d_i of a.  Else every entry is a ``Fraction``: u a_ij / (v W),
+    and d_i / W on the diagonal.  No entry is a float, so none is -0.0.
+    """
+    W, a = g._weight_array
+    u, v = _integer_ratio(zeta)
+    ints = v * W == 1
+    rows = a.tolist()
+    # one entry per distinct integer of a: a sparse or drawn graph has few
+    scaled = {x: u * x if ints else Fraction(u * x, v * W) for x in set().union(*rows)}
+    rows = [list(map(scaled.__getitem__, row)) for row in rows]
+    for i, d in enumerate(a.sum(1).tolist()):
+        rows[i][i] = d if ints else Fraction(d, W)
+    return tuple(map(tuple, rows))
 
 
 class _ArrayRows(tuple):
@@ -284,34 +282,32 @@ class _ArrayRows(tuple):
         return self.array.astype(dtype or self.array.dtype, copy=bool(copy))
 
 
-def _perturbed_rows(g: Graph, zeta):
-    """``perturbed_matrix(g, zeta)`` made from ``_weight_array`` as rows with its float64 array; or None.
+def _perturbed_rows(g: Graph, zeta) -> tuple:
+    """``perturbed_matrix(g, zeta)`` rounded once per entry, as rows with their float64 array.
 
-    With a = W A and zeta = u / v, an off-diagonal entry is the int64
-    product u a_ij over v W, and a diagonal one the row sum of a over W.
-    When v W = 1 the rows are those ints, as ``perturbed_matrix`` makes
-    them.  Else each entry is one float64 division, which rounds correctly
-    while both integers are below 2^53, as ``float`` rounds the exact entry
-    of ``perturbed_matrix``; an int product makes no -0.0.  The rows are
-    read from the array, one ``tolist`` per row (``_ArrayRows``).  None where that
-    does not hold: an object weight array, a float or mpf zeta, or a float
-    or mpf weight, which ``perturbed_matrix`` multiplies in floats.
+    With a = W A and zeta = u / v, an entry is the product u a_ij over v W,
+    and a diagonal one the row sum of a over W: ints when v W = 1, else the
+    float of the exact entry, never -0.0.  They are made in int64 and one
+    float64 division while every integer is below 2^53, else in Python ints,
+    whose true division also rounds once.  The rows are read from the array,
+    one ``tolist`` per row.  Where an entry is beyond the float64 range this
+    is ``perturbed_matrix(g, zeta)`` alone, which ``symmetric_eigen`` rejects.
     """
     W, a = g._weight_array
-    if a.dtype == object or not isinstance(zeta, (int, Fraction)) or not g._rational_weights:
-        return None
-    u, v = zeta.numerator, zeta.denominator
+    u, v = _integer_ratio(zeta)
     top = max(int(a.max(initial=1)), -int(a.min(initial=0)))  # max(|a_ij|, 1)
-    if v * W >= _FLOAT_INTEGERS or abs(u) * top >= _FLOAT_INTEGERS:
-        return None
-    M = np.multiply(a, u, dtype=np.int64)
-    d = a.sum(1)
-    if v * W != 1:
-        M = M / (v * W)
-        d = d / W
-    np.fill_diagonal(M, d)
-    rows = _ArrayRows(map(tuple, map(np.ndarray.tolist, M)))
-    rows.array = M.astype(np.float64, copy=False)
+    fits = a.dtype != object and v * W < _FLOAT_INTEGERS and abs(u) * top < _FLOAT_INTEGERS
+    M = np.multiply(a, u, dtype=np.int64 if fits else object)
+    d = a.sum(1).astype(M.dtype)
+    try:
+        if v * W != 1:
+            M = M / (v * W)
+            d = d / W
+        np.fill_diagonal(M, d)
+        rows = _ArrayRows(map(tuple, map(np.ndarray.tolist, M)))
+        rows.array = M.astype(np.float64, copy=False)
+    except OverflowError:
+        return perturbed_matrix(g, zeta)
     return rows
 
 
@@ -461,8 +457,9 @@ def graph_from_json(text: str) -> Graph:
     """Read the ``{"n": N, "edges": [[u, v, w], ...]}`` form that ``graph_to_json`` writes.
 
     A weight is a JSON number or a string ``parse_number`` reads.  A
-    non-object document, a missing key, an edge that is not a three-element
-    list, or a weight that is ``true``, ``false`` or ``null`` raises
+    non-object document, a missing key, an ``n`` that is not an integer, an
+    edge that is not a three-element list, a node index that is not an
+    integer, or a weight that is ``true``, ``false`` or ``null`` raises
     ValueError naming the key or the edge.
     """
     data = json.loads(text)
@@ -471,11 +468,15 @@ def graph_from_json(text: str) -> Graph:
     for key in ("n", "edges"):
         if key not in data:
             raise ValueError(f"graph JSON has no {key!r} key")
+    if type(data["n"]) is not int:  # a JSON integer; true and false are bools
+        raise ValueError(f"graph JSON key 'n' is {json.dumps(data['n'])}, not an integer")
     edges = []
     for edge in data["edges"]:
         if not isinstance(edge, list) or len(edge) != 3:
             raise ValueError(f"edge {json.dumps(edge)} is not a [u, v, weight] list")
         u, v, w = edge
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"edge {json.dumps(edge)} has a node index that is not an integer")
         if isinstance(w, str):
             w = parse_number(w)
         elif isinstance(w, bool) or not isinstance(w, (int, float)):

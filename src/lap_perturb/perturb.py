@@ -15,7 +15,7 @@ A table stores only its exact values, as integers over one denominator,
 which the series in ``euler`` sum; its d_q and c_j enter the domain on
 first read (``NumberDomain.ratio``), rounded once at the domain's own
 precision whatever mpmath's working precision is.  The graph reads the
-integer weights once (``Graph._integer_weights``), and ``_residue_recursion``
+integer weights once (``Graph._weight_array``), and ``_residue_recursion``
 runs the recursion on them modulo primes below 2^26, one vectorised int64
 step per order for a sweep's nodes (``_stack``), then rebuilds each value by
 the Chinese remainder theorem (Garner 1959; Knuth, TAOCP vol. 2, 4.3.2).  No

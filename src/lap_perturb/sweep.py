@@ -26,7 +26,6 @@ from .graph import (
     erdos_renyi,
     parse_edge_list,
     _perturbed_rows,
-    perturbed_matrix,
     ring_with_core,
 )
 from .perturb import _stack, coefficients
@@ -237,13 +236,10 @@ def select_nodes(g: Graph, q_selector) -> tuple:
 def _perturbed_spectrum(g: Graph, zeta) -> tuple:
     """The 53-bit descending spectrum of M(zeta) = diag(d) + zeta A; at zeta = -1, L's.
 
-    M(zeta) is made from the graph's weight array (``_perturbed_rows``), and
-    where that cannot round as ``perturbed_matrix`` does, by ``perturbed_matrix``.
+    M(zeta) is the exact ``perturbed_matrix`` of the graph's ``_weight_array``
+    at the exact value of zeta, each entry rounded once (``_perturbed_rows``).
     """
-    if isinstance(zeta, Fraction) and zeta.denominator == 1:  # the same matrix, made in ints
-        zeta = zeta.numerator
-    rows = _perturbed_rows(g, zeta)
-    return symmetric_eigen(perturbed_matrix(g, zeta) if rows is None else rows).eigenvalues
+    return symmetric_eigen(_perturbed_rows(g, zeta)).eigenvalues
 
 
 def _float(x) -> float:

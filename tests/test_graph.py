@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import random
+import re
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from lap_perturb.domain import _exact_value, exact_domain
+import lap_perturb.graph as graph_module
+from lap_perturb.domain import _exact_value, _integer_ratio, exact_domain
 from lap_perturb.examples_data import example_graph
 from lap_perturb.eigen import symmetric_eigen
 from lap_perturb.graph import (
@@ -22,6 +25,7 @@ from lap_perturb.graph import (
     format_edge_list,
     graph_from_json,
     graph_to_json,
+    _ArrayRows,
     _perturbed_rows,
     laplacian,
     parse_edge_list,
@@ -30,6 +34,7 @@ from lap_perturb.graph import (
 )
 from lap_perturb.perturb import _stack, coefficients
 from lap_perturb.sweep import _perturbed_spectrum, select_nodes
+from helpers import exact_copy, float_weighted
 from oracles import reference_erdos_renyi
 
 # the grid on which the vectorised draws must equal the scalar generator:
@@ -41,14 +46,15 @@ ER_SEEDS = (0, 7, -1, 2**64 - 5, 2**64 + 3, 2**70)
 
 
 def assert_same_generated_graph(g, ref) -> None:
-    """Equal value and hash, and equal cached degrees and integer weights, types included."""
+    """Equal value and hash, and equal cached degrees and weight arrays, types included."""
     assert g == ref and hash(g) == hash(ref)
     assert {type(w) for row in g.weights for w in row} == {type(w) for row in ref.weights for w in row}
     assert g.is_weighted is ref.is_weighted
     assert g.degrees == ref.degrees
     assert list(map(type, g.degrees)) == list(map(type, ref.degrees))
-    assert g._integer_weights == ref._integer_weights
-    assert type(g._integer_weights[0]) is type(ref._integer_weights[0])
+    (W, a), (ref_W, ref_a) = g._weight_array, ref._weight_array
+    assert W == ref_W and type(W) is type(ref_W)
+    assert a.tolist() == ref_a.tolist() and a.dtype.kind in "iu" and ref_a.dtype.kind in "iu"
     assert g._rational_weights is ref._rational_weights
 
 
@@ -149,21 +155,28 @@ class TestDegreeProfile:
         assert prof.kappa(13) == Fraction(1, 2)
 
     def test_integer_weights_are_read_once_at_their_exact_value(self):
+        def assert_weight_array(g, W, rows, dtype):
+            assert g._weight_array[0] == W and type(g._weight_array[0]) is int
+            assert g._weight_array[1].dtype == dtype
+            a = g._weight_array[1].tolist()
+            assert a == [list(row) for row in rows] and {type(x) for row in a for x in row} == {int}
+
         g = build_graph(3, [(1, 2, Fraction(1, 2)), (2, 3, Fraction(2, 3))])
-        assert g._integer_weights == (6, ((0, 3, 0), (3, 0, 4), (0, 4, 0)))
-        assert g._integer_weights is g._integer_weights
+        assert_weight_array(g, 6, ((0, 3, 0), (3, 0, 4), (0, 4, 0)), np.int64)
+        assert g._weight_array is g._weight_array
         unit = build_graph(3, [(1, 2), (2, 3)])
-        assert unit._integer_weights == (1, unit.weights)
+        assert_weight_array(unit, 1, unit.weights, np.int64)
         assert g._rational_weights and unit._rational_weights
-        # a float or mpf weight counts at its dyadic value, whatever its value
-        for w, scaled in ((1.0, (1, 1)), (mpmath.mpf(2), (1, 2)), (0.1, (2**55, 3602879701896397))):
+        # a float or mpf weight counts at its dyadic value, whatever its value; a row
+        # sum of 2^55 + 3602879701896397 is beyond 2^53, so 0.1's array holds Python ints
+        for w, scaled, dtype in ((1.0, (1, 1), np.int64), (mpmath.mpf(2), (1, 2), np.int64),
+                                 (0.1, (2**55, 3602879701896397), object)):
             typed = build_graph(3, [(1, 2), (2, 3, w)])
-            assert typed._integer_weights == (scaled[0], ((0, scaled[0], 0),
-                                                          (scaled[0], 0, scaled[1]),
-                                                          (0, scaled[1], 0)))
+            assert_weight_array(typed, scaled[0], ((0, scaled[0], 0), (scaled[0], 0, scaled[1]),
+                                                   (0, scaled[1], 0)), dtype)
             assert not typed._rational_weights
         mixed = build_graph(3, [(1, 2, Fraction(1, 3)), (2, 3, 0.5)])
-        assert mixed._integer_weights == (6, ((0, 2, 0), (2, 0, 3), (0, 3, 0)))
+        assert_weight_array(mixed, 6, ((0, 2, 0), (2, 0, 3), (0, 3, 0)), np.int64)
         assert not mixed._rational_weights
 
     def test_regular_graph_has_no_unique_nodes(self):
@@ -259,20 +272,29 @@ class TestGenerators:
                                             (57, Fraction(1, 2), 2**64 - 5)])
     def test_a_drawn_graph_makes_its_rows_only_when_read(self, n, p, seed):
         g = erdos_renyi(n, p, seed)
-        assert "weights" not in vars(g) and "_integer_weights" not in vars(g)
-        assert_same_generated_graph(g, reference_erdos_renyi(n, p, seed))
-        adjacency = g._weight_array[1]
+        ref = reference_erdos_renyi(n, p, seed)
+        assert "weights" not in vars(g)
+        W, adjacency = vars(g)["_weight_array"]
+        assert W == 1 and type(W) is int and adjacency.dtype == np.uint8
+        assert adjacency.tolist() == [list(row) for row in ref.weights]
+        assert_same_generated_graph(g, ref)
+        assert g._weight_array[1] is adjacency
         assert g.weights == tuple(tuple(row) for row in adjacency.tolist())
         assert g.weights is g.weights
 
     def test_a_sweep_trial_reads_no_weight_row(self):
         g = erdos_renyi(40, Fraction(1, 4), 5)
+        drawn = vars(g)["_weight_array"]
+        adjacency = drawn[1].copy()
         nodes = select_nodes(g, "all_unique")
         _perturbed_spectrum(g, Fraction(-1))
         _perturbed_spectrum(g, Fraction(-1, 3))
         _stack(g, nodes, 30, exact_domain())
         assert [coefficients(g, q, 30, exact_domain()) for q in nodes]
-        assert "weights" not in vars(g) and "_integer_weights" not in vars(g)
+        assert "weights" not in vars(g) and vars(g)["_weight_array"] is drawn
+        W, a = drawn
+        assert W == 1 and type(W) is int and a.dtype == np.uint8
+        assert a.tolist() == adjacency.tolist()
 
     @pytest.mark.parametrize("p", [0, Fraction(1, 2), 1])
     def test_erdos_renyi_negative_node_count(self, p):
@@ -324,41 +346,98 @@ def _fraction_weighted():
                             (1, 5, Fraction(5, 2))])]
 
 
-MATRIX_ZETAS = (Fraction(-1, 3), Fraction(-7, 5), Fraction(1, 2), -1, -10**12)
+def _float_weighted(seed: int = 4):
+    """ER(20, 3/10) with float weights drawn uniformly from [0.1, 2)."""
+    rng = random.Random(seed)
+    er = erdos_renyi(20, Fraction(3, 10), seed)
+    return build_graph(er.n, [(u, v, rng.uniform(0.1, 2)) for u, v, _ in er.edges()])
+
+
+with mpmath.workprec(128):
+    MPF_THIRD = mpmath.mpf(-1) / 3  # a 128-bit dyadic value, whose denominator is beyond 2^53
+
+MATRIX_ZETAS = (Fraction(-1, 3), Fraction(-7, 5), Fraction(1, 2), -1, -10**12, -0.375, MPF_THIRD)
+HUGE_WEIGHTS = build_graph(3, [(1, 2, Fraction(2**70, 243)), (2, 3, 1)])  # an object weight array
+# an object array, although every entry is below 2^53: its row sum 2^53 + 3, rounded to a
+# float before the division by W = 3, would be rounded twice
+HUGE_ROW_SUM = build_graph(3, [(1, 2, Fraction(2**52 + 1, 3)), (1, 3, Fraction(2**52 + 2, 3))])
 
 
 class TestPerturbedRows:
     """M(zeta) made from the weight array rounds each entry as float() rounds
-    the exact entry of ``perturbed_matrix``, and carries that array."""
+    the exact entry of ``perturbed_matrix``, and carries that array, in int64
+    while every integer is below 2^53 and in Python ints beyond."""
 
     @pytest.mark.parametrize("zeta", MATRIX_ZETAS, ids=str)
     @pytest.mark.parametrize("g", [erdos_renyi(20, Fraction(1, 2), 9), example_graph("e1"),
-                                   example_graph("e2"), example_graph("e3"), *_fraction_weighted()],
-                             ids=["er20", "e1", "e2", "e3", "e3-28-bit", "fractions"])
-    def test_same_float_matrix_as_perturbed_matrix(self, g, zeta):
+                                   example_graph("e2"), example_graph("e3"), *_fraction_weighted(),
+                                   _float_weighted(), float_weighted(example_graph("e2")),
+                                   HUGE_WEIGHTS, HUGE_ROW_SUM],
+                             ids=["er20", "e1", "e2", "e3", "e3-28-bit", "fractions",
+                                  "uniform-floats", "e2-floats", "object-array", "object-row-sum"])
+    def test_same_float_matrix_as_perturbed_matrix(self, g, zeta, monkeypatch):
         exact = perturbed_matrix(g, zeta)
         rows = _perturbed_rows(g, zeta)
-        if g._weight_array[0] == 3 and zeta == -10**12:  # u a_ij is beyond 2^53
-            assert rows is None
-            return
-        expected = np.array(exact, dtype=float)
+        assert isinstance(rows, _ArrayRows)
+        expected = np.array([[float(x) for x in row] for row in exact])
+        assert rows.array.dtype == np.float64 and rows.array.tobytes() == expected.tobytes()
         assert np.array(rows, dtype=float).tobytes() == expected.tobytes()
-        assert rows.array.tobytes() == expected.tobytes()
         assert np.array(tuple(rows), dtype=float).tobytes() == expected.tobytes()  # read row by row
         assert not np.signbit(rows.array[rows.array == 0]).any()
-        if isinstance(zeta, int) and g._weight_array[0] == 1:
-            assert rows == exact and {type(x) for row in rows for x in row} == {int}
+        types = {type(x) for row in exact for x in row}
+        if _integer_ratio(zeta)[1] * g._weight_array[0] == 1:  # ints, as perturbed_matrix makes them
+            assert types == {int} and {type(x) for row in rows for x in row} == {int}
+            assert rows == exact
+        else:
+            assert types == {Fraction} and {type(x) for row in rows for x in row} == {float}
+            assert rows == tuple(map(tuple, expected.tolist()))
+        # every integer taken as a Python int, as at 2^53 and beyond: the same rows and array
+        monkeypatch.setattr(graph_module, "_FLOAT_INTEGERS", 0)
+        forced = _perturbed_rows(g, zeta)
+        assert forced == rows and forced.array.tobytes() == rows.array.tobytes()
+        assert [list(map(type, row)) for row in forced] == [list(map(type, row)) for row in rows]
 
-    def test_none_where_floats_would_not_round_once(self):
+    @pytest.mark.parametrize("zeta", MATRIX_ZETAS, ids=str)
+    def test_float_weights_count_at_their_exact_value(self, zeta):
+        for g in [*map(_float_weighted, range(5)), float_weighted(example_graph("e2"))]:
+            copy = exact_copy(g)
+            exact = perturbed_matrix(copy, zeta)
+            matrix = perturbed_matrix(g, zeta)
+            assert matrix == exact
+            assert [list(map(type, row)) for row in matrix] == [list(map(type, row)) for row in exact]
+            assert _perturbed_spectrum(g, zeta) == _perturbed_spectrum(copy, zeta)
+
+    def test_rows_round_once_on_both_sides_of_2_to_the_53(self):
         floats = build_graph(3, [(1, 2, 0.75), (2, 3, 0.5)])
-        huge = build_graph(3, [(1, 2, Fraction(2**70, 243)), (2, 3, 1)])
         g = erdos_renyi(12, Fraction(1, 2), 4)
-        assert _perturbed_rows(floats, Fraction(-1, 3)) is None
-        assert _perturbed_rows(huge, -1) is None and huge._weight_array[1].dtype == object
-        assert _perturbed_rows(g, -0.5) is None and _perturbed_rows(g, mpmath.mpf(-1)) is None
-        assert _perturbed_rows(g, Fraction(1, 2**53)) is None
-        assert _perturbed_rows(g, -2**53) is None
-        assert _perturbed_rows(build_graph(2, []), -10**400) is None
+        assert HUGE_WEIGHTS._weight_array[1].dtype == object
+        below = [(floats, Fraction(-1, 3)), (g, -0.5), (g, mpmath.mpf(-1)),
+                 (g, Fraction(1, 2**53 - 1)), (g, 1 - 2**53), (g, Fraction(2**53 - 1, 3))]
+        # at 2^53 and beyond an int64 product or a float64 division could round twice:
+        # 2^53 + 3 would be 2^53 + 4 before the division by 3
+        beyond = [(HUGE_WEIGHTS, -1), (g, MPF_THIRD), (g, Fraction(1, 2**53)), (g, -2**53),
+                  (g, Fraction(2**53 + 3, 3)), (build_graph(2, []), -10**400)]
+        for graph, zeta in below + beyond:
+            exact = perturbed_matrix(graph, zeta)
+            expected = tuple(tuple(x if type(x) is int else float(x) for x in row) for row in exact)
+            rows = _perturbed_rows(graph, zeta)
+            assert isinstance(rows, _ArrayRows) and rows == expected
+            assert [list(map(type, row)) for row in rows] == [list(map(type, row)) for row in expected]
+            assert rows.array.tobytes() == np.array(expected, dtype=float).tobytes()
+        assert _perturbed_rows(build_graph(2, []), -10**400) == ((0, 0), (0, 0))
+        # an entry beyond the float64 range: the exact rows alone, which the solver rejects
+        huge = build_graph(2, [(1, 2, 10**400)])
+        rows = _perturbed_rows(huge, -1)
+        assert type(rows) is tuple and rows == perturbed_matrix(huge, -1)
+        assert rows == ((10**400, -10**400), (-10**400, 10**400))
+        with pytest.raises(RuntimeError, match="beyond the float64 range"):
+            _perturbed_spectrum(huge, -1)
+
+    def test_spectrum_at_an_mpf_zeta_reads_no_working_precision(self):
+        g = erdos_renyi(20, Fraction(1, 2), 3)
+        expected = np.array(_perturbed_spectrum(g, MPF_THIRD)).tobytes()
+        with mpmath.workprec(20):
+            assert np.array(_perturbed_spectrum(g, MPF_THIRD)).tobytes() == expected
 
 
 class TestFormats:
@@ -403,6 +482,17 @@ class TestFormats:
     def test_json_two_element_edge_rejected(self):
         with pytest.raises(ValueError, match=r"^edge \[1, 2\] is not a \[u, v, weight\] list"):
             graph_from_json('{"n": 3, "edges": [[1, 2], [2, 3, 2]]}')
+
+    @pytest.mark.parametrize("n", ["true", '"3"', "2.0"])
+    def test_json_non_integer_node_count_rejected(self, n):
+        with pytest.raises(ValueError, match=f"^graph JSON key 'n' is {n}, not an integer$"):
+            graph_from_json(f'{{"n": {n}, "edges": [[1, 2, 1]]}}')
+
+    @pytest.mark.parametrize("edge", ["[true, 2, 1]", "[1, 2.0, 1]", '[1, "2", 1]'])
+    def test_json_non_integer_node_index_rejected(self, edge):
+        match = rf"^edge {re.escape(edge)} has a node index that is not an integer$"
+        with pytest.raises(ValueError, match=match):
+            graph_from_json(f'{{"n": 3, "edges": [{edge}, [2, 3, 2]]}}')
 
     @pytest.mark.parametrize("key", ["n", "edges"])
     def test_json_missing_key_rejected(self, key):

@@ -375,6 +375,12 @@ SERIES_STDOUT_SHA256 = {
                      "a4287ea155a2355b77dd6a873b1ba3ea0d825c0bf08a4bc8824c32a8f2d603cb"),
 }
 
+# SHA-256 of the stdout of `taylor` at zeta = -1/3 on the path with weights
+# 2^70/243, 1 and 1, whose M(zeta) holds integers beyond 2^53 and reaches the
+# eigensolver as its exact entries
+HUGE_TAYLOR_EDGES = "n 4\n1 2 1180591620717411303424/243\n1 3 1\n3 4 1\n"
+HUGE_TAYLOR_STDOUT_SHA256 = "df86e25190b7320bcf804ceeb913569993d5033035334c660dc57344b80547d9"
+
 # SHA-256 of the stdout of a 256-bit Euler series and a 24-bit table, the
 # precision extremes of the float domains
 PRECISION_STDOUT_SHA256 = {
@@ -641,6 +647,13 @@ class TestCli:
         argv, sha256 = SERIES_STDOUT_SHA256[name]
         assert main(argv) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+    def test_exact_rows_series_stdout_bytes(self, capsys, tmp_path):
+        path = tmp_path / "huge.edges"
+        path.write_text(HUGE_TAYLOR_EDGES)
+        assert main(["taylor", "--graph", str(path), "--q", "1", "--K", "30", "--zeta", "-1/3",
+                     "--exact"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == HUGE_TAYLOR_STDOUT_SHA256
 
     @pytest.mark.parametrize("ambient", [None, 24, 256])
     @pytest.mark.parametrize("name", list(ORACLE_STDOUT_SHA256))
